@@ -136,7 +136,7 @@ void BM_RtmPackageTransient(benchmark::State& state) {
     last = rtm::run_rtm(tech, fp, trace, policy, actuator, opts);
     benchmark::DoNotOptimize(last);
   }
-  state.counters["epochs"] = static_cast<double>(last.times.size());
+  state.counters["epochs"] = static_cast<double>(last.metrics.epochs);
   state.counters["interventions"] = static_cast<double>(last.metrics.interventions);
   state.counters["peak_K"] = last.metrics.peak_temperature;
 }

@@ -2,16 +2,20 @@
 //
 // Layering (each header is independently includable):
 //   common/    units, constants, tables, RNG, error types
-//   numerics/  roots, quadrature, dense/sparse linear algebra, ODE, interp
+//   numerics/  roots, quadrature, dense/sparse linear algebra, ODE, FFT
 //   device/    technology descriptors and the Eq. (1)/(2) MOSFET models
-//   spice/     MNA circuit solver (the "SPICE simulations" baseline)
+//   spice/     MNA circuit solver (the "SPICE simulations" baseline), its
+//              electro-thermal self-heating loop and solve reports
 //   leakage/   stack collapse (Eqs. 3-13), gates, exact solver, baselines
-//   thermal/   analytic profile + images (Eqs. 16-21), FDM reference, RC
+//   thermal/   analytic profile + images (Eqs. 16-21), FDM reference,
+//              spectral solver, die stacks, RC, the backend/influence seam
 //   power/     dynamic + short-circuit power
 //   netlist/   standard cells and gate-level leakage statistics
-//   floorplan/ blocks, die, synthetic power maps
+//   floorplan/ blocks, die, synthetic power maps, compiled block leakage
 //   scaling/   roadmap behind the Fig. 1 reproduction
-//   core/      the concurrent electro-thermal solver
+//   core/      the concurrent electro-thermal solver, influence operators,
+//              the batched scenario engine, transient cosim, RC network
+//   telemetry/ spans, the metrics registry and the solver-counter catalog
 //   rtm/       runtime thermal management: traces, DVFS actuation, sensors,
 //              policies, and the closed-loop driver over the transient cosim
 #pragma once
@@ -22,11 +26,14 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/cosim.hpp"
+#include "core/influence.hpp"
 #include "core/rc_network.hpp"
+#include "core/scenario_batch.hpp"
 #include "core/transient.hpp"
 #include "device/mosfet.hpp"
 #include "device/tech.hpp"
 #include "device/variation.hpp"
+#include "floorplan/compiled_leakage.hpp"
 #include "floorplan/floorplan.hpp"
 #include "floorplan/generators.hpp"
 #include "leakage/baselines.hpp"
@@ -45,8 +52,13 @@
 #include "scaling/roadmap.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
+#include "spice/electrothermal.hpp"
 #include "spice/export.hpp"
+#include "spice/report.hpp"
 #include "spice/transient.hpp"
+#include "telemetry/counters.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/telemetry.hpp"
 #include "thermal/analytic.hpp"
 #include "thermal/backend.hpp"
 #include "thermal/fdm.hpp"
@@ -54,3 +66,4 @@
 #include "thermal/map_io.hpp"
 #include "thermal/rc.hpp"
 #include "thermal/spectral.hpp"
+#include "thermal/stack.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -80,24 +81,29 @@ void ElectroThermalSolver::build_influence() {
   // Picard loop only needs R *applied*, so matrix-free-capable backends
   // (spectral) serve the seam directly; dense construction is batched per
   // column by the backend (thermal/backend.hpp).
-  const auto samples = block_centre_samples(fp_);
-  const std::vector<thermal::HeatSource> sources = fp_.heat_sources(tech_);
   const bool want_matrix_free =
       opts_.influence == InfluenceMode::MatrixFree ||
       (opts_.influence == InfluenceMode::Auto && backend_->supports_matrix_free_influence());
   if (want_matrix_free) {
     // Forced MatrixFree on a dense-only backend throws here, naming it.
-    matrix_free_ = backend_->make_influence_apply(sources, samples);
+    matrix_free_ =
+        backend_->make_influence_apply(fp_.heat_sources(tech_), block_centre_samples(fp_));
   } else {
-    influence_.emplace(backend_->build_influence(sources, samples));
-    // The boundary resistance (r_package + stack RC network) couples every
-    // pair uniformly: each watt anywhere raises the whole die by it.
-    // Matrix-free mode has no matrix to shift — solve() folds the same term
-    // in analytically, through the same helper.
-    const double r_fold = boundary_fold_resistance(opts_);
-    if (r_fold > 0.0) influence_->add_uniform(r_fold);
+    influence_.emplace(build_dense_influence());
   }
   influence_stats_ = influence_stats_from(backend_->cost_stats());
+}
+
+InfluenceOperator ElectroThermalSolver::build_dense_influence() const {
+  InfluenceOperator dense(
+      backend_->build_influence(fp_.heat_sources(tech_), block_centre_samples(fp_)));
+  // The boundary resistance (r_package + stack RC network) couples every
+  // pair uniformly: each watt anywhere raises the whole die by it.
+  // Matrix-free mode has no matrix to shift — run_picard folds the same term
+  // in analytically, through the same helper.
+  const double r_fold = boundary_fold_resistance(opts_);
+  if (r_fold > 0.0) dense.add_uniform(r_fold);
+  return dense;
 }
 
 const thermal::InfluenceApply& ElectroThermalSolver::influence_apply() const noexcept {
@@ -106,15 +112,9 @@ const thermal::InfluenceApply& ElectroThermalSolver::influence_apply() const noe
 }
 
 const InfluenceOperator& ElectroThermalSolver::influence_matrix() const {
-  if (!influence_) {
-    // Lazy dense realization for diagnostics/ablation consumers: same
-    // backend build (and boundary-fold shift) the dense mode would have done.
-    InfluenceOperator dense(
-        backend_->build_influence(fp_.heat_sources(tech_), block_centre_samples(fp_)));
-    const double r_fold = boundary_fold_resistance(opts_);
-    if (r_fold > 0.0) dense.add_uniform(r_fold);
-    influence_ = std::move(dense);
-  }
+  // Lazy dense realization for diagnostics/ablation consumers: same backend
+  // build (and boundary-fold shift) the dense mode would have done.
+  if (!influence_) influence_.emplace(build_dense_influence());
   return *influence_;
 }
 
@@ -134,92 +134,175 @@ CosimResult ElectroThermalSolver::solve() {
   TELEMETRY_SPAN("cosim/solve");
   const auto& blocks = fp_.blocks();
   const std::size_t n = blocks.size();
-  const double t_sink = fp_.die().t_sink;
+  // A batch of one. Without installed adjustments the nominal values (scale
+  // 1, dVT0 0) are bitwise transparent, so the kernel's leakage loop needs
+  // no branch for them.
+  std::vector<double> p_dynamic(n);
+  std::vector<double> scale(n, 1.0);
+  std::vector<double> dvt0(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) p_dynamic[i] = blocks[i].p_dynamic;
+  for (std::size_t i = 0; i < adjust_.size(); ++i) {
+    scale[i] = adjust_[i].scale;
+    dvt0[i] = adjust_[i].delta_vt0;
+  }
+  const device::Technology* tech = &tech_;
+  ScenarioResult scenario;
+  run_picard({p_dynamic, scale, dvt0, {&tech, 1}}, {&scenario, 1});
 
   CosimResult result;
+  result.converged = scenario.converged;
+  result.runaway = scenario.runaway;
+  result.iterations = scenario.iterations;
   result.blocks.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.blocks[i].temperature = scenario.temperatures[i];
+    result.blocks[i].p_dynamic = blocks[i].p_dynamic;
+    result.blocks[i].p_leakage = block_leakage_power(i, scenario.temperatures[i]);
+  }
+  result.total_dynamic = scenario.total_dynamic;
+  result.total_leakage = scenario.total_leakage;
+  result.max_temperature = scenario.max_temperature;
+  result.max_delta_last = scenario.max_delta_last;
+  result.diagnostics = std::move(scenario.diagnostics);
+  result.picard_residuals = std::move(scenario.picard_residuals);
+  return result;
+}
 
-  std::vector<double> temps(n, t_sink);
-  std::vector<double> powers(n, 0.0);
-  std::vector<double> rises(n, 0.0);
-  double prev_delta = 0.0;
-  int growth_streak = 0;
-
+long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
+                                           std::span<ScenarioResult> results,
+                                           ScenarioBatchTrace* trace) const {
+  const auto& blocks = fp_.blocks();
+  const std::size_t n = blocks.size();
+  const std::size_t count = results.size();
+  PTHERM_REQUIRE(in.tech.size() == count && in.p_dynamic.size() == count * n &&
+                     in.adj_scale.size() == count * n && in.adj_dvt0.size() == count * n,
+                 "run_picard: need one technology and one row of block values per scenario");
+  const double t_sink = fp_.die().t_sink;
   const thermal::InfluenceApply& influence = influence_apply();
   // In matrix-free mode the uniform boundary term fold * sum(P) cannot live
   // inside the operator (there is no matrix to add_uniform); fold it in
   // analytically per iteration. Dense mode carries it in the matrix — both
   // through boundary_fold_resistance, so the modes cannot diverge.
   const double r_pkg = matrix_free_ ? boundary_fold_resistance(opts_) : 0.0;
+  const bool tracing = opts_.trace.convergence;
 
-  for (int it = 0; it < opts_.max_iterations; ++it) {
-    result.iterations = it + 1;
-    for (std::size_t j = 0; j < n; ++j) {
-      powers[j] = blocks[j].p_dynamic + block_leakage_power(j, temps[j]);
-    }
-    influence.apply(powers, rises);
-    if (r_pkg > 0.0) {
-      double p_total = 0.0;
-      for (std::size_t j = 0; j < n; ++j) p_total += powers[j];
-      const double pkg_rise = r_pkg * p_total;
-      for (std::size_t i = 0; i < n; ++i) rises[i] += pkg_rise;
-    }
-    double max_delta = 0.0;
-    double max_rise = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double target = t_sink + rises[i];
-      const double updated = temps[i] + opts_.damping * (target - temps[i]);
-      max_delta = std::max(max_delta, std::abs(updated - temps[i]));
-      temps[i] = updated;
-      max_rise = std::max(max_rise, temps[i] - t_sink);
-    }
-    result.max_delta_last = max_delta;
-    if (opts_.trace.convergence) result.picard_residuals.push_back(max_delta);
+  std::vector<double> temps(count * n, t_sink);
+  std::vector<double> prev_delta(count, 0.0);
+  std::vector<int> growth_streak(count, 0);
+  std::vector<std::size_t> active(count);  // scenario indices, ascending
+  std::iota(active.begin(), active.end(), std::size_t{0});
+  std::vector<double> powers(count * n);
+  std::vector<double> rises(count * n);
 
-    if (max_rise > opts_.runaway_rise_limit) {
-      result.runaway = true;
-      break;
-    }
-    // A monotonically growing update over several iterations is the fixed
-    // point diverging: leakage-thermal runaway below the hard rise limit.
-    if (max_delta > prev_delta && it > 0) {
-      if (++growth_streak >= 10) {
-        result.runaway = true;
-        break;
-      }
-    } else {
-      growth_streak = 0;
-    }
-    prev_delta = max_delta;
-
-    if (max_delta < opts_.tol) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    result.blocks[i].temperature = temps[i];
-    result.blocks[i].p_dynamic = blocks[i].p_dynamic;
-    result.blocks[i].p_leakage = block_leakage_power(i, temps[i]);
-    result.total_dynamic += result.blocks[i].p_dynamic;
-    result.total_leakage += result.blocks[i].p_leakage;
-    result.max_temperature = std::max(result.max_temperature, temps[i]);
-  }
-  if (!result.converged) {
+  const auto leakage = [&](std::size_t k, std::size_t j, double temp) {
+    const LeakageAdjust adj{in.adj_scale[k * n + j], in.adj_dvt0[k * n + j]};
+    return adjusted_leakage_power(*in.tech[k], compiled_leakage_[j], temp, opts_.vb, adj);
+  };
+  const auto finalize = [&](std::size_t k) {
+    ScenarioResult& res = results[k];
+    const double* temp = temps.data() + k * n;
+    res.temperatures.assign(temp, temp + n);
     std::size_t hottest = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (temps[i] > temps[hottest]) hottest = i;
+    for (std::size_t i = 0; i < n; ++i) {
+      res.total_dynamic += in.p_dynamic[k * n + i];
+      res.total_leakage += leakage(k, i, temp[i]);
+      res.max_temperature = std::max(res.max_temperature, temp[i]);
+      if (temp[i] > temp[hottest]) hottest = i;
     }
-    SolveDiagnostics diag;
-    diag.solver = "ElectroThermalSolver";
-    diag.stage = result.runaway ? "runaway" : "max-iterations";
-    diag.iterations = result.iterations;
-    diag.residual = result.max_delta_last;
-    diag.worst = blocks[hottest].name;
-    result.diagnostics = std::move(diag);
+    if (!res.converged) {
+      SolveDiagnostics diag;
+      diag.solver = "ElectroThermalSolver";
+      diag.stage = res.runaway ? "runaway" : "max-iterations";
+      diag.iterations = res.iterations;
+      diag.residual = res.max_delta_last;
+      diag.worst = blocks[hottest].name;
+      res.diagnostics = std::move(diag);
+    }
+  };
+
+  long long sweeps = 0;
+  for (int it = 0; it < opts_.max_iterations && !active.empty(); ++it) {
+    // Pack the active scenarios' powers; a scenario's packed slot only
+    // places its memory, never changes its arithmetic.
+    const std::size_t m = active.size();
+    for (std::size_t a = 0; a < m; ++a) {
+      const std::size_t k = active[a];
+      const double* temp = temps.data() + k * n;
+      const double* p_dyn = in.p_dynamic.data() + k * n;
+      double* p = powers.data() + a * n;
+      for (std::size_t j = 0; j < n; ++j) p[j] = p_dyn[j] + leakage(k, j, temp[j]);
+    }
+    influence.apply_batch({powers.data(), m * n}, {rises.data(), m * n}, m);
+    ++sweeps;
+    double sweep_max_delta = 0.0;
+
+    std::size_t keep = 0;
+    for (std::size_t a = 0; a < m; ++a) {
+      const std::size_t k = active[a];
+      ScenarioResult& res = results[k];
+      res.iterations = it + 1;
+      double* temp = temps.data() + k * n;
+      const double* p = powers.data() + a * n;
+      double* rise = rises.data() + a * n;
+      if (r_pkg > 0.0) {
+        double p_total = 0.0;
+        for (std::size_t j = 0; j < n; ++j) p_total += p[j];
+        const double pkg_rise = r_pkg * p_total;
+        for (std::size_t i = 0; i < n; ++i) rise[i] += pkg_rise;
+      }
+      double max_delta = 0.0;
+      double max_rise = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double target = t_sink + rise[i];
+        const double updated = temp[i] + opts_.damping * (target - temp[i]);
+        max_delta = std::max(max_delta, std::abs(updated - temp[i]));
+        temp[i] = updated;
+        max_rise = std::max(max_rise, temp[i] - t_sink);
+      }
+      res.max_delta_last = max_delta;
+      if (tracing) res.picard_residuals.push_back(max_delta);
+      sweep_max_delta = std::max(sweep_max_delta, max_delta);
+
+      bool done = false;
+      if (max_rise > opts_.runaway_rise_limit) {
+        res.runaway = true;
+        done = true;
+      } else {
+        // A monotonically growing update over several iterations is the
+        // fixed point diverging: leakage-thermal runaway below the hard
+        // rise limit.
+        if (max_delta > prev_delta[k] && it > 0) {
+          if (++growth_streak[k] >= 10) {
+            res.runaway = true;
+            done = true;
+          }
+        } else {
+          growth_streak[k] = 0;
+        }
+        if (!done) {
+          prev_delta[k] = max_delta;
+          if (max_delta < opts_.tol) {
+            res.converged = true;
+            done = true;
+          }
+        }
+      }
+
+      if (done) {
+        finalize(k);
+      } else {
+        active[keep++] = k;  // compaction keeps ascending order
+      }
+    }
+    if (tracing && trace != nullptr) {
+      trace->active_per_sweep.push_back(static_cast<long long>(m));
+      trace->max_residual_per_sweep.push_back(sweep_max_delta);
+    }
+    active.resize(keep);
   }
-  return result;
+  // Survivors of max_iterations: neither converged nor runaway.
+  for (const std::size_t k : active) finalize(k);
+  return sweeps;
 }
 
 }  // namespace ptherm::core

@@ -10,10 +10,15 @@
 // per column), and P_j(T) = P_dyn_j + VDD * I_off_j(T) from the compact
 // leakage model. Divergence (leakage-thermal runaway) is detected and
 // reported rather than hidden.
+//
+// The loop is written once: ElectroThermalSolver::run_picard advances any
+// number of scenarios through blocked Picard sweeps. solve() is a batch of
+// one; ScenarioBatch (core/scenario_batch.hpp) runs it over chunks.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -140,6 +145,48 @@ struct CosimResult {
   [[nodiscard]] double total_power() const noexcept { return total_dynamic + total_leakage; }
 };
 
+/// One scenario's converged state — CosimResult minus the per-block AoS
+/// (temperatures come back as a flat vector; powers were the inputs).
+struct ScenarioResult {
+  bool converged = false;
+  bool runaway = false;
+  int iterations = 0;
+  double max_temperature = 0.0;  ///< hottest block [K]
+  double total_dynamic = 0.0;    ///< [W]
+  double total_leakage = 0.0;    ///< [W] at the converged temperatures
+  double max_delta_last = 0.0;   ///< last iteration's max |dT| [K]
+  std::vector<double> temperatures;  ///< per-block [K]
+  /// Structured non-convergence context (common/diagnostics.hpp): set iff
+  /// this scenario did not converge — runaway or max-iterations, and the
+  /// hottest block by name. Empty when converged.
+  std::optional<SolveDiagnostics> diagnostics;
+  /// With CosimOptions::trace.convergence: this scenario's Picard residual
+  /// max |dT| [K] after each of its iterations (size == iterations). Empty
+  /// when tracing is off.
+  std::vector<double> picard_residuals;
+
+  [[nodiscard]] double total_power() const noexcept { return total_dynamic + total_leakage; }
+};
+
+/// Sweep-level convergence trace (CosimOptions::trace.convergence). One
+/// entry per blocked Picard sweep, in execution order: how many scenarios
+/// were still active going into the sweep, and the worst Picard residual any
+/// of them produced in it.
+struct ScenarioBatchTrace {
+  std::vector<long long> active_per_sweep;     ///< active-mask size per sweep
+  std::vector<double> max_residual_per_sweep;  ///< worst max |dT| per sweep [K]
+};
+
+/// The scenarios one run_picard call advances: `count` of them over the
+/// solver's n blocks, each owning one row of n in the SoA spans.
+struct PicardScenarios {
+  std::span<const double> p_dynamic;  ///< dynamic power [W], count * n
+  std::span<const double> adj_scale;  ///< LeakageAdjust::scale, count * n
+  std::span<const double> adj_dvt0;   ///< LeakageAdjust::delta_vt0 [V], count * n
+  /// Leakage technology (the scenario's V/f level), one per scenario.
+  std::span<const device::Technology* const> tech;
+};
+
 /// Runs the concurrent electro-thermal fixed point on a floorplan.
 /// Technology and floorplan are copied in: the solver owns everything it
 /// needs and cannot dangle (callers routinely pass temporaries).
@@ -148,7 +195,25 @@ class ElectroThermalSolver {
   ElectroThermalSolver(device::Technology tech, floorplan::Floorplan fp,
                        CosimOptions opts = {});
 
+  /// The fixed point for the floorplan as given: run_picard over one
+  /// scenario (the block powers, the installed leakage adjustments or the
+  /// bitwise-transparent nominal ones, the solver's technology).
   [[nodiscard]] CosimResult solve();
+
+  /// The Picard kernel, the one implementation of the fixed point. Per
+  /// iteration: every active scenario's power vector (dynamic plus
+  /// adjusted_leakage_power at its current temperatures), ONE apply_batch
+  /// over all of them, then per scenario the boundary fold, the damped
+  /// update, the rise-limit and growth-streak runaway checks and the
+  /// convergence test. A scenario that finishes leaves the active list, so
+  /// its trajectory never depends on the others: results are bitwise the
+  /// same whatever the batch holds. results[k] (default-constructed on
+  /// entry) receives scenario k, with diagnostics tagged
+  /// "ElectroThermalSolver" unless it converged. With trace.convergence the
+  /// per-sweep record is appended to `trace` if one is given. Returns the
+  /// number of blocked applies (sweeps) issued.
+  long long run_picard(const PicardScenarios& in, std::span<ScenarioResult> results,
+                       ScenarioBatchTrace* trace = nullptr) const;
 
   /// Leakage power of block `i` at temperature `temp` (exposed for tests and
   /// for the runaway-analysis bench). Evaluated through the compiled per-block
@@ -164,11 +229,11 @@ class ElectroThermalSolver {
   /// The influence-apply seam the Picard loop iterates through: dense in
   /// Dense mode (and on dense-only backends), the backend's matrix-free
   /// operator otherwise. In matrix-free mode the boundary fold (r_package +
-  /// stack RC resistance) is NOT inside the operator — solve() folds it in
-  /// analytically as boundary_fold_resistance(opts) * sum(P).
+  /// stack RC resistance) is NOT inside the operator — run_picard folds it
+  /// in analytically as boundary_fold_resistance(opts) * sum(P).
   [[nodiscard]] const thermal::InfluenceApply& influence_apply() const noexcept;
 
-  /// Whether solve() runs matrix-free (no dense matrix was built).
+  /// Whether the Picard loop runs matrix-free (no dense matrix was built).
   [[nodiscard]] bool matrix_free() const noexcept { return matrix_free_ != nullptr; }
 
   /// Thermal influence operator R[i][j] = rise at block i's centre per watt
@@ -189,9 +254,8 @@ class ElectroThermalSolver {
   /// of the converged power state (see examples/hotspot_analysis.cpp).
   [[nodiscard]] const thermal::SolverBackend& backend() const noexcept { return *backend_; }
 
-  /// Compiled per-block leakage programs, one per block. ScenarioBatch
-  /// evaluates per-scenario leakage through these same programs, so the two
-  /// paths share one compilation (and cannot diverge).
+  /// Compiled per-block leakage programs, one per block — what run_picard
+  /// evaluates every scenario's leakage through.
   [[nodiscard]] const std::vector<floorplan::CompiledBlockLeakage>& compiled_leakage()
       const noexcept {
     return compiled_leakage_;
@@ -199,6 +263,9 @@ class ElectroThermalSolver {
 
  private:
   void build_influence();
+  /// The dense build plus the boundary fold, for Dense mode and the lazy
+  /// influence_matrix() realization alike.
+  [[nodiscard]] InfluenceOperator build_dense_influence() const;
 
   device::Technology tech_;
   floorplan::Floorplan fp_;

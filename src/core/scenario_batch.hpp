@@ -23,6 +23,11 @@
 //    scratch, order-independent results — shaped so a future thread pool
 //    can take it without touching the engine.
 //
+// The sweep itself is not written here: each chunk runs the solver's one
+// Picard kernel (ElectroThermalSolver::run_picard), the same code a
+// standalone solve() runs as a batch of one. This file adds only the
+// scenario storage, the V/f levels and the batch counters.
+//
 // Determinism contract: every scenario's solution is BITWISE identical to a
 // standalone ElectroThermalSolver run of that scenario (same options, level
 // technology, powers, and adjustments) — the blocking only reorders work
@@ -33,9 +38,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/cosim.hpp"
@@ -61,30 +64,6 @@ void validate(const ScenarioBatchOptions& opts);
 void for_each_chunk(std::size_t count, int chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-/// One scenario's converged state — CosimResult minus the per-block AoS
-/// (temperatures come back as a flat vector; powers were the inputs).
-struct ScenarioResult {
-  bool converged = false;
-  bool runaway = false;
-  int iterations = 0;
-  double max_temperature = 0.0;  ///< hottest block [K]
-  double total_dynamic = 0.0;    ///< [W]
-  double total_leakage = 0.0;    ///< [W] at the converged temperatures
-  double max_delta_last = 0.0;   ///< last iteration's max |dT| [K]
-  std::vector<double> temperatures;  ///< per-block [K]
-  /// Structured non-convergence context (common/diagnostics.hpp): set iff
-  /// this scenario did not converge — which scenario, runaway or
-  /// max-iterations, and the hottest block by name. Empty when converged.
-  std::optional<SolveDiagnostics> diagnostics;
-  /// With CosimOptions::trace.convergence: this scenario's Picard residual
-  /// max |dT| [K] after each of its iterations (size == iterations) — the
-  /// same values a standalone solve of this scenario records. Empty when
-  /// tracing is off.
-  std::vector<double> picard_residuals;
-
-  [[nodiscard]] double total_power() const noexcept { return total_dynamic + total_leakage; }
-};
-
 /// Batch-engine counters (merged into BackendCostStats by cost_stats()).
 /// Keep this a plain bag of long long counters: telemetry/counters.cpp pins
 /// its layout with a static_assert so every field reaches the registry.
@@ -93,16 +72,6 @@ struct ScenarioBatchStats {
   long long batched_matvecs = 0;          ///< multi-RHS applies issued
   long long picard_iterations_total = 0;  ///< sum of per-scenario iterations
   long long masked_iterations_saved = 0;  ///< scenario-iterations masks avoided
-};
-
-/// Sweep-level convergence trace (CosimOptions::trace.convergence; separate
-/// from ScenarioBatchStats so the counter bag stays registry-shaped). One
-/// entry per blocked Picard sweep across all solve_all chunks, in execution
-/// order: how many scenarios were still active going into the sweep, and the
-/// worst Picard residual any of them produced in it.
-struct ScenarioBatchTrace {
-  std::vector<long long> active_per_sweep;     ///< active-mask size per sweep
-  std::vector<double> max_residual_per_sweep;  ///< worst max |dT| per sweep [K]
 };
 
 class ScenarioBatch {
@@ -200,14 +169,11 @@ class ScenarioBatch {
 
   void run_chunk(std::size_t begin, std::size_t end, std::vector<ScenarioResult>& results);
 
-  CosimOptions opts_;
   ScenarioBatchOptions batch_;
   /// The shared precompute: backend + influence seam + compiled leakage,
   /// identical to a standalone solve's by construction.
   ElectroThermalSolver solver_;
-  double t_sink_ = 0.0;
   std::vector<double> nominal_powers_;  ///< floorplan p_dynamic, level 0
-  std::vector<std::string> block_names_;  ///< for non-convergence diagnostics
 
   std::vector<Level> levels_;
 

@@ -11,31 +11,33 @@
 
 namespace ptherm::thermal {
 
-void InfluenceApply::apply_batch(std::span<const double> powers, std::span<double> rises,
-                                 std::size_t count) const {
-  PTHERM_REQUIRE(powers.size() == count * size() && rises.size() == count * size(),
-                 "InfluenceApply::apply_batch: powers/rises must have count * size() elements");
-  // The contract's reference implementation: one apply per vector, trivially
-  // bitwise-identical. Backends override to amortize shared-table traffic.
-  for (std::size_t k = 0; k < count; ++k) {
-    apply(powers.subspan(k * size(), size()), rises.subspan(k * size(), size()));
-  }
-}
-
 DenseInfluenceApply::DenseInfluenceApply(numerics::Matrix r) : r_(std::move(r)) {
   PTHERM_REQUIRE(r_.rows() == r_.cols(),
                  "DenseInfluenceApply: influence matrix must be square");
 }
 
-void DenseInfluenceApply::apply(std::span<const double> powers,
-                                std::span<double> rises) const {
-  PTHERM_REQUIRE(powers.size() == size() && rises.size() == size(),
-                 "InfluenceApply::apply: powers/rises must have size() elements");
-  r_.multiply(powers, rises);
+double DenseInfluenceApply::at(std::size_t i, std::size_t j) const {
+  PTHERM_REQUIRE(i < size() && j < size(), "DenseInfluenceApply: index out of range");
+  return r_(i, j);
+}
+
+void DenseInfluenceApply::add_uniform(double resistance) {
+  const std::size_t n = size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) r_(i, j) += resistance;
+  }
+}
+
+std::vector<double> DenseInfluenceApply::apply(std::span<const double> powers) const {
+  std::vector<double> rises(size());
+  apply(powers, rises);
+  return rises;
 }
 
 void DenseInfluenceApply::apply_batch(std::span<const double> powers,
                                       std::span<double> rises, std::size_t count) const {
+  // The documented contract, enforced: a silent mismatch would be an
+  // out-of-bounds matvec.
   PTHERM_REQUIRE(powers.size() == count * size() && rises.size() == count * size(),
                  "InfluenceApply::apply_batch: powers/rises must have count * size() elements");
   r_.multiply_batch(powers, rises, count);
@@ -331,13 +333,6 @@ class SpectralInfluenceApply final : public InfluenceApply {
       : solver_(&solver), proj_(solver.make_influence_projection(sources, samples)) {}
 
   [[nodiscard]] std::size_t size() const noexcept override { return proj_.count; }
-
-  void apply(std::span<const double> powers, std::span<double> rises) const override {
-    TELEMETRY_SPAN("spectral/apply_influence");
-    PTHERM_REQUIRE(powers.size() == proj_.count && rises.size() == proj_.count,
-                   "InfluenceApply::apply: powers/rises must have size() elements");
-    solver_->apply_influence(proj_, powers, rises);
-  }
 
   void apply_batch(std::span<const double> powers, std::span<double> rises,
                    std::size_t count) const override {

@@ -76,35 +76,56 @@ class InfluenceApply {
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
 
   /// rises[i] = sum_j R[i][j] * powers[j] [K]; both spans must have size()
-  /// elements (throws ptherm::PreconditionError otherwise).
-  virtual void apply(std::span<const double> powers, std::span<double> rises) const = 0;
+  /// elements (throws ptherm::PreconditionError otherwise). One vector is a
+  /// batch of one: this is apply_batch with count 1.
+  void apply(std::span<const double> powers, std::span<double> rises) const {
+    apply_batch(powers, rises, 1);
+  }
 
-  /// Multi-RHS apply for the batched scenario engine: `count` power vectors
+  /// Multi-RHS apply, the one implementation hook: `count` power vectors
   /// stored contiguously (powers[k*size() + j]) into `count` rise vectors of
-  /// the same layout. Contract: vector k's rises must be BITWISE identical
-  /// to apply() on it alone — implementations may only reorder work across
-  /// vectors (streaming shared tables once per block), never within one
-  /// vector's arithmetic. The default is exactly that serial loop.
+  /// the same layout (throws ptherm::PreconditionError unless both spans
+  /// have count * size() elements). Contract: vector k's rises must be
+  /// BITWISE identical to a count-1 apply of it alone — implementations may
+  /// only reorder work across vectors (streaming shared tables once per
+  /// block), never within one vector's arithmetic.
   virtual void apply_batch(std::span<const double> powers, std::span<double> rises,
-                           std::size_t count) const;
+                           std::size_t count) const = 0;
 
   /// Implementation tag for diagnostics and tests ("dense",
   /// "spectral-mode-space").
   [[nodiscard]] virtual std::string_view kind() const noexcept = 0;
 };
 
-/// InfluenceApply over a materialized dense influence matrix — the fallback
-/// the matrix-free seam degrades to for backends whose only representation
-/// IS the matrix (analytic images, FDM). Owns the matrix; must be square.
+/// InfluenceApply over a materialized dense influence matrix R[i][j] = rise
+/// at sample i per watt in source j [K/W]: the dense realization for
+/// backends whose only representation IS the matrix (analytic images, FDM),
+/// and the reference the matrix-free path is pinned against. Owns the
+/// matrix (flat row-major, one matvec per apply); must be square.
 class DenseInfluenceApply final : public InfluenceApply {
  public:
   explicit DenseInfluenceApply(numerics::Matrix r);
 
   [[nodiscard]] std::size_t size() const noexcept override { return r_.rows(); }
-  void apply(std::span<const double> powers, std::span<double> rises) const override;
+
+  /// R[i][j], bounds-checked.
+  [[nodiscard]] double at(std::size_t i, std::size_t j) const;
+
+  /// Adds `resistance` [K/W] to every entry — a lumped package/heat-sink
+  /// path couples every pair of blocks uniformly.
+  void add_uniform(double resistance);
+
+  using InfluenceApply::apply;
+  /// Allocating form of apply: returns R * powers.
+  [[nodiscard]] std::vector<double> apply(std::span<const double> powers) const;
+
+  /// One Matrix::multiply_batch, streaming R once per row for the whole
+  /// block; per-vector results match a lone multiply bitwise.
   void apply_batch(std::span<const double> powers, std::span<double> rises,
                    std::size_t count) const override;
   [[nodiscard]] std::string_view kind() const noexcept override { return "dense"; }
+
+  [[nodiscard]] const numerics::Matrix& matrix() const noexcept { return r_; }
 
  private:
   numerics::Matrix r_;

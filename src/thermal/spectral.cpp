@@ -563,7 +563,6 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   proj.proj_y.resize(n * my);
   proj.cos_x.resize(n * mx);
   proj.cos_y.resize(n * my);
-  proj.coeff.resize(static_cast<std::size_t>(mode_count()));
   for (std::size_t j = 0; j < n; ++j) {
     // The shared projection core: steady clipping policy, c_m normalization
     // and per-watt flux density folded in, so source j's flux modes are
@@ -584,51 +583,6 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   return proj;
 }
 
-void SpectralThermalSolver::apply_influence(InfluenceProjection& proj,
-                                            std::span<const double> powers,
-                                            std::span<double> rises) const {
-  const std::size_t n = proj.count;
-  const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
-  const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
-  PTHERM_REQUIRE(proj.proj_x.size() == n * mx && proj.proj_y.size() == n * my &&
-                     proj.coeff.size() == static_cast<std::size_t>(mode_count()),
-                 "apply_influence: projection belongs to a different spectral configuration");
-  PTHERM_REQUIRE(powers.size() == n && rises.size() == n,
-                 "apply_influence: powers/rises must have one entry per source");
-  // (1) Powers -> flux modes: a power-scaled rank-1 accumulate per source.
-  std::fill(proj.coeff.begin(), proj.coeff.end(), 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double power = powers[j];
-    if (power == 0.0) continue;
-    const double* px = proj.proj_x.data() + j * mx;
-    const double* py = proj.proj_y.data() + j * my;
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      const double fy = power * py[nn];
-      if (fy == 0.0) continue;
-      double* row = proj.coeff.data() + nn * mx;
-      for (std::size_t m = 0; m < mx; ++m) row[m] += fy * px[m];
-    }
-  }
-  // (2) Per-mode surface transfer: flux modes -> surface-rise coefficients.
-  for (std::size_t mode = 0; mode < proj.coeff.size(); ++mode) {
-    proj.coeff[mode] *= transfer_[mode];
-  }
-  // (3) Batched readback: separable cosine synthesis per sample from the
-  // cached tables (the gather matvec, without materializing its matrix).
-  for (std::size_t p = 0; p < n; ++p) {
-    const double* cx = proj.cos_x.data() + p * mx;
-    const double* cy = proj.cos_y.data() + p * my;
-    double total = 0.0;
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      const double* row = proj.coeff.data() + nn * mx;
-      double inner = 0.0;
-      for (std::size_t m = 0; m < mx; ++m) inner += row[m] * cx[m];
-      total += inner * cy[nn];
-    }
-    rises[p] = total;
-  }
-}
-
 void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
                                                   std::span<const double> powers,
                                                   std::span<double> rises,
@@ -637,8 +591,7 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
   const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
   const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   const std::size_t modes = static_cast<std::size_t>(mode_count());
-  PTHERM_REQUIRE(proj.proj_x.size() == n * mx && proj.proj_y.size() == n * my &&
-                     proj.coeff.size() == modes,
+  PTHERM_REQUIRE(proj.proj_x.size() == n * mx && proj.proj_y.size() == n * my,
                  "apply_influence_batch: projection belongs to a different spectral "
                  "configuration");
   PTHERM_REQUIRE(powers.size() == count * n && rises.size() == count * n,
@@ -647,11 +600,11 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
 
   // Each stage streams the shared geometry tables once per source / sample
   // for the whole scenario block; within one scenario the operations (and
-  // their zero-skip guards) run in apply_influence's exact order, so every
-  // scenario's result matches a standalone apply bitwise.
+  // their zero-skip guards) run in an order that does not depend on `count`,
+  // so every scenario's result matches a count-1 apply of it bitwise.
   //
-  // (1) Powers -> flux modes, a rank-1 accumulate per (source, scenario):
-  // source j's px/py rows are loaded once and applied across all scenarios.
+  // (1) Powers -> flux modes, a power-scaled rank-1 accumulate per (source,
+  // scenario): source j's px/py rows are loaded once for all scenarios.
   std::fill(proj.batch_coeff.begin(), proj.batch_coeff.begin() + count * modes, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     const double* px = proj.proj_x.data() + j * mx;
@@ -668,13 +621,14 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
       }
     }
   }
-  // (2) Per-mode surface transfer over the whole block.
+  // (2) Per-mode surface transfer: flux modes -> surface-rise coefficients.
   for (std::size_t k = 0; k < count; ++k) {
     double* coeff = proj.batch_coeff.data() + k * modes;
     for (std::size_t mode = 0; mode < modes; ++mode) coeff[mode] *= transfer_[mode];
   }
-  // (3) Per-sample cosine synthesis: sample p's tables are loaded once and
-  // dotted against every scenario's mode block.
+  // (3) Batched readback: separable cosine synthesis per sample from the
+  // cached tables (the gather matvec, without materializing its matrix);
+  // sample p's tables are dotted against every scenario's mode block.
   for (std::size_t p = 0; p < n; ++p) {
     const double* cx = proj.cos_x.data() + p * mx;
     const double* cy = proj.cos_y.data() + p * my;

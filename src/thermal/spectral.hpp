@@ -134,9 +134,8 @@ class SpectralThermalSolver {
     std::vector<double> proj_y;  ///< per-watt y flux factors, modes_y per source
     std::vector<double> cos_x;   ///< cos(m pi x_i / W) tables, modes_x per sample
     std::vector<double> cos_y;   ///< cos(n pi y_i / H) tables, modes_y per sample
-    std::vector<double> coeff;   ///< mode-space scratch (mode_count())
-    /// Mode-space scratch for apply_influence_batch: one coeff block per
-    /// scenario, grown on demand to count * mode_count().
+    /// Mode-space scratch: one coefficient block per power vector, grown on
+    /// demand to count * mode_count().
     std::vector<double> batch_coeff;
   };
 
@@ -147,22 +146,15 @@ class SpectralThermalSolver {
   [[nodiscard]] InfluenceProjection make_influence_projection(
       std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const;
 
-  /// rises[i] = sum_j R[i][j] * powers[j] without forming R: accumulate the
-  /// flux modes as power-scaled rank-1 updates, apply the per-mode surface
-  /// transfer, then synthesize each sample from the cached cosine tables.
-  /// `proj` must come from this solver's make_influence_projection; both
-  /// spans must have proj.count elements.
-  void apply_influence(InfluenceProjection& proj, std::span<const double> powers,
-                       std::span<double> rises) const;
-
-  /// Multi-RHS apply_influence for the batched scenario engine: `count`
-  /// power vectors (powers[k*count_per + j], scenario-major) into `count`
-  /// rise vectors of the same layout. The projection/synthesis tables are
-  /// streamed once per source/sample for the whole scenario block — the
-  /// mode-space accumulate becomes a small GEMM over the block — but each
-  /// scenario's arithmetic keeps apply_influence's exact operation order, so
-  /// scenario k's rises are bitwise identical to a standalone apply of its
-  /// power vector.
+  /// rises[k*n + i] = sum_j R[i][j] * powers[k*n + j] for `count` power
+  /// vectors (scenario-major, n = proj.count) without forming R: accumulate
+  /// the flux modes as power-scaled rank-1 updates, apply the per-mode
+  /// surface transfer, then synthesize each sample from the cached cosine
+  /// tables. The tables are streamed once per source/sample for the whole
+  /// block — the mode-space accumulate becomes a small GEMM over it — but
+  /// each vector's arithmetic runs in the same order whatever `count` is, so
+  /// vector k's rises are bitwise identical to a count-1 apply of it alone.
+  /// `proj` must come from this solver's make_influence_projection.
   void apply_influence_batch(InfluenceProjection& proj, std::span<const double> powers,
                              std::span<double> rises, std::size_t count) const;
 

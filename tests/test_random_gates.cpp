@@ -111,7 +111,7 @@ class SpiceGateBuilder {
   spice::NodeId out() const { return out_; }
 
  private:
-  const Technology& tech_;
+  Technology tech_;  // a copy: callers pass temporaries such as tech()
   spice::Circuit ckt_;
   spice::NodeId vdd_ = 0;
   spice::NodeId out_ = 0;

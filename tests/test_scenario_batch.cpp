@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -68,6 +69,13 @@ void expect_bitwise_equal(const ScenarioResult& got, const CosimResult& want,
   EXPECT_EQ(got.total_dynamic, want.total_dynamic) << "scenario " << k;
   EXPECT_EQ(got.total_leakage, want.total_leakage) << "scenario " << k;
   EXPECT_EQ(got.max_delta_last, want.max_delta_last) << "scenario " << k;
+  EXPECT_EQ(got.picard_residuals, want.picard_residuals) << "scenario " << k;
+  ASSERT_EQ(got.diagnostics.has_value(), want.diagnostics.has_value()) << "scenario " << k;
+  if (want.diagnostics) {
+    EXPECT_EQ(got.diagnostics->iterations, want.diagnostics->iterations) << "scenario " << k;
+    EXPECT_EQ(got.diagnostics->residual, want.diagnostics->residual) << "scenario " << k;
+    EXPECT_EQ(got.diagnostics->worst, want.diagnostics->worst) << "scenario " << k;
+  }
 }
 
 /// A batch mixing Monte Carlo variation, nominal, and V/f corner scenarios.
@@ -206,6 +214,46 @@ TEST(ScenarioBatch, DenseAndMatrixFreeAgreeWithPackageResistance) {
     for (std::size_t i = 0; i < rd[k].temperatures.size(); ++i) {
       EXPECT_NEAR(rf[k].temperatures[i], rd[k].temperatures[i], 1e-9);
     }
+  }
+}
+
+TEST(ScenarioBatch, NonConvergedExitsMatchSequentialOnBothInfluencePaths) {
+  // The exits that do not converge: max-iterations survivors and a runaway
+  // scenario share one chunk, with convergence tracing on, and each must
+  // match its standalone solve bitwise — residual history and diagnostics
+  // included — on the dense and the matrix-free path.
+  for (const InfluenceMode mode : {InfluenceMode::Dense, InfluenceMode::MatrixFree}) {
+    CosimOptions opts;
+    opts.backend = ThermalBackend::Spectral;
+    opts.influence = mode;
+    opts.max_iterations = 3;
+    opts.trace.convergence = true;
+    ScenarioBatch batch(tech(), small_plan(), opts);
+    batch.add_nominal();
+    batch.add_variation_samples(VariationModel{0.03}, 2, /*base_seed=*/5);
+    const auto nominal = batch.scenario_powers(0);
+    std::vector<double> hot(nominal.begin(), nominal.end());
+    for (double& p : hot) p *= 100.0;  // far past the runaway rise limit
+    const std::size_t runaway = batch.add_scenario(hot);
+
+    const auto results = batch.solve_all();
+    ASSERT_EQ(results.size(), 4u);
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      const ScenarioResult& r = results[k];
+      EXPECT_FALSE(r.converged) << "scenario " << k;
+      EXPECT_EQ(r.runaway, k == runaway) << "scenario " << k;
+      if (k != runaway) {
+        EXPECT_EQ(r.iterations, opts.max_iterations) << "scenario " << k;
+      }
+      EXPECT_EQ(r.picard_residuals.size(), static_cast<std::size_t>(r.iterations));
+      ASSERT_TRUE(r.diagnostics.has_value()) << "scenario " << k;
+      EXPECT_EQ(r.diagnostics->solver, "ScenarioBatch");
+      EXPECT_EQ(r.diagnostics->stage, "scenario " + std::to_string(k) +
+                                          (k == runaway ? ": runaway" : ": max-iterations"));
+      expect_bitwise_equal(r, reference_solve(batch, k, small_plan(), opts), k);
+    }
+    EXPECT_EQ(batch.trace().active_per_sweep.size(),
+              static_cast<std::size_t>(batch.stats().batched_matvecs));
   }
 }
 
