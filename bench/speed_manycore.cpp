@@ -1,10 +1,12 @@
-// Speed study S6 (manycore scaling): the PR-6 trajectory point. A steady
-// concurrent power-thermal solve of McPAT-style tiled manycore floorplans,
-// n = 36 -> 4096 blocks (t x t tiles, 4 blocks per tile), on the spectral
-// backend in both influence modes:
+// Speed study S6 (manycore scaling). A steady concurrent power-thermal
+// solve of McPAT-style tiled manycore floorplans, n = 36 -> 16384 blocks
+// (t x t tiles, 4 blocks per tile), on the spectral backend in both
+// influence modes:
 //  * matrix-free (BM_CosimManycore): the Picard loop applies R in mode space
-//    — O(n * modes) per iteration, no n x n storage anywhere, so cost grows
-//    sub-quadratically in n;
+//    over projection and synthesis tables interned per distinct footprint
+//    edge and sample coordinate — O(n * modes_per_axis + G * modes) per
+//    iteration with G = 3t distinct rows on a tile grid, no n x n storage
+//    anywhere, so cost grows near-linearly in n;
 //  * dense (BM_CosimManycoreDense): the n-column O(n^2 * modes) build the
 //    matrix-free path replaces, run up to 1024 blocks as the reference curve
 //    (4096 dense would be a ~134 MB matrix and minutes of build).
@@ -74,6 +76,7 @@ BENCHMARK(BM_CosimManycore)
     ->Arg(16)
     ->Arg(24)
     ->Arg(32)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CosimManycoreDense(benchmark::State& state) {

@@ -222,15 +222,19 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
 
   long long sweeps = 0;
   for (int it = 0; it < opts_.max_iterations && !active.empty(); ++it) {
+    TELEMETRY_SPAN("cosim/picard_iteration");
     // Pack the active scenarios' powers; a scenario's packed slot only
     // places its memory, never changes its arithmetic.
     const std::size_t m = active.size();
-    for (std::size_t a = 0; a < m; ++a) {
-      const std::size_t k = active[a];
-      const double* temp = temps.data() + k * n;
-      const double* p_dyn = in.p_dynamic.data() + k * n;
-      double* p = powers.data() + a * n;
-      for (std::size_t j = 0; j < n; ++j) p[j] = p_dyn[j] + leakage(k, j, temp[j]);
+    {
+      TELEMETRY_SPAN("cosim/leakage");
+      for (std::size_t a = 0; a < m; ++a) {
+        const std::size_t k = active[a];
+        const double* temp = temps.data() + k * n;
+        const double* p_dyn = in.p_dynamic.data() + k * n;
+        double* p = powers.data() + a * n;
+        for (std::size_t j = 0; j < n; ++j) p[j] = p_dyn[j] + leakage(k, j, temp[j]);
+      }
     }
     influence.apply_batch({powers.data(), m * n}, {rises.data(), m * n}, m);
     ++sweeps;

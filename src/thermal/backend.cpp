@@ -319,12 +319,14 @@ class SpectralTransientState final : public SolverBackend::TransientState {
   mutable std::vector<SurfaceSample> gather_points_;
 };
 
-/// The spectral matrix-free influence apply: fixed-geometry projection and
-/// synthesis tables built once, then each apply is powers -> rank-1
-/// flux-mode accumulation -> per-mode transfer -> per-sample cosine
-/// synthesis, all O(n * modes) with no n x n storage anywhere. The
-/// mode-space scratch inside the projection mutates under const apply (like
-/// the backend cost counters, the backend layer is not thread-safe).
+/// The spectral matrix-free influence apply: projection and synthesis
+/// tables interned once over the distinct footprint edges and sample
+/// coordinates, then each apply is powers -> per-x-interval flux ->
+/// flux modes -> per-mode transfer -> synthesis along x per distinct sample
+/// x -> along y per sample, O(n * modes_per_axis + G * modes) with G the
+/// distinct-row count and no n x n storage anywhere. The scratch inside the
+/// projection mutates under const apply (like the backend cost counters,
+/// the backend layer is not thread-safe).
 class SpectralInfluenceApply final : public InfluenceApply {
  public:
   SpectralInfluenceApply(const SpectralThermalSolver& solver,

@@ -271,10 +271,11 @@ class SpectralBackend final : public SolverBackend {
   [[nodiscard]] numerics::Matrix build_influence(
       std::span<const HeatSource> sources,
       std::span<const SurfaceSample> samples) const override;
-  /// The matrix-free path: powers -> scaled rank-1 flux-mode accumulation
-  /// over cached per-source projections -> per-mode surface transfer ->
-  /// batched per-sample cosine synthesis. O(n * modes) per apply, never the
-  /// dense n x n matrix.
+  /// The matrix-free path: powers -> flux modes over projection tables
+  /// interned per distinct footprint edge -> per-mode surface transfer ->
+  /// cosine synthesis over tables interned per distinct sample coordinate.
+  /// O(n * modes_per_axis + G * modes) per apply (G distinct table rows),
+  /// never the dense n x n matrix.
   [[nodiscard]] bool supports_matrix_free_influence() const noexcept override { return true; }
   [[nodiscard]] std::unique_ptr<InfluenceApply> make_influence_apply(
       std::span<const HeatSource> sources,

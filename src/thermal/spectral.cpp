@@ -1,7 +1,10 @@
 #include "thermal/spectral.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <span>
@@ -33,33 +36,76 @@ double steady_depth_profile(double g, double t, double z) {
          (1.0 - std::exp(-2.0 * g * t));
 }
 
+/// A source footprint clipped to the die. The single home of the clipping
+/// policy — full power over the die-clipped footprint, fully off-die
+/// sources inert, degenerate sources rejected — shared by the steady
+/// projection, the transient projection cache and the interned influence
+/// tables so the paths cannot diverge.
+struct ClippedFootprint {
+  double x0, x1, y0, y1;
+
+  [[nodiscard]] bool on_die() const noexcept { return x1 > x0 && y1 > y0; }
+  /// Per-watt flux density with the 1 / (W H) of the mode normalization.
+  [[nodiscard]] double unit_weight(const Die& die) const noexcept {
+    return 1.0 / ((x1 - x0) * (y1 - y0) * die.width * die.height);
+  }
+};
+
+ClippedFootprint clip_footprint(const Die& die, const HeatSource& s) {
+  PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
+  return {std::max(s.cx - 0.5 * s.w, 0.0), std::min(s.cx + 0.5 * s.w, die.width),
+          std::max(s.cy - 0.5 * s.l, 0.0), std::min(s.cy + 0.5 * s.l, die.height)};
+}
+
+/// One axis of a footprint's flux projection: out[m] = c_m * scale *
+/// integral of cos(m pi u / extent) over [u0, u1], c_0 = 1, c_m = 2.
+void cosine_axis_factors(int modes, double extent, double u0, double u1, double scale,
+                         double* out) {
+  for (int m = 0; m < modes; ++m) {
+    out[m] = ((m == 0) ? 1.0 : 2.0) * scale * cosine_footprint_integral(m, extent, u0, u1);
+  }
+}
+
 /// Per-watt separable flux-projection factors of one source: the source's
 /// flux mode coefficient is power * px[m] * py[n] (c_m normalization and
-/// clipped-footprint density folded in). The single home of the clipping
-/// policy — full power over the die-clipped footprint, fully off-die
-/// sources inert (returns false with the factors zeroed), degenerate
-/// sources rejected — shared by the steady projection and the transient
-/// projection cache so the two paths cannot diverge.
+/// clipped-footprint density folded in). Fully off-die sources return false
+/// with the factors zeroed.
 bool unit_flux_factors(const Die& die, const HeatSource& s, int modes_x, int modes_y,
                        double* px, double* py) {
-  PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
-  const double x0 = std::max(s.cx - 0.5 * s.w, 0.0);
-  const double x1 = std::min(s.cx + 0.5 * s.w, die.width);
-  const double y0 = std::max(s.cy - 0.5 * s.l, 0.0);
-  const double y1 = std::min(s.cy + 0.5 * s.l, die.height);
-  if (x1 <= x0 || y1 <= y0) {
+  const ClippedFootprint f = clip_footprint(die, s);
+  if (!f.on_die()) {
     std::fill(px, px + modes_x, 0.0);
     std::fill(py, py + modes_y, 0.0);
     return false;
   }
-  const double base = 1.0 / ((x1 - x0) * (y1 - y0) * die.width * die.height);
-  for (int m = 0; m < modes_x; ++m) {
-    px[m] = ((m == 0) ? 1.0 : 2.0) * base * cosine_footprint_integral(m, die.width, x0, x1);
-  }
-  for (int n = 0; n < modes_y; ++n) {
-    py[n] = ((n == 0) ? 1.0 : 2.0) * cosine_footprint_integral(n, die.height, y0, y1);
-  }
+  cosine_axis_factors(modes_x, die.width, f.x0, f.x1, f.unit_weight(die), px);
+  cosine_axis_factors(modes_y, die.height, f.y0, f.y1, 1.0, py);
   return true;
+}
+
+/// Sort + unique interning, O(n log n): row[i] is the index of keys[i] in
+/// `unique`, which receives each distinct key once, in sorted order. Keys
+/// compare by bit pattern, so two items share a row exactly when the row
+/// would be computed from identical inputs (and a NaN cannot break the
+/// sort's ordering).
+template <std::size_t K>
+std::vector<std::uint32_t> intern_rows(const std::vector<std::array<double, K>>& keys,
+                                       std::vector<std::array<double, K>>& unique) {
+  std::vector<std::pair<std::array<std::uint64_t, K>, std::uint32_t>> order(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t d = 0; d < K; ++d) {
+      order[i].first[d] = std::bit_cast<std::uint64_t>(keys[i][d]);
+    }
+    order[i].second = static_cast<std::uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<std::uint32_t> row(keys.size());
+  unique.clear();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || order[i].first != order[i - 1].first) unique.push_back(keys[order[i].second]);
+    row[order[i].second] = static_cast<std::uint32_t>(unique.size() - 1);
+  }
+  return row;
 }
 
 /// Cyclic Jacobi eigensolver for a small dense symmetric matrix `a`
@@ -559,27 +605,68 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   InfluenceProjection proj;
   proj.count = n;
-  proj.proj_x.resize(n * mx);
-  proj.proj_y.resize(n * my);
-  proj.cos_x.resize(n * mx);
-  proj.cos_y.resize(n * my);
+  proj.modes_x = mx;
+  proj.modes_y = my;
+
+  // Sources: intern the clipped intervals of the on-die footprints; a fully
+  // off-die source keeps weight 0 and is skipped by the apply.
+  proj.sources.resize(n);
+  std::vector<std::size_t> on_die;
+  std::vector<std::array<double, 2>> x_keys;
+  std::vector<std::array<double, 2>> y_keys;
   for (std::size_t j = 0; j < n; ++j) {
-    // The shared projection core: steady clipping policy, c_m normalization
-    // and per-watt flux density folded in, so source j's flux modes are
-    // power_j * px_m * py_n.
-    unit_flux_factors(die_, sources[j], opts_.modes_x, opts_.modes_y,
-                      proj.proj_x.data() + j * mx, proj.proj_y.data() + j * my);
+    const ClippedFootprint f = clip_footprint(die_, sources[j]);
+    if (!f.on_die()) continue;
+    on_die.push_back(j);
+    x_keys.push_back({f.x0, f.x1});
+    y_keys.push_back({f.y0, f.y1});
+    proj.sources[j].weight = f.unit_weight(die_);
   }
+  std::vector<std::array<double, 2>> x_intervals;
+  std::vector<std::array<double, 2>> y_intervals;
+  const auto x_rows = intern_rows(x_keys, x_intervals);
+  const auto y_rows = intern_rows(y_keys, y_intervals);
+  for (std::size_t i = 0; i < on_die.size(); ++i) {
+    proj.sources[on_die[i]].x = x_rows[i];
+    proj.sources[on_die[i]].y = y_rows[i];
+  }
+  const auto flux_table = [](const std::vector<std::array<double, 2>>& intervals, int modes,
+                             double extent) {
+    std::vector<double> table(intervals.size() * static_cast<std::size_t>(modes));
+    for (std::size_t a = 0; a < intervals.size(); ++a) {
+      cosine_axis_factors(modes, extent, intervals[a][0], intervals[a][1], 1.0,
+                          table.data() + a * modes);
+    }
+    return table;
+  };
+  proj.flux_x = flux_table(x_intervals, opts_.modes_x, die_.width);
+  proj.flux_y = flux_table(y_intervals, opts_.modes_y, die_.height);
+
+  // Samples: intern the coordinates, one cosine row per distinct value.
+  std::vector<std::array<double, 1>> x_coords(n);
+  std::vector<std::array<double, 1>> y_coords(n);
   for (std::size_t p = 0; p < n; ++p) {
-    double* cx = proj.cos_x.data() + p * mx;
-    double* cy = proj.cos_y.data() + p * my;
-    for (std::size_t m = 0; m < mx; ++m) {
-      cx[m] = std::cos(static_cast<double>(m) * kPi * samples[p].x / die_.width);
-    }
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      cy[nn] = std::cos(static_cast<double>(nn) * kPi * samples[p].y / die_.height);
-    }
+    x_coords[p] = {samples[p].x};
+    y_coords[p] = {samples[p].y};
   }
+  std::vector<std::array<double, 1>> x_values;
+  std::vector<std::array<double, 1>> y_values;
+  const auto sx_rows = intern_rows(x_coords, x_values);
+  const auto sy_rows = intern_rows(y_coords, y_values);
+  proj.samples.resize(n);
+  for (std::size_t p = 0; p < n; ++p) proj.samples[p] = {sx_rows[p], sy_rows[p]};
+  const auto cosine_table = [](const std::vector<std::array<double, 1>>& values, int modes,
+                               double extent) {
+    std::vector<double> table(values.size() * static_cast<std::size_t>(modes));
+    for (std::size_t b = 0; b < values.size(); ++b) {
+      for (int m = 0; m < modes; ++m) {
+        table[b * modes + m] = std::cos(static_cast<double>(m) * kPi * values[b][0] / extent);
+      }
+    }
+    return table;
+  };
+  proj.synth_x = cosine_table(x_values, opts_.modes_x, die_.width);
+  proj.synth_y = cosine_table(y_values, opts_.modes_y, die_.height);
   return proj;
 }
 
@@ -591,56 +678,83 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
   const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
   const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   const std::size_t modes = static_cast<std::size_t>(mode_count());
-  PTHERM_REQUIRE(proj.proj_x.size() == n * mx && proj.proj_y.size() == n * my,
+  PTHERM_REQUIRE(proj.modes_x == mx && proj.modes_y == my,
                  "apply_influence_batch: projection belongs to a different spectral "
                  "configuration");
   PTHERM_REQUIRE(powers.size() == count * n && rises.size() == count * n,
                  "apply_influence_batch: powers/rises must have count * proj.count entries");
-  if (proj.batch_coeff.size() < count * modes) proj.batch_coeff.resize(count * modes);
+  const std::size_t gx = proj.x_intervals();
+  const std::size_t gs = proj.sample_xs();
+  const auto grow = [](std::vector<double>& v, std::size_t size) {
+    if (v.size() < size) v.resize(size);
+  };
+  grow(proj.axis_rows, count * std::max(gx, gs) * my);
+  grow(proj.batch_coeff, count * modes);
 
-  // Each stage streams the shared geometry tables once per source / sample
-  // for the whole scenario block; within one scenario the operations (and
-  // their zero-skip guards) run in an order that does not depend on `count`,
-  // so every scenario's result matches a count-1 apply of it bitwise.
+  // Each pass streams the shared tables once for the whole scenario block;
+  // within one scenario the operations (and their zero-skip guards) run in
+  // an order that does not depend on `count`, so every scenario's result
+  // matches a count-1 apply of it bitwise.
   //
-  // (1) Powers -> flux modes, a power-scaled rank-1 accumulate per (source,
-  // scenario): source j's px/py rows are loaded once for all scenarios.
-  std::fill(proj.batch_coeff.begin(), proj.batch_coeff.begin() + count * modes, 0.0);
+  // (1) Powers -> per-x-interval y flux in axis_rows: Y[a] += P_j w_j
+  // flux_y[y(j)] over the sources j whose clipped x-interval is a.
+  std::fill(proj.axis_rows.begin(), proj.axis_rows.begin() + count * gx * my, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
-    const double* px = proj.proj_x.data() + j * mx;
-    const double* py = proj.proj_y.data() + j * my;
+    const auto& src = proj.sources[j];
+    if (src.weight == 0.0) continue;
+    const double* fy = proj.flux_y.data() + src.y * my;
     for (std::size_t k = 0; k < count; ++k) {
-      const double power = powers[k * n + j];
-      if (power == 0.0) continue;
+      const double pw = powers[k * n + j] * src.weight;
+      if (pw == 0.0) continue;
+      double* y = proj.axis_rows.data() + (k * gx + src.x) * my;
+      for (std::size_t nn = 0; nn < my; ++nn) y[nn] += pw * fy[nn];
+    }
+  }
+  // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
+  // rank-1 accumulate per distinct interval instead of per source.
+  std::fill(proj.batch_coeff.begin(), proj.batch_coeff.begin() + count * modes, 0.0);
+  for (std::size_t a = 0; a < gx; ++a) {
+    const double* fx = proj.flux_x.data() + a * mx;
+    for (std::size_t k = 0; k < count; ++k) {
+      const double* y = proj.axis_rows.data() + (k * gx + a) * my;
       double* coeff = proj.batch_coeff.data() + k * modes;
       for (std::size_t nn = 0; nn < my; ++nn) {
-        const double fy = power * py[nn];
+        const double fy = y[nn];
         if (fy == 0.0) continue;
         double* row = coeff + nn * mx;
-        for (std::size_t m = 0; m < mx; ++m) row[m] += fy * px[m];
+        for (std::size_t m = 0; m < mx; ++m) row[m] += fy * fx[m];
       }
     }
   }
-  // (2) Per-mode surface transfer: flux modes -> surface-rise coefficients.
+  // (3) Per-mode surface transfer: flux modes -> surface-rise coefficients.
   for (std::size_t k = 0; k < count; ++k) {
     double* coeff = proj.batch_coeff.data() + k * modes;
     for (std::size_t mode = 0; mode < modes; ++mode) coeff[mode] *= transfer_[mode];
   }
-  // (3) Batched readback: separable cosine synthesis per sample from the
-  // cached tables (the gather matvec, without materializing its matrix);
-  // sample p's tables are dotted against every scenario's mode block.
-  for (std::size_t p = 0; p < n; ++p) {
-    const double* cx = proj.cos_x.data() + p * mx;
-    const double* cy = proj.cos_y.data() + p * my;
+  // (4) Synthesis along x at each distinct sample x, into axis_rows (Y is
+  // dead): U[b][n] = sum_m C[n][m] synth_x[b][m], shared by every sample in
+  // that column.
+  for (std::size_t b = 0; b < gs; ++b) {
+    const double* cx = proj.synth_x.data() + b * mx;
     for (std::size_t k = 0; k < count; ++k) {
       const double* coeff = proj.batch_coeff.data() + k * modes;
-      double total = 0.0;
+      double* u = proj.axis_rows.data() + (k * gs + b) * my;
       for (std::size_t nn = 0; nn < my; ++nn) {
         const double* row = coeff + nn * mx;
         double inner = 0.0;
         for (std::size_t m = 0; m < mx; ++m) inner += row[m] * cx[m];
-        total += inner * cy[nn];
+        u[nn] = inner;
       }
+    }
+  }
+  // (5) Synthesis along y per sample: rise_p = sum_n U[x(p)][n] synth_y[y(p)][n].
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto& smp = proj.samples[p];
+    const double* cy = proj.synth_y.data() + smp.y * my;
+    for (std::size_t k = 0; k < count; ++k) {
+      const double* u = proj.axis_rows.data() + (k * gs + smp.x) * my;
+      double total = 0.0;
+      for (std::size_t nn = 0; nn < my; ++nn) total += u[nn] * cy[nn];
       rises[k * n + p] = total;
     }
   }

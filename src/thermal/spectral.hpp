@@ -48,6 +48,7 @@
 // eigendecomposition serves all lateral modes.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -123,38 +124,82 @@ class SpectralThermalSolver {
                                        std::vector<double>& coeff) const;
 
   /// Cached machinery for the matrix-free influence apply `rises = R *
-  /// powers`: per-source separable unit-power flux projections (the
-  /// TransientSolution projection-cache idea, fixed geometry so it is built
-  /// once) plus per-sample cosine synthesis tables, and mode-space scratch.
-  /// Memory is O(n * modes_per_axis) — the whole point versus the O(n^2)
-  /// dense matrix whose build is also O(n^2 * modes).
+  /// powers`, factored over the tensor-grid structure of real floorplans:
+  /// tiled plans reuse footprint edges and sample coordinates (a t x t
+  /// make_manycore plan has 4t^2 blocks but only 3t distinct clipped
+  /// x-intervals), so the separable flux and cosine tables are interned —
+  /// one row per DISTINCT clipped interval or sample coordinate — and each
+  /// source or sample keeps only its two row indices. Rows are shared
+  /// exactly when their inputs are bit-identical, so interning changes no
+  /// table entry. Memory is O(n + G * modes_per_axis) with G <= n the
+  /// distinct-row count, versus the O(n^2) dense matrix whose build is also
+  /// O(n^2 * modes).
   struct InfluenceProjection {
-    std::size_t count = 0;       ///< sources == samples count
-    std::vector<double> proj_x;  ///< per-watt x flux factors, modes_x per source
-    std::vector<double> proj_y;  ///< per-watt y flux factors, modes_y per source
-    std::vector<double> cos_x;   ///< cos(m pi x_i / W) tables, modes_x per sample
-    std::vector<double> cos_y;   ///< cos(n pi y_i / H) tables, modes_y per sample
-    /// Mode-space scratch: one coefficient block per power vector, grown on
-    /// demand to count * mode_count().
+    /// A source's flux modes are power * weight * flux_x[x] (x) flux_y[y].
+    struct SourceRows {
+      double weight = 0.0;  ///< 1 / (clipped area * W * H); 0 when fully off-die
+      std::uint32_t x = 0;  ///< row of flux_x
+      std::uint32_t y = 0;  ///< row of flux_y
+    };
+    /// A sample's rise is the cosine sum over synth_x[x] (x) synth_y[y].
+    struct SampleRows {
+      std::uint32_t x = 0;  ///< row of synth_x
+      std::uint32_t y = 0;  ///< row of synth_y
+    };
+
+    std::size_t count = 0;  ///< sources == samples count
+    std::size_t modes_x = 0;
+    std::size_t modes_y = 0;
+    /// c_m * integral of cos(m pi x / W) over each distinct clipped
+    /// x-interval, modes_x per row (flux_y likewise over y, modes_y per row).
+    std::vector<double> flux_x;
+    std::vector<double> flux_y;
+    /// cos(m pi x / W) at each distinct sample x, modes_x per row (synth_y
+    /// likewise at each distinct sample y, modes_y per row).
+    std::vector<double> synth_x;
+    std::vector<double> synth_y;
+    std::vector<SourceRows> sources;
+    std::vector<SampleRows> samples;
+    /// Per-vector scratch, grown on demand for `count` vectors: modes_y-long
+    /// rows, first the flux_y rows summed per x-interval, then the
+    /// coefficients synthesized along x at each distinct sample x; and the
+    /// mode-space coefficients (mode_count()).
+    std::vector<double> axis_rows;
     std::vector<double> batch_coeff;
+
+    [[nodiscard]] std::size_t x_intervals() const noexcept {
+      return modes_x == 0 ? 0 : flux_x.size() / modes_x;
+    }
+    [[nodiscard]] std::size_t y_intervals() const noexcept {
+      return modes_y == 0 ? 0 : flux_y.size() / modes_y;
+    }
+    [[nodiscard]] std::size_t sample_xs() const noexcept {
+      return modes_x == 0 ? 0 : synth_x.size() / modes_x;
+    }
   };
 
   /// Builds the influence projection for fixed source geometry and sample
   /// points (source powers are ignored; the caller supplies powers per
   /// apply). Requires one sample per source. Off-die sources project to
-  /// zero; degenerate sources throw — the shared clipping policy.
+  /// zero; degenerate sources throw — the shared clipping policy. Interning
+  /// is sort + unique, O(n log n); the tables cost O(G * modes_per_axis)
+  /// trigonometric evaluations.
   [[nodiscard]] InfluenceProjection make_influence_projection(
       std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const;
 
   /// rises[k*n + i] = sum_j R[i][j] * powers[k*n + j] for `count` power
-  /// vectors (scenario-major, n = proj.count) without forming R: accumulate
-  /// the flux modes as power-scaled rank-1 updates, apply the per-mode
-  /// surface transfer, then synthesize each sample from the cached cosine
-  /// tables. The tables are streamed once per source/sample for the whole
-  /// block — the mode-space accumulate becomes a small GEMM over it — but
-  /// each vector's arithmetic runs in the same order whatever `count` is, so
-  /// vector k's rises are bitwise identical to a count-1 apply of it alone.
-  /// `proj` must come from this solver's make_influence_projection.
+  /// vectors (scenario-major, n = proj.count) without forming R, in five
+  /// passes: (1) sum each source's weighted flux_y row into its x-interval
+  /// (n * modes_y); (2) expand every x-interval against its flux_x row into
+  /// the flux modes (Gx * modes); (3) apply the per-mode surface transfer;
+  /// (4) synthesize along x at each distinct sample x (Gs * modes); (5)
+  /// finish each sample along y (n * modes_y). Cost per vector is
+  /// O(n * modes_per_axis + G * modes); with nothing shared (G = n) it is the
+  /// per-source rank-1 apply. The tables are streamed once for the whole
+  /// block, but each vector's arithmetic runs in the same order whatever
+  /// `count` is, so vector k's rises are bitwise identical to a count-1
+  /// apply of it alone. `proj` must come from this solver's
+  /// make_influence_projection.
   void apply_influence_batch(InfluenceProjection& proj, std::span<const double> powers,
                              std::span<double> rises, std::size_t count) const;
 

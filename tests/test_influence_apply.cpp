@@ -1,8 +1,10 @@
 // Tests for the influence-apply seam: the spectral matrix-free operator
 // against the dense build (operator-level and full-cosim equivalence,
 // including a lumped package resistance), mode resolution/rejection of the
-// InfluenceMode selector, the lazy dense realization, and manycore-scale
-// convergence without an n x n matrix.
+// InfluenceMode selector, the lazy dense realization, manycore-scale
+// convergence without an n x n matrix, batch-vs-single bitwise equality of
+// apply_batch, and the interned spectral tables (shared edges, unshared
+// random sources, clipped and off-die sources, duplicate samples).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -179,6 +181,153 @@ TEST(InfluenceApply, LazyDenseRealizationMatchesTheOperator) {
   for (std::size_t i = 0; i < dense.size(); ++i) {
     // The operator excludes the package term; the realized matrix includes it.
     EXPECT_NEAR(from_matrix[i], from_operator[i] + opts.r_package * p_total, 1e-10);
+  }
+}
+
+std::vector<double> random_powers(std::size_t n, Rng& rng) {
+  std::vector<double> powers(n);
+  for (auto& p : powers) p = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 2.0);
+  return powers;
+}
+
+// The matrix-free apply against the dense build on the same sources and
+// samples, several random power vectors at once.
+void expect_grouped_apply_matches_dense(const thermal::SpectralBackend& backend,
+                                        const std::vector<thermal::HeatSource>& sources,
+                                        const std::vector<thermal::SurfaceSample>& samples) {
+  const auto op = backend.make_influence_apply(sources, samples);
+  const InfluenceOperator dense(backend.build_influence(sources, samples));
+  const std::size_t n = sources.size();
+  constexpr std::size_t kVectors = 3;
+  Rng rng(314);
+  const auto powers = random_powers(kVectors * n, rng);
+  std::vector<double> free_rises(kVectors * n);
+  std::vector<double> dense_rises(kVectors * n);
+  op->apply_batch(powers, free_rises, kVectors);
+  dense.apply_batch(powers, dense_rises, kVectors);
+  for (std::size_t i = 0; i < kVectors * n; ++i) {
+    EXPECT_NEAR(free_rises[i], dense_rises[i], 1e-10) << "vector " << i / n << " sample " << i % n;
+  }
+}
+
+std::vector<thermal::SurfaceSample> random_samples(const thermal::Die& die, std::size_t n,
+                                                   Rng& rng) {
+  std::vector<thermal::SurfaceSample> samples(n);
+  for (auto& s : samples) s = {rng.uniform(0.0, die.width), rng.uniform(0.0, die.height)};
+  return samples;
+}
+
+TEST(InfluenceApply, BatchApplyEqualsPerVectorAppliesBitwise) {
+  // A vector's arithmetic does not depend on how many vectors share the
+  // apply: count-k rises equal k count-1 applies bit for bit, on both
+  // operators. Zero powers exercise the skip paths.
+  const auto fp = manycore_plan(3);
+  const auto sources = fp.heat_sources(tech());
+  const auto samples = block_centre_samples(fp);
+  const thermal::SpectralBackend backend(fp.die(), {});
+  const auto spectral = backend.make_influence_apply(sources, samples);
+  const InfluenceOperator dense(backend.build_influence(sources, samples));
+  const std::size_t n = sources.size();
+  constexpr std::size_t kVectors = 5;
+  Rng rng(7);
+  const auto powers = random_powers(kVectors * n, rng);
+  const std::vector<const thermal::InfluenceApply*> ops = {spectral.get(), &dense};
+  for (const auto* op : ops) {
+    std::vector<double> batched(kVectors * n);
+    op->apply_batch(powers, batched, kVectors);
+    for (std::size_t k = 0; k < kVectors; ++k) {
+      std::vector<double> single(n);
+      op->apply_batch({powers.data() + k * n, n}, single, 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(batched[k * n + i], single[i])
+            << op->kind() << " vector " << k << " sample " << i;
+      }
+    }
+  }
+}
+
+TEST(InfluenceApply, GroupedApplyMatchesDenseOnManycore) {
+  // Shared footprint edges and sample columns: the interned tables carry
+  // many sources per row.
+  const auto fp = manycore_plan(4);
+  const thermal::SpectralBackend backend(fp.die(), {});
+  expect_grouped_apply_matches_dense(backend, fp.heat_sources(tech()), block_centre_samples(fp));
+}
+
+TEST(InfluenceApply, GroupedApplyMatchesDenseOnRandomSources) {
+  // Nothing aligned: every source and sample is its own table row.
+  const auto die = die_2mm();
+  Rng rng(11);
+  std::vector<thermal::HeatSource> sources(40);
+  for (auto& s : sources) {
+    s.w = rng.uniform(50e-6, 400e-6);
+    s.l = rng.uniform(50e-6, 400e-6);
+    s.cx = rng.uniform(0.5 * s.w, die.width - 0.5 * s.w);
+    s.cy = rng.uniform(0.5 * s.l, die.height - 0.5 * s.l);
+  }
+  const auto samples = random_samples(die, sources.size(), rng);
+  const thermal::SpectralBackend backend(die, {});
+  const auto proj = backend.solver().make_influence_projection(sources, samples);
+  EXPECT_EQ(proj.x_intervals(), sources.size());
+  EXPECT_EQ(proj.y_intervals(), sources.size());
+  EXPECT_EQ(proj.sample_xs(), sources.size());
+  expect_grouped_apply_matches_dense(backend, sources, samples);
+}
+
+TEST(InfluenceApply, GroupedApplyMatchesDenseWithClippedAndOffDieSources) {
+  // Partially clipped sources deposit their full power over the clipped
+  // footprint; fully off-die sources contribute nothing. Two sources that
+  // clip to the same interval share its row.
+  const auto die = die_2mm();
+  const std::vector<thermal::HeatSource> sources = {
+      {0.5e-3, 0.5e-3, 0.4e-3, 0.4e-3, 0.0},    // on die
+      {0.0, 1.0e-3, 0.5e-3, 0.3e-3, 0.0},       // clipped at x = 0
+      {-0.25e-3, 1.4e-3, 1.0e-3, 0.3e-3, 0.0},  // clips to the same x-interval
+      {1.9e-3, 1.95e-3, 0.4e-3, 0.4e-3, 0.0},   // clipped at both far edges
+      {3.0e-3, 1.0e-3, 0.2e-3, 0.2e-3, 0.0},    // fully off die in x
+      {1.0e-3, -0.5e-3, 0.2e-3, 0.2e-3, 0.0},   // fully off die in y
+  };
+  const std::vector<thermal::SurfaceSample> samples = {
+      {0.5e-3, 0.5e-3},  // source centre
+      {0.1e-3, 1.0e-3},  // inside the shared clipped interval
+      {0.2e-3, 1.0e-3},  // same
+      {1.9e-3, 1.9e-3},  // near the far corner
+      {2.0e-3, 1.0e-3},  // on the x = W edge
+      {1.0e-3, 0.0},     // on the y = 0 edge
+  };
+  const thermal::SpectralBackend backend(die, {});
+  const auto proj = backend.solver().make_influence_projection(sources, samples);
+  EXPECT_EQ(proj.x_intervals(), 3u);
+  EXPECT_EQ(proj.sources[4].weight, 0.0);
+  EXPECT_EQ(proj.sources[5].weight, 0.0);
+  expect_grouped_apply_matches_dense(backend, sources, samples);
+}
+
+TEST(InfluenceApply, GroupedApplyMatchesDenseWithDuplicateSamples) {
+  const auto fp = manycore_plan(3);
+  auto samples = block_centre_samples(fp);
+  for (std::size_t p = 1; p < samples.size(); p += 2) samples[p] = samples[p - 1];
+  const auto sources = fp.heat_sources(tech());
+  const thermal::SpectralBackend backend(fp.die(), {});
+  expect_grouped_apply_matches_dense(backend, sources, samples);
+
+  const auto op = backend.make_influence_apply(sources, samples);
+  std::vector<double> rises(sources.size());
+  op->apply(std::vector<double>(sources.size(), 1.0), rises);
+  for (std::size_t p = 1; p < samples.size(); p += 2) EXPECT_EQ(rises[p], rises[p - 1]);
+}
+
+TEST(InfluenceApply, ManycoreProjectionInternsThreeIntervalsPerTileColumn) {
+  // A t x t tile grid has 4 t^2 blocks but only 3t distinct clipped
+  // x-intervals and 3t distinct block-centre x-coordinates.
+  for (const int t : {3, 8}) {
+    const auto fp = manycore_plan(t);
+    const thermal::SpectralThermalSolver solver(fp.die(), {});
+    const auto proj =
+        solver.make_influence_projection(fp.heat_sources(tech()), block_centre_samples(fp));
+    EXPECT_EQ(proj.count, static_cast<std::size_t>(4 * t * t));
+    EXPECT_EQ(proj.x_intervals(), static_cast<std::size_t>(3 * t)) << t << " x " << t;
+    EXPECT_EQ(proj.sample_xs(), static_cast<std::size_t>(3 * t)) << t << " x " << t;
   }
 }
 

@@ -409,6 +409,14 @@ TEST_P(CosimTraceBackends, TracingIsBitwiseTransparentAndSized) {
   };
   EXPECT_TRUE(named("cosim/solve"));
   EXPECT_TRUE(named("cosim/build_influence"));
+  // One iteration span and one leakage span per Picard sweep.
+  const auto count = [&](const char* want) {
+    return std::count_if(events.begin(), events.end(), [&](const telemetry::SpanEvent& e) {
+      return std::string_view(e.name) == want;
+    });
+  };
+  EXPECT_EQ(count("cosim/picard_iteration"), rb.iterations);
+  EXPECT_EQ(count("cosim/leakage"), rb.iterations);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, CosimTraceBackends,
