@@ -667,6 +667,8 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   };
   proj.synth_x = cosine_table(x_values, opts_.modes_x, die_.width);
   proj.synth_y = cosine_table(y_values, opts_.modes_y, die_.height);
+  proj.axis_rows.resize(std::max(x_intervals.size(), x_values.size()) * my);
+  proj.coeff.resize(mx * my);
   return proj;
 }
 
@@ -685,39 +687,33 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
                  "apply_influence_batch: powers/rises must have count * proj.count entries");
   const std::size_t gx = proj.x_intervals();
   const std::size_t gs = proj.sample_xs();
-  const auto grow = [](std::vector<double>& v, std::size_t size) {
-    if (v.size() < size) v.resize(size);
-  };
-  grow(proj.axis_rows, count * std::max(gx, gs) * my);
-  grow(proj.batch_coeff, count * modes);
+  double* axis = proj.axis_rows.data();
+  double* coeff = proj.coeff.data();
 
-  // Each pass streams the shared tables once for the whole scenario block;
-  // within one scenario the operations (and their zero-skip guards) run in
-  // an order that does not depend on `count`, so every scenario's result
-  // matches a count-1 apply of it bitwise.
-  //
-  // (1) Powers -> per-x-interval y flux in axis_rows: Y[a] += P_j w_j
-  // flux_y[y(j)] over the sources j whose clipped x-interval is a.
-  std::fill(proj.axis_rows.begin(), proj.axis_rows.begin() + count * gx * my, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto& src = proj.sources[j];
-    if (src.weight == 0.0) continue;
-    const double* fy = proj.flux_y.data() + src.y * my;
-    for (std::size_t k = 0; k < count; ++k) {
-      const double pw = powers[k * n + j] * src.weight;
+  // One vector at a time through all five passes, so the scratch holds a
+  // single vector and each vector's arithmetic (zero-skip guards included)
+  // is that of a count-1 apply: bitwise count-invariant by construction.
+  for (std::size_t k = 0; k < count; ++k) {
+    const double* pk = powers.data() + k * n;
+    double* rk = rises.data() + k * n;
+    // (1) Powers -> per-x-interval y flux in axis_rows: Y[a] += P_j w_j
+    // flux_y[y(j)] over the sources j whose clipped x-interval is a.
+    std::fill(axis, axis + gx * my, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto& src = proj.sources[j];
+      if (src.weight == 0.0) continue;
+      const double pw = pk[j] * src.weight;
       if (pw == 0.0) continue;
-      double* y = proj.axis_rows.data() + (k * gx + src.x) * my;
+      const double* fy = proj.flux_y.data() + src.y * my;
+      double* y = axis + src.x * my;
       for (std::size_t nn = 0; nn < my; ++nn) y[nn] += pw * fy[nn];
     }
-  }
-  // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
-  // rank-1 accumulate per distinct interval instead of per source.
-  std::fill(proj.batch_coeff.begin(), proj.batch_coeff.begin() + count * modes, 0.0);
-  for (std::size_t a = 0; a < gx; ++a) {
-    const double* fx = proj.flux_x.data() + a * mx;
-    for (std::size_t k = 0; k < count; ++k) {
-      const double* y = proj.axis_rows.data() + (k * gx + a) * my;
-      double* coeff = proj.batch_coeff.data() + k * modes;
+    // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
+    // rank-1 accumulate per distinct interval instead of per source.
+    std::fill(coeff, coeff + modes, 0.0);
+    for (std::size_t a = 0; a < gx; ++a) {
+      const double* fx = proj.flux_x.data() + a * mx;
+      const double* y = axis + a * my;
       for (std::size_t nn = 0; nn < my; ++nn) {
         const double fy = y[nn];
         if (fy == 0.0) continue;
@@ -725,20 +721,14 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
         for (std::size_t m = 0; m < mx; ++m) row[m] += fy * fx[m];
       }
     }
-  }
-  // (3) Per-mode surface transfer: flux modes -> surface-rise coefficients.
-  for (std::size_t k = 0; k < count; ++k) {
-    double* coeff = proj.batch_coeff.data() + k * modes;
+    // (3) Per-mode surface transfer: flux modes -> surface-rise coefficients.
     for (std::size_t mode = 0; mode < modes; ++mode) coeff[mode] *= transfer_[mode];
-  }
-  // (4) Synthesis along x at each distinct sample x, into axis_rows (Y is
-  // dead): U[b][n] = sum_m C[n][m] synth_x[b][m], shared by every sample in
-  // that column.
-  for (std::size_t b = 0; b < gs; ++b) {
-    const double* cx = proj.synth_x.data() + b * mx;
-    for (std::size_t k = 0; k < count; ++k) {
-      const double* coeff = proj.batch_coeff.data() + k * modes;
-      double* u = proj.axis_rows.data() + (k * gs + b) * my;
+    // (4) Synthesis along x at each distinct sample x, into axis_rows (Y is
+    // dead): U[b][n] = sum_m C[n][m] synth_x[b][m], shared by every sample
+    // in that column.
+    for (std::size_t b = 0; b < gs; ++b) {
+      const double* cx = proj.synth_x.data() + b * mx;
+      double* u = axis + b * my;
       for (std::size_t nn = 0; nn < my; ++nn) {
         const double* row = coeff + nn * mx;
         double inner = 0.0;
@@ -746,16 +736,14 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
         u[nn] = inner;
       }
     }
-  }
-  // (5) Synthesis along y per sample: rise_p = sum_n U[x(p)][n] synth_y[y(p)][n].
-  for (std::size_t p = 0; p < n; ++p) {
-    const auto& smp = proj.samples[p];
-    const double* cy = proj.synth_y.data() + smp.y * my;
-    for (std::size_t k = 0; k < count; ++k) {
-      const double* u = proj.axis_rows.data() + (k * gs + smp.x) * my;
+    // (5) Synthesis along y per sample: rise_p = sum_n U[x(p)][n] synth_y[y(p)][n].
+    for (std::size_t p = 0; p < n; ++p) {
+      const auto& smp = proj.samples[p];
+      const double* u = axis + smp.x * my;
+      const double* cy = proj.synth_y.data() + smp.y * my;
       double total = 0.0;
       for (std::size_t nn = 0; nn < my; ++nn) total += u[nn] * cy[nn];
-      rises[k * n + p] = total;
+      rk[p] = total;
     }
   }
 }

@@ -131,9 +131,10 @@ class SpectralThermalSolver {
   /// one row per DISTINCT clipped interval or sample coordinate — and each
   /// source or sample keeps only its two row indices. Rows are shared
   /// exactly when their inputs are bit-identical, so interning changes no
-  /// table entry. Memory is O(n + G * modes_per_axis) with G <= n the
-  /// distinct-row count, versus the O(n^2) dense matrix whose build is also
-  /// O(n^2 * modes).
+  /// table entry. Memory is O(n + G * modes_per_axis + modes) — the tables
+  /// plus one vector's scratch, whatever the apply's `count` — with G <= n
+  /// the distinct-row count, versus the O(n^2) dense matrix whose build is
+  /// also O(n^2 * modes).
   struct InfluenceProjection {
     /// A source's flux modes are power * weight * flux_x[x] (x) flux_y[y].
     struct SourceRows {
@@ -160,18 +161,16 @@ class SpectralThermalSolver {
     std::vector<double> synth_y;
     std::vector<SourceRows> sources;
     std::vector<SampleRows> samples;
-    /// Per-vector scratch, grown on demand for `count` vectors: modes_y-long
-    /// rows, first the flux_y rows summed per x-interval, then the
-    /// coefficients synthesized along x at each distinct sample x; and the
-    /// mode-space coefficients (mode_count()).
+    /// One vector's scratch, sized at build and independent of the apply's
+    /// `count`: modes_y-long rows, first the flux_y rows summed per
+    /// x-interval, then the coefficients synthesized along x at each
+    /// distinct sample x (max(Gx, Gs) rows); and the mode-space
+    /// coefficients (mode_count()).
     std::vector<double> axis_rows;
-    std::vector<double> batch_coeff;
+    std::vector<double> coeff;
 
     [[nodiscard]] std::size_t x_intervals() const noexcept {
       return modes_x == 0 ? 0 : flux_x.size() / modes_x;
-    }
-    [[nodiscard]] std::size_t y_intervals() const noexcept {
-      return modes_y == 0 ? 0 : flux_y.size() / modes_y;
     }
     [[nodiscard]] std::size_t sample_xs() const noexcept {
       return modes_x == 0 ? 0 : synth_x.size() / modes_x;
@@ -194,12 +193,11 @@ class SpectralThermalSolver {
   /// the flux modes (Gx * modes); (3) apply the per-mode surface transfer;
   /// (4) synthesize along x at each distinct sample x (Gs * modes); (5)
   /// finish each sample along y (n * modes_y). Cost per vector is
-  /// O(n * modes_per_axis + G * modes); with nothing shared (G = n) it is the
-  /// per-source rank-1 apply. The tables are streamed once for the whole
-  /// block, but each vector's arithmetic runs in the same order whatever
-  /// `count` is, so vector k's rises are bitwise identical to a count-1
-  /// apply of it alone. `proj` must come from this solver's
-  /// make_influence_projection.
+  /// O(n * modes_per_axis + G * modes); with nothing shared (G = n) that is
+  /// the per-source rank-1 apply's 2 n modes plus 2 n modes_y. Vectors run
+  /// one at a time through all five passes, so vector k's rises are bitwise
+  /// identical to a count-1 apply of it alone. `proj` must come from this
+  /// solver's make_influence_projection.
   void apply_influence_batch(InfluenceProjection& proj, std::span<const double> powers,
                              std::span<double> rises, std::size_t count) const;
 

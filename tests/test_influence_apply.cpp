@@ -269,7 +269,7 @@ TEST(InfluenceApply, GroupedApplyMatchesDenseOnRandomSources) {
   const thermal::SpectralBackend backend(die, {});
   const auto proj = backend.solver().make_influence_projection(sources, samples);
   EXPECT_EQ(proj.x_intervals(), sources.size());
-  EXPECT_EQ(proj.y_intervals(), sources.size());
+  EXPECT_EQ(proj.flux_y.size() / proj.modes_y, sources.size());
   EXPECT_EQ(proj.sample_xs(), sources.size());
   expect_grouped_apply_matches_dense(backend, sources, samples);
 }
