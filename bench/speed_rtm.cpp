@@ -2,11 +2,12 @@
 // the spectral transient backend was built for. BM_RtmLongTrace drives a
 // 36-block die through 10,000 control epochs (100,000 transient steps) of a
 // phase-shifted bursty workload under threshold throttling — the PR-5
-// trajectory point. The counters tell the cost story: transient_steps is
-// the work the plant did, power_updates is how often the backend actually
-// had to re-ingest powers (once per epoch, not per step — the interior
-// steps ride the projection caches), and interventions is the policy's own
-// activity.
+// trajectory point. The counters tell the cost story: steps is the time
+// grid the plant covered; transient_steps is how many backend step calls
+// covered it (the spectral plant folds each epoch's held-power steps into
+// one exact step, so one per epoch); power_updates is how often the backend
+// actually had to re-ingest powers (once per epoch at most); and
+// interventions is the policy's own activity.
 #include <benchmark/benchmark.h>
 
 #include "core/cosim.hpp"
@@ -73,6 +74,8 @@ void BM_RtmLongTrace(benchmark::State& state) {
   state.counters["steps"] = static_cast<double>(last.metrics.steps);
   state.counters["epochs"] = static_cast<double>(last.metrics.epochs);
   state.counters["interventions"] = static_cast<double>(last.metrics.interventions);
+  state.counters["transient_steps"] =
+      static_cast<double>(last.metrics.backend_stats.transient_steps);
   state.counters["power_updates"] =
       static_cast<double>(last.metrics.backend_stats.transient_power_updates);
   state.counters["modes"] = static_cast<double>(last.metrics.backend_stats.modes);

@@ -135,34 +135,64 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
   update_powers(0, 0.0);
   record(0.0, sum_leak, sum_dyn);
 
-  for (int s = 0; s < steps; ++s) {
-    const bool last = s + 1 == steps;
-    // Step boundaries come from the step index, not an accumulating sum, so
-    // roundoff cannot drift the grid; the final step lands exactly on
-    // t_stop.
-    const double h = last ? opts.t_stop - s * opts.dt : opts.dt;
+  // Segments: a run of steps with no consumer inside it — no power update,
+  // no record and no epoch-boundary readback — is one backend step when the
+  // backend composes exactly (one step of k*dt equals k steps of dt to
+  // rounding), so the segment starting at step s ends at the first e > s
+  // that is an epoch boundary, a record step or the end. A backend that
+  // does not compose (backward Euler) keeps one step per segment, which is
+  // the per-step loop unchanged.
+  const bool compose = backend->exact_step_composition();
+  const auto segment_end = [&](int s) {
+    if (!compose) return s + 1;
+    // Next multiple of m after s, in 64 bits: with record_every near
+    // INT_MAX (the RTM driver's "final step only") it can exceed an int.
+    const auto next_multiple = [s](long long m) { return (s / m + 1) * m; };
+    return static_cast<int>(std::min({next_multiple(k), next_multiple(opts.record_every),
+                                      static_cast<long long>(steps)}));
+  };
+
+  for (int s = 0; s < steps;) {
+    const int e = segment_end(s);
+    const bool last = e == steps;
+    // Segment boundaries come from the step indices, not an accumulating
+    // sum, so roundoff cannot drift the grid, every full segment passes the
+    // same h (the backends' decay caches keep hitting), and the final
+    // segment lands exactly on t_stop.
+    const double h = last ? opts.t_stop - s * opts.dt : (e - s) * opts.dt;
     if (s > 0 && s % k == 0) update_powers(s / k, s * opts.dt);
-    const int inner = backend->step_transient(*state, h, sources);
+    int inner = 0;
+    {
+      TELEMETRY_SPAN("transient/step");
+      inner = backend->step_transient(*state, h, sources);
+    }
     result.total_cg_iterations += inner;
-    if (opts.trace.convergence) result.step_inner_iterations.push_back(inner);
-    // The package sees the total die power, held constant over the step —
-    // the same piecewise-constant contract as the conduction backends, so
-    // the exact exponential update applies.
+    if (opts.trace.convergence) {
+      // One entry per time-grid step: the segment's work on its first step,
+      // zero on each step folded into it.
+      result.step_inner_iterations.push_back(inner);
+      result.step_inner_iterations.resize(result.step_inner_iterations.size() + (e - s - 1), 0);
+    }
+    // The package sees the total die power, held constant over the segment
+    // — the same piecewise-constant contract as the conduction backends, so
+    // its exact exponential update advances the whole segment at once.
     if (pkg) case_rise = pkg->advance(pkg_state, h, sum_dyn + sum_leak);
     // Temperatures are only read back where someone consumes them: at
-    // recorded steps and at epoch boundaries (the next hook call). Interior
-    // steps of an epoch skip the gather entirely — with power_update_every
-    // == 1 (the default) every step qualifies, preserving the original
-    // per-step readback exactly.
-    const bool record_now = (s + 1) % opts.record_every == 0 || last;
-    const bool epoch_boundary = !last && (s + 1) % k == 0;
+    // recorded steps and at epoch boundaries (the next hook call). A folded
+    // segment always ends on one of those; without folding, interior steps
+    // of an epoch skip the gather — with power_update_every == 1 (the
+    // default) every step qualifies, preserving the per-step readback.
+    const bool record_now = e % opts.record_every == 0 || last;
+    const bool epoch_boundary = !last && e % k == 0;
     if (record_now || epoch_boundary) {
+      TELEMETRY_SPAN("transient/readback");
       state->surface_rises(centres, rises);
       // case_rise is 0.0 without a package network, so the legacy readback
       // t_sink + rises[i] is preserved exactly.
       for (std::size_t i = 0; i < n; ++i) temps[i] = t_sink + case_rise + rises[i];
     }
-    if (record_now) record(last ? opts.t_stop : (s + 1) * opts.dt, sum_leak, sum_dyn);
+    if (record_now) record(last ? opts.t_stop : e * opts.dt, sum_leak, sum_dyn);
+    s = e;
   }
   result.backend_stats = backend->cost_stats();
   return result;

@@ -5,8 +5,10 @@
 // through a transient-capable thermal::SolverBackend — the FDM substrate
 // with backward Euler (the numerical reference) or the spectral solver with
 // exact per-mode exponential integrators (one mode-space update per step,
-// no linear solve). A backend without transient support is rejected at
-// entry.
+// no linear solve). Because the spectral update is exact for piecewise-
+// constant power, runs of held-power steps that nobody reads are folded
+// into one longer step on that backend (see solve_transient_cosim). A
+// backend without transient support is rejected at entry.
 //
 // The paper stops at the steady problem; this module is the natural
 // extension its §5 implies ("compact analytical models for electro-thermal
@@ -54,15 +56,17 @@ struct TransientCosimOptions {
   /// instantaneous temperatures, or from a PowerUpdateHook) and held
   /// constant in between. 1 — the default, and the original semantics —
   /// re-couples power and temperature every step. Longer epochs also skip
-  /// the per-step temperature readback on interior steps: on the spectral
-  /// backend an interior step collapses to the pure mode-decay update,
-  /// which is what makes million-step DVFS traces affordable.
+  /// the per-step temperature readback on interior steps, and on a backend
+  /// with exact step composition (spectral) the interior steps up to the
+  /// next record fold into one exact step — which is what makes
+  /// million-step DVFS traces affordable.
   int power_update_every = 1;
   /// Die stack (thermal/stack.hpp) for the conduction problem; unset keeps
   /// the classic single-die problem. When the stack's boundary is an
   /// attached RC package network, the case temperature becomes a DYNAMIC
   /// state of this co-simulation: the network is advanced exactly once per
-  /// step under the total die power, and every block temperature reads
+  /// backend step (one folded segment on the spectral backend) under the
+  /// total die power, and every block temperature reads
   /// t_sink + case_rise + on-die rise — so leakage, and any control policy
   /// riding the PowerUpdateHook, feel the package/heatsink time constants.
   /// The constant-sink legacy behaviour is the zero-capacity limit.
@@ -93,14 +97,19 @@ struct TransientCosimResult {
   /// Total inner backend iterations across all steps. The name is
   /// historical: on the FDM backend these are CG iterations; other backends
   /// report their own unit of inner work (spectral: one exact mode-space
-  /// update per step), so read it as "generic backend iterations".
+  /// update per backend step, so a folded segment counts once), so read it
+  /// as "generic backend iterations".
   int total_cg_iterations = 0;
-  /// Backend cost counters for the whole run (steps served, CG iterations,
-  /// modes carried, FFT calls) — the perf-trajectory benches read these.
+  /// Backend cost counters for the whole run (backend step calls, CG
+  /// iterations, modes carried, FFT calls) — the perf-trajectory benches
+  /// read these. transient_steps counts backend calls: with folding it is
+  /// the segment count, below the time-grid step count.
   thermal::BackendCostStats backend_stats;
   /// With TransientCosimOptions::trace.convergence: inner backend iterations
-  /// per time step, in step order (size == steps taken; sums to
-  /// total_cg_iterations). Empty when tracing is off.
+  /// per time-grid step, in step order (size == time-grid steps; sums to
+  /// total_cg_iterations). A folded segment reports its backend step's
+  /// count on its first step and 0 on each step folded into it. Empty when
+  /// tracing is off.
   std::vector<int> step_inner_iterations;
 
   [[nodiscard]] double peak_temperature() const;
@@ -110,6 +119,17 @@ struct TransientCosimResult {
 /// Dynamic power follows `activity`; leakage is re-evaluated from each
 /// block's instantaneous temperature at every power-update epoch (every
 /// step by default).
+///
+/// Step folding: the time grid is walked in segments, each ending at the
+/// next power-update epoch boundary, record step or t_stop. When the
+/// backend reports exact_step_composition() (spectral), each segment is
+/// ONE backend step of (e - s) * dt (t_stop - s * dt for the last one),
+/// taken from the step indices so every full segment has the same h; the
+/// package RC network advances once per segment too. Nothing in between is
+/// observable — powers are held and no one reads the field — so the result
+/// matches the per-step integration to rounding (tested to 1e-10 K on
+/// single-die, layered and RC-package runs). Other backends (FDM: backward
+/// Euler does not compose) step once per grid step, bitwise as before.
 TransientCosimResult solve_transient_cosim(const device::Technology& tech,
                                            const floorplan::Floorplan& fp,
                                            const ActivityProfile& activity,

@@ -46,7 +46,11 @@ struct BackendCostStats {
   long long cg_iterations = 0;      ///< total CG iterations (FDM)
   long long modes = 0;              ///< cosine modes carried (spectral)
   long long fft_calls = 0;          ///< 1-D FFT invocations (spectral)
-  long long transient_steps = 0;  ///< step_transient calls served
+  /// step_transient calls served. A driver that folds a run of unread
+  /// held-power steps into one longer exact step (the transient cosim on a
+  /// backend with exact_step_composition()) makes one call for the run, so
+  /// this counts backend step calls, not time-grid steps.
+  long long transient_steps = 0;
   /// Transient steps that re-ingested CHANGED source powers (spectral: flux
   /// re-projection; FDM: source-term RHS rebuild). Epoch-driven drivers
   /// hold powers between control decisions, so this counts epochs — the gap
@@ -193,6 +197,15 @@ class SolverBackend {
   virtual int step_transient(TransientState& state, double dt,
                              const std::vector<HeatSource>& sources) const;
 
+  /// Whether step_transient composes exactly: k calls of dt under the same
+  /// sources equal one call of k*dt to rounding. True only for integrators
+  /// that are exact for piecewise-constant power (the spectral per-mode
+  /// exponential update); an implicit scheme such as backward Euler is not,
+  /// so its drivers must keep stepping at dt. Transient drivers read this to
+  /// fold held-power steps nobody reads into one step. A property of the
+  /// integrator, not a setting.
+  [[nodiscard]] virtual bool exact_step_composition() const noexcept { return false; }
+
   [[nodiscard]] virtual BackendCostStats cost_stats() const = 0;
 };
 
@@ -284,6 +297,10 @@ class SpectralBackend final : public SolverBackend {
   [[nodiscard]] std::unique_ptr<TransientState> make_transient_state() const override;
   int step_transient(TransientState& state, double dt,
                      const std::vector<HeatSource>& sources) const override;
+  /// True: the single-die and layered updates are both amp e^{-lambda h} +
+  /// q g (1 - e^{-lambda h}) plus an h-independent quasi-static tail, so
+  /// one step of k*dt equals k steps of dt to rounding.
+  [[nodiscard]] bool exact_step_composition() const noexcept override { return true; }
   [[nodiscard]] BackendCostStats cost_stats() const override;
 
   [[nodiscard]] const SpectralThermalSolver& solver() const noexcept { return solver_; }

@@ -233,6 +233,10 @@ class SpectralThermalSolver {
     double decay_h = 0.0;
     std::vector<double> decay_lat;
     std::vector<double> decay_z;
+    /// Per lateral mode: how many leading z-modes keep a decay factor above
+    /// the fully-decayed floor (2^-512) at decay_h; the rest have decayed.
+    /// Layered stacks store such factors as 0 in `decay` instead.
+    std::vector<std::size_t> decay_live;
     /// Layered stacks only: per-(lateral mode, z-mode) decay factors keyed
     /// by decay_h — layered modal rates do not separate into lateral x z
     /// factors, so the cache is the full product grid.

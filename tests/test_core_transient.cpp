@@ -1,8 +1,12 @@
 // Tests for the transient electro-thermal co-simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -287,9 +291,13 @@ TEST(TransientCosimHook, UnitEpochHookMatchesTheActivityPathBitwise) {
 
 TEST(TransientCosimHook, EpochHeldPowersMatchPerStepWhenPowersAreConstant) {
   // With genuinely constant powers (no leakage content, constant activity)
-  // holding them over 4-step epochs must not change the integration at all:
-  // the same sources drive every step either way. The interior-step readback
-  // skip and the backends' changed-power caches must both be invisible.
+  // holding them over 4-step epochs must not change the recorded
+  // temperatures at all: the same sources drive every step either way. The
+  // interior-step readback skip, the backends' changed-power caches and, on
+  // the spectral backend, the folding of each 4-step epoch into one exact
+  // 4*dt step must all be invisible (the fold's rounding-level difference in
+  // the rise stays below the ulp of the absolute temperature here; the
+  // general tolerance contract is FoldedRunMatchesPerStepRun below).
   Rng rng(12);
   floorplan::GeneratorConfig cfg;
   cfg.total_dynamic_power = 3.0;
@@ -312,8 +320,10 @@ TEST(TransientCosimHook, EpochHeldPowersMatchPerStepWhenPowersAreConstant) {
     }
     // The epoch run ingested the unchanged powers once; the per-step run's
     // backend saw the same thing (the caches key on values, not call
-    // cadence) — both served every step.
-    EXPECT_EQ(per_epoch.backend_stats.transient_steps, 24);
+    // cadence). FDM served every step; spectral folded each 4-step epoch
+    // into one backend step.
+    EXPECT_EQ(per_epoch.backend_stats.transient_steps,
+              backend == ThermalBackend::Spectral ? 6 : 24);
     EXPECT_EQ(per_epoch.backend_stats.transient_power_updates, 1);
     EXPECT_EQ(per_step.backend_stats.transient_power_updates, 1);
   }
@@ -354,6 +364,146 @@ TEST(TransientCosimHook, HookSeesEpochBoundariesAndItsPowersAreHeld) {
   EXPECT_DOUBLE_EQ(r.dynamic_power[2], 4 * 0.75);
   EXPECT_DOUBLE_EQ(r.dynamic_power[3], 4 * 1.0);
   EXPECT_DOUBLE_EQ(r.leakage_power[3], 4 * 0.01);
+}
+
+// ------------------------------------------------ held-power step folding
+
+/// The three conduction set-ups the fold must be exact on: the classic
+/// single die, a die + TIM + copper sandwich (layered modal integrator) and
+/// the single die over an RC package network (the case rise is folded too).
+std::vector<std::pair<const char*, std::optional<thermal::DieStack>>> fold_stacks() {
+  const thermal::Die d = die_1mm();
+  const thermal::StackLayer die{"die", d.thickness, d.k_si, d.cv_si};
+  thermal::BoundarySpec pkg;
+  pkg.kind = thermal::BoundaryKind::RcNetwork;
+  pkg.rc.emplace(std::vector<thermal::ThermalRc>{{0.5, 2e-3}, {1.5, 0.05}});
+  return {{"single die", std::nullopt},
+          {"die+tim+cu", thermal::DieStack({die,
+                                            {"tim", 25e-6, 4.0, 2.2e6},
+                                            {"spreader", 500e-6, 390.0, 3.4e6}})},
+          {"die+rc package", thermal::DieStack({die}, pkg)}};
+}
+
+/// A folded run (records every 10 steps, so every 10-step epoch is one
+/// segment) against the per-step run of the same held-power schedule
+/// (records every step, so no segment spans more than one step). Leakage
+/// is fed back from the temperatures at each epoch boundary and the
+/// activity changes every epoch, so both the powers and the field move.
+std::pair<TransientCosimResult, TransientCosimResult> folded_and_per_step(
+    std::uint64_t seed, TransientCosimOptions opts) {
+  Rng rng(seed);
+  floorplan::GeneratorConfig cfg;
+  cfg.total_dynamic_power = 8.0;
+  cfg.gates_per_mm2 = 1e5;
+  const auto fp = floorplan::make_uniform_grid(tech(), die_1mm(), 6, 6, cfg, rng);
+  const auto& blocks = fp.blocks();
+  const auto technology = tech();
+  const PowerUpdateHook hook = [&](long long epoch, double, std::span<const double> temps,
+                                   std::span<double> p_dyn, std::span<double> p_leak) {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const double activity = (epoch + static_cast<long long>(i)) % 3 == 0 ? 1.4 : 0.3;
+      p_dyn[i] = blocks[i].p_dynamic * activity;
+      p_leak[i] = blocks[i].leakage_power(technology, temps[i], opts.vb);
+    }
+  };
+  opts.power_update_every = 10;
+  opts.record_every = 10;
+  auto folded = solve_transient_cosim(technology, fp, hook, opts);
+  opts.record_every = 1;
+  auto per_step = solve_transient_cosim(technology, fp, hook, opts);
+  return {std::move(folded), std::move(per_step)};
+}
+
+TEST(TransientCosimFold, SpectralFoldedRunMatchesPerStepRunToRounding) {
+  // The tolerance contract of folding: the spectral update is exact for
+  // piecewise-constant power, so one 10*dt step equals ten dt steps to
+  // rounding. Every shared record must agree to 1e-10 K while the folded run
+  // makes a tenth of the backend step calls.
+  for (const auto& [label, stack] : fold_stacks()) {
+    for (std::uint64_t seed : {1ULL, 17ULL, 2718281ULL}) {
+      TransientCosimOptions opts;
+      opts.backend = ThermalBackend::Spectral;
+      opts.spectral.modes_x = 16;
+      opts.spectral.modes_y = 16;
+      opts.dt = 1e-4;
+      opts.t_stop = 0.2;  // 2000 steps, 200 epochs
+      opts.stack = stack;
+      const auto [folded, per_step] = folded_and_per_step(seed, opts);
+      ASSERT_EQ(per_step.times.size(), 2001u) << label;
+      ASSERT_EQ(folded.times.size(), 201u) << label;
+      EXPECT_EQ(per_step.backend_stats.transient_steps, 2000) << label;
+      EXPECT_EQ(folded.backend_stats.transient_steps, 200) << label;
+      EXPECT_EQ(folded.backend_stats.transient_power_updates,
+                per_step.backend_stats.transient_power_updates)
+          << label;
+      double worst = 0.0;
+      for (std::size_t k = 0; k < folded.times.size(); ++k) {
+        const std::size_t j = 10 * k;
+        ASSERT_EQ(folded.times[k], per_step.times[j]) << label;
+        for (std::size_t i = 0; i < folded.block_temps[k].size(); ++i) {
+          worst = std::max(worst,
+                           std::abs(folded.block_temps[k][i] - per_step.block_temps[j][i]));
+        }
+        EXPECT_NEAR(folded.case_rise[k], per_step.case_rise[j], 1e-10) << label;
+      }
+      EXPECT_LE(worst, 1e-10) << label << " seed " << seed;
+      // The run heated: the contract is not vacuously met by a cold die.
+      EXPECT_GT(folded.peak_temperature(), die_1mm().t_sink + 1.0) << label;
+    }
+  }
+}
+
+TEST(TransientCosimFold, FdmNeverFoldsAndStaysBitwise) {
+  // Backward Euler does not compose, so the FDM backend keeps one backend
+  // step per grid step whatever the record cadence: the pair is bitwise
+  // equal and makes the same number of step calls.
+  for (const auto& [label, stack] : fold_stacks()) {
+    TransientCosimOptions opts;
+    opts.backend = ThermalBackend::Fdm;
+    opts.fdm.nx = 12;
+    opts.fdm.ny = 12;
+    opts.fdm.nz = 12;
+    opts.dt = 1e-4;
+    opts.t_stop = 2e-2;  // 200 steps, 20 epochs
+    opts.stack = stack;
+    const auto [folded, per_step] = folded_and_per_step(1, opts);
+    EXPECT_EQ(folded.backend_stats.transient_steps, 200) << label;
+    EXPECT_EQ(per_step.backend_stats.transient_steps, 200) << label;
+    EXPECT_EQ(folded.total_cg_iterations, per_step.total_cg_iterations) << label;
+    ASSERT_EQ(folded.times.size(), 21u) << label;
+    for (std::size_t k = 0; k < folded.times.size(); ++k) {
+      const std::size_t j = 10 * k;
+      EXPECT_EQ(folded.case_rise[k], per_step.case_rise[j]) << label;
+      for (std::size_t i = 0; i < folded.block_temps[k].size(); ++i) {
+        EXPECT_EQ(folded.block_temps[k][i], per_step.block_temps[j][i])
+            << label << " t " << folded.times[k] << " block " << i;
+      }
+    }
+  }
+}
+
+TEST(TransientCosimFold, ConvergenceTraceKeepsOneEntryPerGridStep) {
+  // A folded segment reports its backend step's work on its first grid step
+  // and zero on each folded one: the trace still has one entry per grid
+  // step and still sums to the run total.
+  const auto fp = small_plan();
+  auto opts = fast_opts();
+  opts.backend = ThermalBackend::Spectral;
+  opts.t_stop = 4.8e-3;  // 24 steps
+  opts.power_update_every = 4;
+  opts.record_every = 6;  // segments end at 4, 6, 8, 12, 16, 18, 20, 24
+  opts.trace.convergence = true;
+  const auto r = solve_transient_cosim(tech(), fp, constant_activity(), opts);
+  EXPECT_EQ(r.backend_stats.transient_steps, 8);
+  ASSERT_EQ(r.step_inner_iterations.size(), 24u);
+  const std::vector<int> want = {1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0,
+                                 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0};
+  EXPECT_EQ(r.step_inner_iterations, want);
+  EXPECT_EQ(r.total_cg_iterations, 8);
+  // Records land every 6 grid steps, whatever the segmentation.
+  ASSERT_EQ(r.times.size(), 5u);
+  EXPECT_EQ(r.times[1], 6 * opts.dt);
+  EXPECT_EQ(r.times.back(), opts.t_stop);
 }
 
 TEST(TransientCosimHook, RejectsBadEpochConfigurationAndNullHook) {

@@ -22,6 +22,30 @@ TEST(Dense, MultiplyMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(y[1], -2.0);
 }
 
+TEST(Dense, BlockedMultiplyMatchesNaiveRowDotsBitwise) {
+  // multiply() works four rows at a time; every row count from 1 to 9 hits
+  // the blocked body, the remainder rows, or both, and an odd column count
+  // rules out any pairing of columns. Each row must be the plain ascending
+  // dot, bit for bit.
+  Rng rng(4242);
+  constexpr std::size_t kCols = 37;
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    Matrix a(rows, kCols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < kCols; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
+    }
+    std::vector<double> x(kCols);
+    for (double& v : x) v = rng.uniform(-1e3, 1e3);
+    std::vector<double> y(rows);
+    a.multiply(x, y);
+    for (std::size_t r = 0; r < rows; ++r) {
+      double want = 0.0;
+      for (std::size_t c = 0; c < kCols; ++c) want += a(r, c) * x[c];
+      EXPECT_EQ(y[r], want) << "rows " << rows << " row " << r;
+    }
+  }
+}
+
 TEST(Dense, LuSolves2x2) {
   Matrix a(2, 2);
   a(0, 0) = 2; a(0, 1) = 1;

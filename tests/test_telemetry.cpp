@@ -647,6 +647,8 @@ TEST(TraceAnatomy, OneTracerObservesCosimRtmAndSpice) {
   EXPECT_TRUE(named("rtm/run"));
   EXPECT_TRUE(named("rtm/epoch"));
   EXPECT_TRUE(named("transient/solve"));
+  EXPECT_TRUE(named("transient/step"));
+  EXPECT_TRUE(named("transient/readback"));
   EXPECT_TRUE(named("spice/solve_dc"));
   EXPECT_TRUE(named("spice/gmin_ladder"));
 
