@@ -84,12 +84,10 @@ void BM_RtmLongTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_RtmLongTrace)->Unit(benchmark::kMillisecond)->Iterations(1);
 
-// The per-epoch overhead in isolation: the same loop at 1/10th the length
-// with exact leakage evaluation versus the actuator's interpolated leakage
-// table — the knob to reach for when the control epoch, not the plant,
-// dominates a trace study.
+// The per-epoch overhead in isolation: the same loop at 1/10th the length,
+// so the control epoch (sensing, policy, exact leakage per block) weighs
+// more against the plant.
 void BM_RtmEpochOverhead(benchmark::State& state) {
-  const bool tabled = state.range(0) != 0;
   const auto tech = device::Technology::cmos012();
   const auto fp = plan_6x6(16.0);
   rtm::BurstPattern pat;
@@ -107,22 +105,15 @@ void BM_RtmEpochOverhead(benchmark::State& state) {
   opts.steps_per_epoch = 10;
   opts.temperature_cap = 368.15;
   const auto ladder = rtm::VfLadder::uniform(tech.vdd, 2e9, 5, 0.8, 0.4);
-  rtm::ActuatorOptions act_opts;
-  if (tabled) {
-    act_opts.leakage_table_points = 96;
-    act_opts.table_t_min = 300.0;
-    act_opts.table_t_max = 460.0;
-  }
   rtm::RtmResult last;
   for (auto _ : state) {
     rtm::ThresholdPolicy policy;
-    rtm::Actuator actuator(tech, fp, ladder, act_opts);
+    rtm::Actuator actuator(tech, fp, ladder);
     last = rtm::run_rtm(tech, fp, trace, policy, actuator, opts);
     benchmark::DoNotOptimize(last);
   }
   state.counters["epochs"] = static_cast<double>(last.metrics.epochs);
-  state.counters["leakage_table"] = tabled ? 1.0 : 0.0;
 }
-BENCHMARK(BM_RtmEpochOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RtmEpochOverhead)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -12,28 +12,28 @@
 namespace ptherm::core {
 
 std::unique_ptr<thermal::SolverBackend> make_thermal_backend(const thermal::Die& die,
-                                                             const CosimOptions& opts) {
-  switch (opts.backend) {
+                                                             const ThermalConfig& cfg) {
+  switch (cfg.backend) {
     case ThermalBackend::Analytic:
       // The image method is a closed form for the single homogeneous die; a
       // stack is only acceptable when it IS that problem.
-      PTHERM_REQUIRE(!opts.stack || opts.stack->reduces_to(die),
+      PTHERM_REQUIRE(!cfg.stack || cfg.stack->reduces_to(die),
                      "make_thermal_backend: the analytic backend needs a stack that "
                      "reduces to the die (use Fdm or Spectral for layered stacks)");
-      return std::make_unique<thermal::AnalyticImagesBackend>(die, opts.images);
+      return std::make_unique<thermal::AnalyticImagesBackend>(die, cfg.images);
     case ThermalBackend::Fdm: {
-      // The one convergence knob (CosimOptions::trace) reaches the inner CG
+      // The one convergence knob (ThermalConfig::trace) reaches the inner CG
       // here, so callers never have to touch FdmOptions::cg directly.
-      thermal::FdmOptions fdm = opts.fdm;
-      if (opts.trace.convergence) fdm.cg.trace = true;
-      if (opts.stack) return std::make_unique<thermal::FdmBackend>(die, *opts.stack, fdm);
+      thermal::FdmOptions fdm = cfg.fdm;
+      if (cfg.trace.convergence) fdm.cg.trace = true;
+      if (cfg.stack) return std::make_unique<thermal::FdmBackend>(die, *cfg.stack, fdm);
       return std::make_unique<thermal::FdmBackend>(die, fdm);
     }
     case ThermalBackend::Spectral:
-      if (opts.stack) {
-        return std::make_unique<thermal::SpectralBackend>(die, *opts.stack, opts.spectral);
+      if (cfg.stack) {
+        return std::make_unique<thermal::SpectralBackend>(die, *cfg.stack, cfg.spectral);
       }
-      return std::make_unique<thermal::SpectralBackend>(die, opts.spectral);
+      return std::make_unique<thermal::SpectralBackend>(die, cfg.spectral);
   }
   throw PreconditionError("make_thermal_backend: unknown backend");
 }

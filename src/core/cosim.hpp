@@ -31,8 +31,41 @@
 namespace ptherm::core {
 
 /// User-facing backend selector; `make_thermal_backend` maps it (plus the
-/// per-backend option structs in CosimOptions) onto a thermal::SolverBackend.
+/// per-backend option structs in ThermalConfig) onto a thermal::SolverBackend.
 enum class ThermalBackend { Analytic, Fdm, Spectral };
+
+/// Everything `make_thermal_backend` reads: which thermal model to build and
+/// how. Declared once; CosimOptions, TransientCosimOptions and
+/// rtm::RtmOptions inherit it, each keeping its own default backend
+/// (Analytic, Fdm and Spectral respectively).
+struct ThermalConfig {
+  ThermalBackend backend = ThermalBackend::Analytic;
+  thermal::ImageOptions images;        ///< analytic backend settings
+  thermal::FdmOptions fdm;             ///< FDM backend settings
+  thermal::SpectralOptions spectral;   ///< spectral backend settings
+  /// Die stack for the conduction problem (thermal/stack.hpp). Unset: the
+  /// classic single-die problem from the floorplan's Die. Set: the FDM and
+  /// spectral backends solve the layered stack (the analytic backend only
+  /// accepts stacks that reduce to the die). An RcNetwork boundary means
+  /// different things to the two time regimes:
+  ///  * steady cosim: its total_resistance() joins the uniform boundary
+  ///    fold exactly like r_package (see boundary_fold_resistance);
+  ///  * transient cosim (and the RTM plant riding it): the case temperature
+  ///    becomes a DYNAMIC state, advanced once per backend step under the
+  ///    total die power, and every block temperature reads
+  ///    t_sink + case_rise + on-die rise — so leakage and any control policy
+  ///    feel the package time constants. The constant-sink behaviour is the
+  ///    zero-capacity limit.
+  std::optional<thermal::DieStack> stack;
+  /// Convergence-trace recording (telemetry/telemetry.hpp). With
+  /// trace.convergence the steady cosim records its Picard residual per
+  /// iteration (CosimResult::picard_residuals), the transient cosim and RTM
+  /// their inner backend iterations per time step (step_inner_iterations),
+  /// and an FDM backend its CG residual curves (FdmOptions::cg.trace is
+  /// forced on). Recording only APPENDS to result vectors — the arithmetic
+  /// is bitwise unchanged.
+  telemetry::TraceOptions trace;
+};
 
 /// How the Picard fixed point applies the influence operator.
 ///  * Auto: matrix-free when the backend supports it (spectral), dense
@@ -44,12 +77,8 @@ enum class ThermalBackend { Analytic, Fdm, Spectral };
 ///    ptherm::PreconditionError at construction if the backend has none.
 enum class InfluenceMode { Auto, Dense, MatrixFree };
 
-struct CosimOptions {
-  ThermalBackend backend = ThermalBackend::Analytic;
+struct CosimOptions : ThermalConfig {
   InfluenceMode influence = InfluenceMode::Auto;
-  thermal::ImageOptions images;        ///< analytic backend settings
-  thermal::FdmOptions fdm;             ///< FDM backend settings
-  thermal::SpectralOptions spectral;   ///< spectral backend settings
   double damping = 0.7;                ///< Picard relaxation factor (0, 1]
   double tol = 1e-3;                   ///< convergence: max |dT| [K]
   int max_iterations = 200;
@@ -59,20 +88,6 @@ struct CosimOptions {
   /// R_pkg * P_total on top of the on-die spreading the thermal model
   /// resolves (the sink plane is then the package case, not the ambient).
   double r_package = 0.0;
-  /// Die stack for the conduction problem (thermal/stack.hpp). Unset: the
-  /// classic single-die problem from the floorplan's Die. Set: the FDM and
-  /// spectral backends solve the layered stack (the analytic backend only
-  /// accepts stacks that reduce to the die), and an RcNetwork boundary adds
-  /// its total_resistance() to the steady boundary fold exactly like
-  /// r_package (see boundary_fold_resistance) — the transient cosim is
-  /// where the network's dynamics come alive.
-  std::optional<thermal::DieStack> stack;
-  /// Convergence-trace recording (telemetry/telemetry.hpp). With
-  /// trace.convergence: CosimResult::picard_residuals records the Picard
-  /// residual per iteration, and an FDM backend records its CG residual
-  /// curves (FdmOptions::cg.trace is forced on). Recording only APPENDS to
-  /// result vectors — the solve arithmetic is bitwise unchanged.
-  telemetry::TraceOptions trace;
 };
 
 /// The ONE uniform boundary resistance [K/W] a steady cosim folds on top of
@@ -84,12 +99,12 @@ struct CosimOptions {
 /// equivalence is pinned by tests.
 [[nodiscard]] double boundary_fold_resistance(const CosimOptions& opts);
 
-/// Builds the thermal backend `opts` selects, configured for `die`. The one
+/// Builds the thermal backend `cfg` selects, configured for `die`. The one
 /// place that maps the user-facing enum onto concrete solver types — every
-/// consumer (steady cosim, transient cosim, examples) goes through here, so
-/// a new backend is one enum value plus one case.
+/// consumer (steady cosim, transient cosim, RTM, examples) goes through
+/// here, so a new backend is one enum value plus one case.
 [[nodiscard]] std::unique_ptr<thermal::SolverBackend> make_thermal_backend(
-    const thermal::Die& die, const CosimOptions& opts);
+    const thermal::Die& die, const ThermalConfig& cfg);
 
 /// Throws ptherm::PreconditionError if the Picard-iteration settings are
 /// unusable (damping outside (0, 1], tol <= 0, max_iterations <= 0,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "telemetry/telemetry.hpp"
@@ -13,6 +14,11 @@ void validate(const TransientCosimOptions& opts) {
   // fit one full step is rejected.
   PTHERM_REQUIRE(opts.dt > 0.0 && opts.t_stop >= opts.dt,
                  "TransientCosimOptions: bad time grid");
+  // The step counter is an int: a longer grid would overflow the cast in
+  // solve_transient_cosim, so it is refused here rather than run short.
+  PTHERM_REQUIRE(std::ceil(opts.t_stop / opts.dt) <=
+                     static_cast<double>(std::numeric_limits<int>::max()),
+                 "TransientCosimOptions: time grid has more than INT_MAX steps");
   PTHERM_REQUIRE(opts.record_every >= 1, "TransientCosimOptions: record_every must be >= 1");
   PTHERM_REQUIRE(opts.power_update_every >= 1,
                  "TransientCosimOptions: power_update_every must be >= 1");
@@ -60,13 +66,7 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
 
   // The transient loop programs against the backend interface; the factory
   // is shared with the steady solver, so backend settings stay uniform.
-  CosimOptions backend_opts;
-  backend_opts.backend = opts.backend;
-  backend_opts.fdm = opts.fdm;
-  backend_opts.spectral = opts.spectral;
-  backend_opts.stack = opts.stack;
-  backend_opts.trace = opts.trace;
-  const auto backend = make_thermal_backend(fp.die(), backend_opts);
+  const auto backend = make_thermal_backend(fp.die(), opts);
   PTHERM_REQUIRE(backend->supports_transient(),
                  "transient cosim: selected thermal backend cannot integrate in time");
   const auto state = backend->make_transient_state();

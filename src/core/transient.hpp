@@ -40,13 +40,11 @@ using PowerUpdateHook =
     std::function<void(long long epoch, double t, std::span<const double> temps,
                        std::span<double> p_dynamic, std::span<double> p_leakage)>;
 
-struct TransientCosimOptions {
-  /// Thermal backend for the time integration; must support transients
-  /// (Fdm or Spectral). The enum keeps transient and steady selection
-  /// uniform; the default stays the FDM reference.
-  ThermalBackend backend = ThermalBackend::Fdm;
-  thermal::FdmOptions fdm;            ///< FDM backend settings
-  thermal::SpectralOptions spectral;  ///< spectral backend settings
+/// Settings of the transient cosim. The thermal backend must support
+/// transients (Fdm or Spectral); the default stays the FDM reference.
+struct TransientCosimOptions : ThermalConfig {
+  TransientCosimOptions() { backend = ThermalBackend::Fdm; }
+
   double dt = 1e-4;          ///< time step [s]
   double t_stop = 20e-3;     ///< end time [s]
   double vb = 0.0;           ///< substrate bias [V]
@@ -61,26 +59,11 @@ struct TransientCosimOptions {
   /// next record fold into one exact step — which is what makes
   /// million-step DVFS traces affordable.
   int power_update_every = 1;
-  /// Die stack (thermal/stack.hpp) for the conduction problem; unset keeps
-  /// the classic single-die problem. When the stack's boundary is an
-  /// attached RC package network, the case temperature becomes a DYNAMIC
-  /// state of this co-simulation: the network is advanced exactly once per
-  /// backend step (one folded segment on the spectral backend) under the
-  /// total die power, and every block temperature reads
-  /// t_sink + case_rise + on-die rise — so leakage, and any control policy
-  /// riding the PowerUpdateHook, feel the package/heatsink time constants.
-  /// The constant-sink legacy behaviour is the zero-capacity limit.
-  std::optional<thermal::DieStack> stack;
-  /// Convergence-trace recording (telemetry/telemetry.hpp). With
-  /// trace.convergence: TransientCosimResult::step_inner_iterations records
-  /// the inner backend iterations per time step. Recording only APPENDS —
-  /// the integration arithmetic is bitwise unchanged.
-  telemetry::TraceOptions trace;
 };
 
 /// Throws ptherm::PreconditionError on an unusable time grid
-/// (dt <= 0, t_stop < dt, record_every < 1, or power_update_every < 1).
-/// A single-step run (t_stop == dt) is legitimate.
+/// (dt <= 0, t_stop < dt, more than INT_MAX steps, record_every < 1, or
+/// power_update_every < 1). A single-step run (t_stop == dt) is legitimate.
 void validate(const TransientCosimOptions& opts);
 
 struct TransientCosimResult {

@@ -56,12 +56,10 @@ std::vector<double> VfLadder::speed_fractions() const {
   return fractions;
 }
 
-Actuator::Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder ladder,
-                   ActuatorOptions opts)
+Actuator::Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder ladder)
     : tech_(std::move(tech)),
       fp_(std::move(fp)),
       ladder_(std::move(ladder)),
-      opts_(opts),
       levels_(fp_.blocks().size(), 0) {
   PTHERM_REQUIRE(!fp_.blocks().empty(), "Actuator: empty floorplan");
   const int nl = ladder_.level_count();
@@ -90,27 +88,6 @@ Actuator::Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder la
     speeds_[l] = ladder_.at(l).frequency / ladder_.at(0).frequency;
     level_tech_.push_back(std::move(tl));
   }
-
-  if (opts_.leakage_table_points > 0) {
-    PTHERM_REQUIRE(opts_.leakage_table_points >= 2,
-                   "Actuator: leakage table needs at least 2 points");
-    PTHERM_REQUIRE(opts_.table_t_max > opts_.table_t_min,
-                   "Actuator: leakage table window is empty");
-    const std::size_t np = static_cast<std::size_t>(opts_.leakage_table_points);
-    table_dt_ = (opts_.table_t_max - opts_.table_t_min) / static_cast<double>(np - 1);
-    table_.resize(fp_.blocks().size() * static_cast<std::size_t>(nl) * np);
-    // Tables are built at vb = 0; a biased query falls back to the exact
-    // path (body bias is a study parameter, not a per-epoch variable).
-    for (std::size_t b = 0; b < fp_.blocks().size(); ++b) {
-      for (int l = 0; l < nl; ++l) {
-        double* row = table_.data() + (b * static_cast<std::size_t>(nl) + l) * np;
-        for (std::size_t p = 0; p < np; ++p) {
-          const double temp = opts_.table_t_min + static_cast<double>(p) * table_dt_;
-          row[p] = leakage_exact(b, l, temp, 0.0);
-        }
-      }
-    }
-  }
 }
 
 int Actuator::level(std::size_t block) const {
@@ -134,24 +111,10 @@ double Actuator::dynamic_power(std::size_t block, double activity) const {
   return fp_.blocks()[block].p_dynamic * activity * scales_[levels_[block]];
 }
 
-double Actuator::leakage_exact(std::size_t block, int lvl, double temp, double vb) const {
-  return fp_.blocks()[block].leakage_power(level_tech_[static_cast<std::size_t>(lvl)], temp,
-                                           vb);
-}
-
 double Actuator::leakage_power(std::size_t block, double temp, double vb) const {
   PTHERM_REQUIRE(block < levels_.size(), "Actuator::leakage_power: block out of range");
-  const int lvl = levels_[block];
-  if (table_.empty() || vb != 0.0) return leakage_exact(block, lvl, temp, vb);
-  const std::size_t np = static_cast<std::size_t>(opts_.leakage_table_points);
-  const double* row =
-      table_.data() +
-      (block * static_cast<std::size_t>(ladder_.level_count()) + lvl) * np;
-  const double f = std::clamp((temp - opts_.table_t_min) / table_dt_,
-                              0.0, static_cast<double>(np - 1));
-  const std::size_t i0 = std::min(static_cast<std::size_t>(f), np - 2);
-  const double w = f - static_cast<double>(i0);
-  return (1.0 - w) * row[i0] + w * row[i0 + 1];
+  return fp_.blocks()[block].leakage_power(
+      level_tech_[static_cast<std::size_t>(levels_[block])], temp, vb);
 }
 
 double Actuator::throughput_scale(std::size_t block) const {

@@ -44,25 +44,12 @@ class VfLadder {
   std::vector<OperatingPoint> points_;
 };
 
-struct ActuatorOptions {
-  /// 0 evaluates leakage exactly through leakage/ on every query. A positive
-  /// count instead samples each (block, level) leakage-vs-temperature curve
-  /// once at construction and interpolates linearly between samples — the
-  /// long-trace speed lever (the curve is smooth and exponential-like, so a
-  /// few dozen points stay well under a percent). The temperature window
-  /// must cover every query; out-of-window queries clamp to the ends.
-  int leakage_table_points = 0;
-  double table_t_min = 273.15;  ///< table window low end [K]
-  double table_t_max = 473.15;  ///< table window high end [K]
-};
-
 /// Per-block V/f state over a floorplan. The floorplan and technology are
 /// copied in (same ownership policy as ElectroThermalSolver: the actuator
 /// cannot dangle); levels start at 0 (fastest).
 class Actuator {
  public:
-  Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder ladder,
-           ActuatorOptions opts = {});
+  Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder ladder);
 
   [[nodiscard]] std::size_t block_count() const noexcept { return fp_.blocks().size(); }
   [[nodiscard]] const VfLadder& ladder() const noexcept { return ladder_; }
@@ -90,20 +77,13 @@ class Actuator {
   [[nodiscard]] double dynamic_scale(int lvl) const;
 
  private:
-  [[nodiscard]] double leakage_exact(std::size_t block, int lvl, double temp,
-                                     double vb) const;
-
   device::Technology tech_;
   floorplan::Floorplan fp_;
   VfLadder ladder_;
-  ActuatorOptions opts_;
   std::vector<int> levels_;                  ///< per block
   std::vector<double> scales_;               ///< per level, (V/V0)^2 (f/f0)
   std::vector<double> speeds_;               ///< per level, f/f0
   std::vector<device::Technology> level_tech_;  ///< tech with vdd = level voltage
-  /// Linear leakage tables, [block][level][point]; empty when exact.
-  std::vector<double> table_;
-  double table_dt_ = 0.0;
 };
 
 }  // namespace ptherm::rtm

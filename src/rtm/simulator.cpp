@@ -109,11 +109,7 @@ RtmResult run_rtm(const device::Technology& tech, const floorplan::Floorplan& fp
   };
 
   core::TransientCosimOptions cosim;
-  cosim.backend = opts.backend;
-  cosim.fdm = opts.fdm;
-  cosim.spectral = opts.spectral;
-  cosim.stack = opts.stack;
-  cosim.trace = opts.trace;
+  static_cast<core::ThermalConfig&>(cosim) = opts;
   cosim.dt = opts.dt;
   cosim.t_stop = static_cast<double>(epochs) * epoch_dt;
   cosim.vb = opts.vb;

@@ -21,12 +21,13 @@
 
 namespace ptherm::rtm {
 
-struct RtmOptions {
-  /// Transient backend for the plant; must support time stepping
-  /// (Fdm or Spectral).
-  core::ThermalBackend backend = core::ThermalBackend::Spectral;
-  thermal::FdmOptions fdm;
-  thermal::SpectralOptions spectral;
+/// Settings of the closed loop. The plant's thermal backend must support
+/// time stepping (Fdm or Spectral); the default is Spectral. The
+/// ThermalConfig part reaches the plant unchanged
+/// (core::TransientCosimOptions).
+struct RtmOptions : core::ThermalConfig {
+  RtmOptions() { backend = core::ThermalBackend::Spectral; }
+
   double dt = 1e-4;          ///< transient step [s]
   int steps_per_epoch = 10;  ///< control period, in steps
   double vb = 0.0;           ///< substrate bias [V]
@@ -37,16 +38,6 @@ struct RtmOptions {
   SensorOptions sensor;      ///< seed/quantization/noise/latency of the sensors
   /// Record a timeline row every `record_every` epochs (0 = metrics only).
   int record_every = 0;
-  /// Die stack for the plant (thermal/stack.hpp); unset keeps the classic
-  /// single-die problem. An RC-network boundary makes the heatsink a dynamic
-  /// state of the plant: sensed temperatures include the case rise, so
-  /// policies feel (and must fight) the package time constants.
-  std::optional<thermal::DieStack> stack;
-  /// Convergence-trace recording, threaded straight through to the plant
-  /// (core::TransientCosimOptions::trace): with trace.convergence the result
-  /// carries the plant's per-step inner-iteration trace. Recording only
-  /// APPENDS — the control loop and plant arithmetic are bitwise unchanged.
-  telemetry::TraceOptions trace;
 };
 
 /// Run-level metrics. All temperature metrics are TRUE block temperatures
@@ -86,7 +77,8 @@ struct RtmResult {
 /// PolicyContext) and `actuator` is reset to level 0 before the run, so a
 /// given (floorplan, trace, policy, options) tuple reproduces bitwise.
 /// Throws ptherm::PreconditionError on mismatched block counts, a cap at or
-/// below the sink temperature, or a steady-only backend.
+/// below the sink temperature, a steady-only backend, or a run of more than
+/// INT_MAX plant steps.
 [[nodiscard]] RtmResult run_rtm(const device::Technology& tech,
                                 const floorplan::Floorplan& fp, const WorkloadTrace& trace,
                                 Policy& policy, Actuator& actuator,

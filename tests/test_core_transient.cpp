@@ -151,6 +151,15 @@ TEST(TransientCosim, RejectsBadConfiguration) {
   opts = fast_opts();
   EXPECT_THROW(solve_transient_cosim(tech(), fp, ActivityProfile{}, opts),
                PreconditionError);
+  // 3e9 steps: past INT_MAX, refused before anything runs.
+  opts = fast_opts();
+  opts.backend = ThermalBackend::Spectral;
+  opts.spectral.modes_x = 2;
+  opts.spectral.modes_y = 2;
+  opts.dt = 1e-9;
+  opts.t_stop = 3.0;
+  EXPECT_THROW(solve_transient_cosim(tech(), fp, constant_activity(), opts),
+               PreconditionError);
 }
 
 TEST(TransientCosim, SingleStepRunIsAccepted) {

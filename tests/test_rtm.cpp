@@ -156,31 +156,6 @@ TEST(Actuator, LeakageDropsWithSupplyVoltageAndGrowsWithTemperature) {
   EXPECT_GT(actuator.leakage_power(0, hot), 2.0 * actuator.leakage_power(0, 340.0));
 }
 
-TEST(Actuator, LeakageTableTracksTheExactEvaluation) {
-  const auto fp = quad_plan(8.0);
-  Actuator exact(tech(), fp, test_ladder());
-  ActuatorOptions opts;
-  opts.leakage_table_points = 96;
-  opts.table_t_min = 300.0;
-  opts.table_t_max = 460.0;
-  Actuator tabled(tech(), fp, test_ladder(), opts);
-  for (int l = 0; l < 4; ++l) {
-    exact.set_level(1, l);
-    tabled.set_level(1, l);
-    for (double temp : {305.0, 333.3, 381.7, 444.4}) {
-      const double want = exact.leakage_power(1, temp);
-      EXPECT_NEAR(tabled.leakage_power(1, temp), want, 5e-3 * want)
-          << "level " << l << " T " << temp;
-    }
-  }
-  // Out-of-window queries clamp instead of extrapolating.
-  tabled.set_level(1, 0);
-  exact.set_level(1, 0);
-  EXPECT_DOUBLE_EQ(tabled.leakage_power(1, 500.0), tabled.leakage_power(1, 460.0));
-  // A biased query bypasses the (vb = 0) table.
-  EXPECT_DOUBLE_EQ(tabled.leakage_power(1, 350.0, -0.2), exact.leakage_power(1, 350.0, -0.2));
-}
-
 TEST(Actuator, SetLevelClampsAndReportsChanges) {
   const auto fp = quad_plan(8.0);
   Actuator actuator(tech(), fp, test_ladder());
@@ -442,6 +417,33 @@ TEST(RunRtm, ValidatesItsContracts) {
   steady_only.backend = ThermalBackend::Analytic;  // cannot integrate in time
   EXPECT_THROW((void)run_rtm(tech(), fp, trace, noop, actuator, steady_only),
                PreconditionError);
+
+  // Two samples of 2e5 s at dt = 1e-4: 4e9 plant steps, more than an int
+  // counts. Refused up front; nothing per step is allocated.
+  const auto long_trace = make_burst_trace(4, 2, 2e5, pat);
+  EXPECT_THROW((void)run_rtm(tech(), fp, long_trace, noop, actuator, opts),
+               PreconditionError);
+}
+
+TEST(ThermalConfig, EachCallerKeepsItsDefaultBackend) {
+  EXPECT_EQ(core::CosimOptions{}.backend, ThermalBackend::Analytic);
+  EXPECT_EQ(core::TransientCosimOptions{}.backend, ThermalBackend::Fdm);
+  EXPECT_EQ(RtmOptions{}.backend, ThermalBackend::Spectral);
+
+  // run_rtm hands its ThermalConfig to the plant in one assignment; every
+  // field must survive it.
+  RtmOptions rtm_opts;
+  rtm_opts.spectral.modes_x = 24;
+  rtm_opts.spectral.modes_y = 40;
+  rtm_opts.stack = thermal::DieStack::single(die_1mm());
+  rtm_opts.trace.convergence = true;
+  core::TransientCosimOptions plant;
+  static_cast<core::ThermalConfig&>(plant) = rtm_opts;
+  EXPECT_EQ(plant.backend, ThermalBackend::Spectral);
+  EXPECT_EQ(plant.spectral.modes_x, 24);
+  EXPECT_EQ(plant.spectral.modes_y, 40);
+  EXPECT_TRUE(plant.stack.has_value());
+  EXPECT_TRUE(plant.trace.convergence);
 }
 
 }  // namespace
