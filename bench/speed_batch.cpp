@@ -52,7 +52,6 @@ core::CosimOptions batch_opts() {
   opts.influence = core::InfluenceMode::MatrixFree;
   opts.spectral.modes_x = 32;
   opts.spectral.modes_y = 32;
-  opts.damping = 1.0;  // undamped Picard converges in ~2 sweeps at this load
   return opts;
 }
 

@@ -70,7 +70,6 @@ int main() {
   opts.influence = core::InfluenceMode::MatrixFree;
   opts.spectral.modes_x = 32;
   opts.spectral.modes_y = 32;
-  opts.damping = 1.0;
 
   Table thermal_table(
       "Electro-thermal variation - 36-block plan, batched Monte Carlo (2000 samples)");

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "device/variation.hpp"
+#include "numerics/fixed_point.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ptherm::core {
@@ -163,6 +164,7 @@ CosimResult ElectroThermalSolver::solve() {
   result.total_leakage = scenario.total_leakage;
   result.max_temperature = scenario.max_temperature;
   result.max_delta_last = scenario.max_delta_last;
+  result.contraction = scenario.contraction;
   result.diagnostics = std::move(scenario.diagnostics);
   result.picard_residuals = std::move(scenario.picard_residuals);
   return result;
@@ -187,8 +189,7 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
   const bool tracing = opts_.trace.convergence;
 
   std::vector<double> temps(count * n, t_sink);
-  std::vector<double> prev_delta(count, 0.0);
-  std::vector<int> growth_streak(count, 0);
+  std::vector<numerics::SafeguardedPicard> guards(count, {opts_.damping, /*streak=*/10});
   std::vector<std::size_t> active(count);  // scenario indices, ascending
   std::iota(active.begin(), active.end(), std::size_t{0});
   std::vector<double> powers(count * n);
@@ -238,7 +239,7 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     }
     influence.apply_batch({powers.data(), m * n}, {rises.data(), m * n}, m);
     ++sweeps;
-    double sweep_max_delta = 0.0;
+    double sweep_max_residual = 0.0;
 
     std::size_t keep = 0;
     for (std::size_t a = 0; a < m; ++a) {
@@ -254,45 +255,19 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
         const double pkg_rise = r_pkg * p_total;
         for (std::size_t i = 0; i < n; ++i) rise[i] += pkg_rise;
       }
-      double max_delta = 0.0;
-      double max_rise = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double target = t_sink + rise[i];
-        const double updated = temp[i] + opts_.damping * (target - temp[i]);
-        max_delta = std::max(max_delta, std::abs(updated - temp[i]));
-        temp[i] = updated;
-        max_rise = std::max(max_rise, temp[i] - t_sink);
-      }
-      res.max_delta_last = max_delta;
-      if (tracing) res.picard_residuals.push_back(max_delta);
-      sweep_max_delta = std::max(sweep_max_delta, max_delta);
+      for (std::size_t i = 0; i < n; ++i) rise[i] += t_sink;  // rises -> targets
+      const double residual = guards[k].step({temp, n}, {rise, n});
+      const double max_rise = *std::max_element(temp, temp + n) - t_sink;
+      res.max_delta_last = residual;
+      res.contraction = guards[k].contraction();
+      if (tracing) res.picard_residuals.push_back(residual);
+      sweep_max_residual = std::max(sweep_max_residual, residual);
 
-      bool done = false;
-      if (max_rise > opts_.runaway_rise_limit) {
-        res.runaway = true;
-        done = true;
-      } else {
-        // A monotonically growing update over several iterations is the
-        // fixed point diverging: leakage-thermal runaway below the hard
-        // rise limit.
-        if (max_delta > prev_delta[k] && it > 0) {
-          if (++growth_streak[k] >= 10) {
-            res.runaway = true;
-            done = true;
-          }
-        } else {
-          growth_streak[k] = 0;
-        }
-        if (!done) {
-          prev_delta[k] = max_delta;
-          if (max_delta < opts_.tol) {
-            res.converged = true;
-            done = true;
-          }
-        }
-      }
-
-      if (done) {
+      // A residual growing over several sweeps is the fixed point diverging:
+      // leakage-thermal runaway below the hard rise limit.
+      res.runaway = max_rise > opts_.runaway_rise_limit || guards[k].diverging();
+      res.converged = !res.runaway && residual < opts_.tol;
+      if (res.runaway || res.converged) {
         finalize(k);
       } else {
         active[keep++] = k;  // compaction keeps ascending order
@@ -300,7 +275,7 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     }
     if (tracing && trace != nullptr) {
       trace->active_per_sweep.push_back(static_cast<long long>(m));
-      trace->max_residual_per_sweep.push_back(sweep_max_delta);
+      trace->max_residual_per_sweep.push_back(sweep_max_residual);
     }
     active.resize(keep);
   }

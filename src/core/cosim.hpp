@@ -1,7 +1,7 @@
 // The paper's headline: the *concurrent* power-thermal solve. Leakage is
 // exponential in temperature and temperature is set by dissipated power, so
-// the two models must be solved simultaneously. This engine runs a damped
-// Picard fixed point over block temperatures,
+// the two models must be solved simultaneously. This engine runs a Picard
+// fixed point (safeguarded: numerics/fixed_point.hpp) over block temperatures,
 //     T_i  <-  T_sink + sum_j Rth_ij * P_j(T_j),
 // where the thermal influence comes from a pluggable thermal::SolverBackend:
 // the analytic image model (fast path, closed form only — the paper's
@@ -79,8 +79,8 @@ enum class InfluenceMode { Auto, Dense, MatrixFree };
 
 struct CosimOptions : ThermalConfig {
   InfluenceMode influence = InfluenceMode::Auto;
-  double damping = 0.7;                ///< Picard relaxation factor (0, 1]
-  double tol = 1e-3;                   ///< convergence: max |dT| [K]
+  double damping = 0.7;                ///< safeguard relaxation (0, 1]: numerics/fixed_point.hpp
+  double tol = 1e-3;                   ///< convergence: residual max |T_sink + rise - T| [K]
   int max_iterations = 200;
   double runaway_rise_limit = 400.0;   ///< rise above sink declared runaway [K]
   double vb = 0.0;                     ///< substrate (body) bias [V]
@@ -146,15 +146,16 @@ struct CosimResult {
   double total_dynamic = 0.0;
   double total_leakage = 0.0;
   double max_temperature = 0.0;   ///< hottest block [K]
-  double max_delta_last = 0.0;    ///< last iteration's max |dT| [K]
+  double max_delta_last = 0.0;    ///< last residual max |T_sink + rise - T| [K]
+  double contraction = 0.0;       ///< r_k / r_{k-1} at exit: < 1 contracting, 0 after one sweep
   /// Structured non-convergence context (common/diagnostics.hpp): set iff
   /// the Picard loop did not converge — stage "runaway" or "max-iterations",
-  /// the iteration count, the last max |dT| [K], and the hottest block by
+  /// the iteration count, the last residual [K], and the hottest block by
   /// name. Empty on converged solves.
   std::optional<SolveDiagnostics> diagnostics;
-  /// With CosimOptions::trace.convergence: the Picard residual max |dT| [K]
-  /// after each iteration (picard_residuals.size() == iterations;
-  /// back() == max_delta_last). Empty when tracing is off.
+  /// With CosimOptions::trace.convergence: the Picard residual [K] of each
+  /// iteration (picard_residuals.size() == iterations; back() ==
+  /// max_delta_last). Empty when tracing is off.
   std::vector<double> picard_residuals;
 
   [[nodiscard]] double total_power() const noexcept { return total_dynamic + total_leakage; }
@@ -169,15 +170,16 @@ struct ScenarioResult {
   double max_temperature = 0.0;  ///< hottest block [K]
   double total_dynamic = 0.0;    ///< [W]
   double total_leakage = 0.0;    ///< [W] at the converged temperatures
-  double max_delta_last = 0.0;   ///< last iteration's max |dT| [K]
+  double max_delta_last = 0.0;   ///< last residual max |T_sink + rise - T| [K]
+  double contraction = 0.0;      ///< r_k / r_{k-1} at exit (see CosimResult)
   std::vector<double> temperatures;  ///< per-block [K]
   /// Structured non-convergence context (common/diagnostics.hpp): set iff
   /// this scenario did not converge — runaway or max-iterations, and the
   /// hottest block by name. Empty when converged.
   std::optional<SolveDiagnostics> diagnostics;
   /// With CosimOptions::trace.convergence: this scenario's Picard residual
-  /// max |dT| [K] after each of its iterations (size == iterations). Empty
-  /// when tracing is off.
+  /// [K] of each of its iterations (size == iterations). Empty when tracing
+  /// is off.
   std::vector<double> picard_residuals;
 
   [[nodiscard]] double total_power() const noexcept { return total_dynamic + total_leakage; }
@@ -189,7 +191,7 @@ struct ScenarioResult {
 /// of them produced in it.
 struct ScenarioBatchTrace {
   std::vector<long long> active_per_sweep;     ///< active-mask size per sweep
-  std::vector<double> max_residual_per_sweep;  ///< worst max |dT| per sweep [K]
+  std::vector<double> max_residual_per_sweep;  ///< worst residual per sweep [K]
 };
 
 /// The scenarios one run_picard call advances: `count` of them over the
@@ -218,12 +220,13 @@ class ElectroThermalSolver {
   /// The Picard kernel, the one implementation of the fixed point. Per
   /// iteration: every active scenario's power vector (dynamic plus
   /// adjusted_leakage_power at its current temperatures), ONE apply_batch
-  /// over all of them, then per scenario the boundary fold, the damped
-  /// update, the rise-limit and growth-streak runaway checks and the
-  /// convergence test. A scenario that finishes leaves the active list, so
-  /// its trajectory never depends on the others: results are bitwise the
-  /// same whatever the batch holds. results[k] (default-constructed on
-  /// entry) receives scenario k, with diagnostics tagged
+  /// over all of them, then per scenario the boundary fold, the safeguarded
+  /// step (numerics::SafeguardedPicard, one per scenario), the rise-limit and
+  /// growth-streak runaway checks and the convergence test. A scenario that
+  /// finishes leaves the active list, so its trajectory never depends on the
+  /// others: results are bitwise the same whatever the batch holds.
+  /// results[k] (default-constructed on entry) receives scenario k, with
+  /// diagnostics tagged
   /// "ElectroThermalSolver" unless it converged. With trace.convergence the
   /// per-sweep record is appended to `trace` if one is given. Returns the
   /// number of blocked applies (sweeps) issued.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "numerics/fixed_point.hpp"
 #include "spice/newton_core.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -62,19 +63,13 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
   std::vector<double> rises(n, 0.0);
   std::vector<double> warm;
 
-  double prev_delta = 0.0;
-  int growth_streak = 0;
-
-  for (int it = 0; it < opts.max_outer_iterations; ++it) {
-    for (std::size_t k = 0; k < n; ++k) {
-      all_temps[mos_index[k]] = out.device_temperatures[k];
-    }
+  // Electrical solve at the current temperatures (warm-started), then P(T):
+  // each device's dissipation at its own temperature.
+  const auto solve_electrical = [&] {
+    for (std::size_t k = 0; k < n; ++k) all_temps[mos_index[k]] = out.device_temperatures[k];
     core.set_device_temperatures(all_temps);
     out.dc = detail::solve_dc_core(circuit, core, opts.dc, warm.empty() ? nullptr : &warm);
     warm = pack_unknowns(circuit, out.dc);
-    ++out.outer_iterations;
-
-    // P(T): each device's dissipation at its own temperature.
     const auto& mosfets = circuit.mosfets();
     for (std::size_t k = 0; k < n; ++k) {
       const auto& m = mosfets[mos_index[k]];
@@ -82,40 +77,29 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
           out.dc.voltage(m.gate), out.dc.voltage(m.drain), out.dc.voltage(m.source),
           out.dc.voltage(m.bulk), out.device_temperatures[k]);
     }
+  };
 
-    // T <- t_sink + R * P, damped.
+  numerics::SafeguardedPicard guard(opts.damping, opts.runaway_streak);
+  for (int it = 0; it < opts.max_outer_iterations; ++it) {
+    TELEMETRY_SPAN("spice/et_outer_iteration");
+    solve_electrical();
+    ++out.outer_iterations;
+
+    // T <- t_sink + R * P, one safeguarded step (the core/cosim rule).
     influence->apply(out.device_powers, rises);
-    double max_dt = 0.0;
-    double max_t = opts.t_sink;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double target = opts.t_sink + rises[k];
-      const double delta = opts.damping * (target - out.device_temperatures[k]);
-      out.device_temperatures[k] += delta;
-      max_dt = std::max(max_dt, std::abs(delta));
-      max_t = std::max(max_t, out.device_temperatures[k]);
-    }
-    out.max_temperature = max_t;
+    for (double& rise : rises) rise += opts.t_sink;  // rises -> targets
+    const double residual = guard.step(out.device_temperatures, rises);
+    out.contraction = guard.contraction();
+    out.max_temperature = std::max(opts.t_sink, std::ranges::max(out.device_temperatures));
 
-    // Runaway detection — flag and stop, never clamp: the temperatures we
-    // return are the genuine divergent iterates. A damped contraction has
-    // shrinking updates, so a monotonically GROWING update over several
-    // iterations is the fixed point diverging (same criterion as core/cosim);
-    // the hard rise limit catches fast blow-ups before the streak fills.
-    if (max_t - opts.t_sink > opts.runaway_rise_limit) {
+    // Runaway: flag and stop, never clamp — the returned temperatures are the
+    // genuine divergent iterates. The hard rise limit catches fast blow-ups,
+    // the growth streak slower divergence (the core/cosim criteria).
+    if (out.max_temperature - opts.t_sink > opts.runaway_rise_limit || guard.diverging()) {
       out.runaway = true;
       break;
     }
-    if (max_dt > prev_delta && it > 0) {
-      if (++growth_streak >= opts.runaway_streak) {
-        out.runaway = true;
-        break;
-      }
-    } else {
-      growth_streak = 0;
-    }
-    prev_delta = max_dt;
-
-    if (max_dt < opts.temp_tol) {
+    if (residual < opts.temp_tol) {
       out.converged = true;
       break;
     }
@@ -125,19 +109,7 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
   // voltages, powers, and report are mutually consistent. Not on runaway:
   // the exit temperatures are divergent iterates (deliberately unclamped),
   // and the electrical state that matters is the last converged solve.
-  if (out.runaway) return out;
-  for (std::size_t k = 0; k < n; ++k) {
-    all_temps[mos_index[k]] = out.device_temperatures[k];
-  }
-  core.set_device_temperatures(all_temps);
-  out.dc = detail::solve_dc_core(circuit, core, opts.dc, warm.empty() ? nullptr : &warm);
-  const auto& mosfets = circuit.mosfets();
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto& m = mosfets[mos_index[k]];
-    out.device_powers[k] = m.model.power(
-        out.dc.voltage(m.gate), out.dc.voltage(m.drain), out.dc.voltage(m.source),
-        out.dc.voltage(m.bulk), out.device_temperatures[k]);
-  }
+  if (!out.runaway) solve_electrical();
   return out;
 }
 

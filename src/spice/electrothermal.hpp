@@ -5,9 +5,9 @@
 // the influence-apply seam (matrix-free when the backend supports it, dense
 // otherwise), and the device temperatures feed straight back into the MOSFET
 // evaluation INSIDE the Newton loop via NewtonCore's per-device temperature
-// seam. The T <- t_sink + R * P(T) fixed point is iterated with damping as
-// an outer loop around the recovery-ladder DC solve, mirroring the
-// block-level Picard loop in core/cosim.hpp.
+// seam. The T <- t_sink + R * P(T) fixed point is iterated as an outer loop
+// around the recovery-ladder DC solve, with the safeguarded Picard step the
+// block-level loop in core/cosim.hpp takes (numerics/fixed_point.hpp).
 //
 // Thermal runaway (R * dP/dT >= 1 at the operating point: leakage grows
 // faster with temperature than the die can shed it) is DETECTED and FLAGGED,
@@ -44,10 +44,10 @@ struct ElectroThermalDcOptions {
   double t_sink = 300.0;        ///< heat-sink reference temperature [K]
   int max_outer_iterations = 50;
   double temp_tol = 1e-3;       ///< outer fixed-point convergence [K]
-  double damping = 0.7;         ///< T-update damping (matches core/cosim)
+  double damping = 0.7;         ///< safeguard relaxation (as CosimOptions)
   /// Runaway flag: any device rise above t_sink beyond this [K] ...
   double runaway_rise_limit = 400.0;
-  /// ... or this many consecutive outer iterations of monotone max-T growth.
+  /// ... or this many consecutive outer iterations of a growing residual.
   int runaway_streak = 10;
 };
 
@@ -61,6 +61,7 @@ struct ElectroThermalDcSolution {
   bool converged = false;  ///< outer T fixed point reached temp_tol
   bool runaway = false;    ///< thermal runaway flagged (temperatures NOT clamped)
   double max_temperature = 0.0;  ///< hottest device at exit [K]
+  double contraction = 0.0;      ///< r_k / r_{k-1} at exit (see CosimResult)
 };
 
 /// Solves the coupled electro-thermal DC operating point. Devices without a

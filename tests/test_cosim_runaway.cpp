@@ -92,6 +92,25 @@ TEST_P(CosimRunaway, TighterLimitFlagsEarlier) {
   EXPECT_LE(rb.iterations, ra.iterations);
 }
 
+TEST_P(CosimRunaway, ContractionReadsTheLoopGain) {
+  // The exit residual ratio r_k / r_{k-1}: a diverging fixed point reads at
+  // least 1, a healthy plan under the same options well below it.
+  ElectroThermalSolver unstable(tech(), unstable_plan(), backend_opts(GetParam()));
+  const auto ru = unstable.solve();
+  ASSERT_TRUE(ru.runaway);
+  EXPECT_GE(ru.contraction, 1.0);
+
+  Rng rng(21);
+  floorplan::GeneratorConfig cfg;
+  cfg.total_dynamic_power = 2.0;
+  cfg.gates_per_mm2 = 50e3;
+  const auto fp = floorplan::make_uniform_grid(tech(), die_1mm(), 2, 2, cfg, rng);
+  ElectroThermalSolver stable(tech(), fp, backend_opts(GetParam()));
+  const auto rs = stable.solve();
+  ASSERT_TRUE(rs.converged);
+  EXPECT_LT(rs.contraction, 1.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, CosimRunaway,
                          ::testing::Values(ThermalBackend::Analytic,
                                            ThermalBackend::Fdm),

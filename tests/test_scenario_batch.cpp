@@ -156,7 +156,7 @@ TEST(ScenarioBatch, ConvergenceMasksDropEasyScenariosEarly) {
   // perturbing anyone's trajectory.
   CosimOptions opts;
   opts.backend = ThermalBackend::Spectral;
-  opts.damping = 0.5;  // slow enough that iteration counts spread out
+  opts.tol = 1e-5;  // tight enough that iteration counts spread out
   ScenarioBatch batch(tech(), small_plan(), opts);
   batch.add_vf_corner(tech().vdd * 0.7, 0.4);   // cold: fast convergence
   batch.add_nominal();
@@ -226,7 +226,7 @@ TEST(ScenarioBatch, NonConvergedExitsMatchSequentialOnBothInfluencePaths) {
     CosimOptions opts;
     opts.backend = ThermalBackend::Spectral;
     opts.influence = mode;
-    opts.max_iterations = 3;
+    opts.max_iterations = 1;
     opts.trace.convergence = true;
     ScenarioBatch batch(tech(), small_plan(), opts);
     batch.add_nominal();
@@ -254,6 +254,21 @@ TEST(ScenarioBatch, NonConvergedExitsMatchSequentialOnBothInfluencePaths) {
     }
     EXPECT_EQ(batch.trace().active_per_sweep.size(),
               static_cast<std::size_t>(batch.stats().batched_matvecs));
+  }
+}
+
+TEST(ScenarioBatch, ContractionMatchesSequentialBitwise) {
+  // The exit residual ratio comes from per-scenario relaxation state, so
+  // batching cannot change it.
+  CosimOptions opts;
+  opts.backend = ThermalBackend::Spectral;
+  auto batch = mixed_batch(opts, {.chunk = 4});
+  const auto results = batch.solve_all();
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    ASSERT_TRUE(results[k].converged) << "scenario " << k;
+    EXPECT_LT(results[k].contraction, 1.0) << "scenario " << k;
+    EXPECT_EQ(results[k].contraction, reference_solve(batch, k, small_plan(), opts).contraction)
+        << "scenario " << k;
   }
 }
 

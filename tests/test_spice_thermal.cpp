@@ -132,6 +132,21 @@ TEST(ElectroThermalDc, ColdSinkSameCircuitDoesNotFlag) {
   EXPECT_FALSE(sol.runaway);
 }
 
+TEST(ElectroThermalDc, ContractionReadsTheLoopGain) {
+  // Exit residual ratio r_k / r_{k-1}: below 1 on the cold sink that
+  // converges, at least 1 on the hot sink that runs away.
+  const auto fps = center_footprint();
+  const auto ckt = wide_device_circuit();
+  thermal::AnalyticImagesBackend cold(hot_die(300.0));
+  const auto sc = solve_electrothermal_dc(ckt, cold, fps, et_opts(300.0));
+  ASSERT_TRUE(sc.converged);
+  EXPECT_LT(sc.contraction, 1.0);
+  thermal::AnalyticImagesBackend hot(hot_die(325.0));
+  const auto sh = solve_electrothermal_dc(ckt, hot, fps, et_opts(325.0));
+  ASSERT_TRUE(sh.runaway);
+  EXPECT_GE(sh.contraction, 1.0);
+}
+
 TEST(ElectroThermalDc, UnfootprintedDevicesStayAtAmbient) {
   const double t_sink = 300.0;
   thermal::AnalyticImagesBackend backend(hot_die(t_sink));
