@@ -11,6 +11,11 @@ inside an apparently-fine wall time is exactly what this catches.
 Benchmarks present on only one side are reported informationally and are not
 failures: PRs add trajectory points.
 
+Reports from run_bench.sh carry repetition aggregates (<name>_median, _mean,
+_stddev, _cv). A benchmark is compared on its _median row when the report has
+one, and on its single sample otherwise, so older single-sample baselines
+still diff against newer aggregated reports (the line says which it used).
+
 Exit status: 0 = clean, 1 = at least one regression flagged. CI runs this as
 an advisory (continue-on-error) step against the previous PR's checked-in
 report.
@@ -53,13 +58,23 @@ def guarded_counters(base_report, cand_report):
     return tuple(names) if names else FALLBACK_SOLVER_COUNTERS
 
 
+AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv")
+
+
 def load(path):
+    """Report plus {suite:benchmark -> row}: the _median row for benchmarks
+    run with repetitions, the single sample for the rest. Other aggregate
+    rows are not compared."""
     with open(path) as f:
         report = json.load(f)
     entries = {}
     for suite, benches in report.get("benchmarks", {}).items():
         for bench in benches:
-            entries[f"{suite}:{bench['name']}"] = bench
+            name = bench["name"]
+            if name.endswith("_median"):
+                entries[f"{suite}:{name[:-len('_median')]}"] = dict(bench, median=True)
+            elif not name.endswith(AGGREGATE_SUFFIXES):
+                entries.setdefault(f"{suite}:{name}", bench)
     return report, entries
 
 
@@ -110,14 +125,15 @@ def main():
         bt, ct = b.get("real_time"), c.get("real_time")
         if bt and ct:
             ratio = ct / bt
+            kind = "median" if b.get("median") and c.get("median") else "single sample"
             if ratio > 1.0 + args.time_tolerance:
                 regressions.append(
                     f"{key}: real_time {bt:.4g} -> {ct:.4g} {b['time_unit']} "
-                    f"(+{100 * (ratio - 1):.1f}% > {100 * args.time_tolerance:.0f}%)")
+                    f"(+{100 * (ratio - 1):.1f}% > {100 * args.time_tolerance:.0f}%, {kind})")
             elif ratio < 1.0 - args.time_tolerance:
                 improvements.append(
                     f"{key}: real_time {bt:.4g} -> {ct:.4g} {b['time_unit']} "
-                    f"({100 * (ratio - 1):.1f}%)")
+                    f"({100 * (ratio - 1):.1f}%, {kind})")
         for counter in guarded_counters(base_report, cand_report):
             if counter in b and counter in c and c[counter] > b[counter]:
                 regressions.append(

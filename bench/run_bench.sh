@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Runs the three speed_* Google Benchmark binaries and merges their JSON
-# reports into a single machine-readable BENCH_<label>.json at the repo root,
-# so every PR can append a point to the perf trajectory.
+# Runs the speed_* Google Benchmark binaries and merges their JSON reports
+# into a single machine-readable BENCH_<label>.json at the repo root, so
+# every PR can append a point to the perf trajectory. Each benchmark runs
+# REPETITIONS times (default 3) and only the aggregate rows are kept
+# (<name>_mean, _median, _stddev, _cv); compare_bench.py gates on _median.
 #
 # Usage: bench/run_bench.sh [BUILD_DIR] [LABEL]
 #   BUILD_DIR  cmake build directory containing bench/ (default: build)
@@ -12,6 +14,7 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 LABEL="${2:-seed}"
 OUT="$REPO_ROOT/BENCH_${LABEL}.json"
+REPETITIONS="${REPETITIONS:-3}"
 
 BENCHES=(speed_batch speed_cosim speed_layered speed_leakage speed_manycore speed_rtm speed_spice speed_telemetry speed_thermal)
 TMPDIR="$(mktemp -d)"
@@ -53,7 +56,8 @@ for b in "${BENCHES[@]}"; do
   fi
   echo "== $b" >&2
   "$bin" --benchmark_format=json --benchmark_out="$TMPDIR/$b.json" \
-         --benchmark_out_format=json >&2
+         --benchmark_out_format=json --benchmark_repetitions="$REPETITIONS" \
+         --benchmark_report_aggregates_only=true >&2
 done
 
 python3 - "$OUT" "$LABEL" "$BUILD_TYPE" "$TELEMETRY_ENABLED" "$SOLVER_COUNTERS" \
@@ -88,12 +92,13 @@ for path in paths:
                   "only against points with the same library build type"
                   % merged["benchmark_library_build_type"], file=sys.stderr)
     name = path.rsplit("/", 1)[-1]
-    core_keys = ("name", "iterations", "real_time", "cpu_time", "time_unit")
-    skip_keys = {"run_name", "run_type", "repetitions", "repetition_index",
-                 "threads", "family_index", "per_family_instance_index"}
+    core_keys = ("name", "iterations", "real_time", "cpu_time", "time_unit",
+                 "aggregate_name", "repetitions")
+    skip_keys = {"run_name", "run_type", "repetition_index", "threads",
+                 "family_index", "per_family_instance_index", "aggregate_unit"}
     entries = []
     for bm in report.get("benchmarks", []):
-        entry = {k: bm.get(k) for k in core_keys}
+        entry = {k: bm[k] for k in core_keys if k in bm}
         # Custom counters (picard_iterations, cg_iterations, gates, ...)
         # appear as extra numeric keys; keep them in the trajectory.
         for k, v in bm.items():

@@ -6,6 +6,8 @@
 // the PR-3 trajectory point: the same operator, one bar per backend.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
 #include "core/influence.hpp"
@@ -190,9 +192,9 @@ BENCHMARK(BM_CosimIterationOnly)->Unit(benchmark::kMillisecond);
 // The PR-4 trajectory point: a 36-block, 200-step transient co-simulation
 // on the two transient-capable backends. The FDM path pays one backward-
 // Euler IC(0)-CG solve per step; the spectral path pays one exact per-mode
-// exponential update (a mode-space axpy) plus one dense gather matvec — the
-// counters record where the work went so a convergence change cannot
-// masquerade as a speedup.
+// exponential update (a mode-space axpy) plus the interned two-pass cosine
+// synthesis of the block temperatures — the counters record where the work
+// went so a convergence change cannot masquerade as a speedup.
 void transient_counters(benchmark::State& state, const core::TransientCosimResult& r) {
   state.counters["steps"] = static_cast<double>(r.backend_stats.transient_steps);
   state.counters["cg_iterations"] = static_cast<double>(r.backend_stats.cg_iterations);
@@ -241,6 +243,38 @@ void BM_TransientCosimSpectral(benchmark::State& state) {
   transient_counters(state, last);
 }
 BENCHMARK(BM_TransientCosimSpectral)->Arg(6)->Unit(benchmark::kMillisecond);
+
+// The spectral transient at manycore scale (the arg is the block count,
+// t x t make_manycore tiles of 4 blocks on a 16 mm die): 20 steps, each one
+// a power update (leakage follows the temperatures), a re-projection through
+// the interned source half and a readback through the interned sample half.
+// Neither half grows with n * modes, so the step stays a few ms at 4096
+// blocks. The 36-block BM_TransientCosimSpectral above is the small-n point.
+void BM_TransientCosimManycore(benchmark::State& state) {
+  const int tiles = static_cast<int>(std::lround(std::sqrt(state.range(0) / 4.0)));
+  thermal::Die die = die_1mm();
+  die.width = 16e-3;
+  die.height = 16e-3;
+  Rng rng(2026);
+  floorplan::GeneratorConfig cfg;
+  cfg.total_dynamic_power = 1.5 * tiles * tiles;  // 1.5 W per tile
+  cfg.gates_per_mm2 = 50e3;
+  const auto fp = floorplan::make_manycore(device::Technology::cmos012(), die, tiles, tiles,
+                                           cfg, rng);
+  core::TransientCosimOptions opts;
+  opts.backend = core::ThermalBackend::Spectral;
+  opts.dt = 1e-4;
+  opts.t_stop = 20 * opts.dt;  // 20 power-updating steps
+  opts.record_every = 10;
+  const core::ActivityProfile profile = [](std::size_t, double) { return 1.0; };
+  core::TransientCosimResult last;
+  for (auto _ : state) {
+    last = core::solve_transient_cosim(device::Technology::cmos012(), fp, profile, opts);
+    benchmark::DoNotOptimize(last);
+  }
+  transient_counters(state, last);
+}
+BENCHMARK(BM_TransientCosimManycore)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_RcNetworkTransient(benchmark::State& state) {
   // The compact-RC transient (extension): a 20 ms electro-thermal transient

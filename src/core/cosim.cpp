@@ -148,7 +148,10 @@ CosimResult ElectroThermalSolver::solve() {
   }
   const device::Technology* tech = &tech_;
   ScenarioResult scenario;
-  run_picard({p_dynamic, scale, dvt0, {&tech, 1}}, {&scenario, 1});
+  // Per-block exit leakage: the one evaluation finalize sums into
+  // total_leakage.
+  std::vector<double> p_leakage(n);
+  run_picard({p_dynamic, scale, dvt0, {&tech, 1}}, {&scenario, 1}, nullptr, p_leakage);
 
   CosimResult result;
   result.converged = scenario.converged;
@@ -158,7 +161,7 @@ CosimResult ElectroThermalSolver::solve() {
   for (std::size_t i = 0; i < n; ++i) {
     result.blocks[i].temperature = scenario.temperatures[i];
     result.blocks[i].p_dynamic = blocks[i].p_dynamic;
-    result.blocks[i].p_leakage = block_leakage_power(i, scenario.temperatures[i]);
+    result.blocks[i].p_leakage = p_leakage[i];
   }
   result.total_dynamic = scenario.total_dynamic;
   result.total_leakage = scenario.total_leakage;
@@ -172,13 +175,16 @@ CosimResult ElectroThermalSolver::solve() {
 
 long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
                                            std::span<ScenarioResult> results,
-                                           ScenarioBatchTrace* trace) const {
+                                           ScenarioBatchTrace* trace,
+                                           std::span<double> exit_leakage) const {
   const auto& blocks = fp_.blocks();
   const std::size_t n = blocks.size();
   const std::size_t count = results.size();
   PTHERM_REQUIRE(in.tech.size() == count && in.p_dynamic.size() == count * n &&
                      in.adj_scale.size() == count * n && in.adj_dvt0.size() == count * n,
                  "run_picard: need one technology and one row of block values per scenario");
+  PTHERM_REQUIRE(exit_leakage.empty() || exit_leakage.size() == count * n,
+                 "run_picard: exit_leakage must be empty or hold count * n entries");
   const double t_sink = fp_.die().t_sink;
   const thermal::InfluenceApply& influence = influence_apply();
   // In matrix-free mode the uniform boundary term fold * sum(P) cannot live
@@ -205,8 +211,10 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     res.temperatures.assign(temp, temp + n);
     std::size_t hottest = 0;
     for (std::size_t i = 0; i < n; ++i) {
+      const double p_leak = leakage(k, i, temp[i]);
+      if (!exit_leakage.empty()) exit_leakage[k * n + i] = p_leak;
       res.total_dynamic += in.p_dynamic[k * n + i];
-      res.total_leakage += leakage(k, i, temp[i]);
+      res.total_leakage += p_leak;
       res.max_temperature = std::max(res.max_temperature, temp[i]);
       if (temp[i] > temp[hottest]) hottest = i;
     }

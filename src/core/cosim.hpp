@@ -40,7 +40,10 @@ enum class ThermalBackend { Analytic, Fdm, Spectral };
 /// (Analytic, Fdm and Spectral respectively).
 struct ThermalConfig {
   ThermalBackend backend = ThermalBackend::Analytic;
-  thermal::ImageOptions images;        ///< analytic backend settings
+  /// Analytic backend settings. Only steady solves read them: the analytic
+  /// backend has no transient, so the transient cosim and RTM (which
+  /// inherit this field) refuse it and never look at `images`.
+  thermal::ImageOptions images;
   thermal::FdmOptions fdm;             ///< FDM backend settings
   thermal::SpectralOptions spectral;   ///< spectral backend settings
   /// Die stack for the conduction problem (thermal/stack.hpp). Unset: the
@@ -228,10 +231,13 @@ class ElectroThermalSolver {
   /// results[k] (default-constructed on entry) receives scenario k, with
   /// diagnostics tagged
   /// "ElectroThermalSolver" unless it converged. With trace.convergence the
-  /// per-sweep record is appended to `trace` if one is given. Returns the
-  /// number of blocked applies (sweeps) issued.
+  /// per-sweep record is appended to `trace` if one is given. A non-empty
+  /// `exit_leakage` (count * n entries) receives each block's leakage at the
+  /// exit temperatures — the values total_leakage sums, evaluated once.
+  /// Returns the number of blocked applies (sweeps) issued.
   long long run_picard(const PicardScenarios& in, std::span<ScenarioResult> results,
-                       ScenarioBatchTrace* trace = nullptr) const;
+                       ScenarioBatchTrace* trace = nullptr,
+                       std::span<double> exit_leakage = {}) const;
 
   /// Leakage power of block `i` at temperature `temp` (exposed for tests and
   /// for the runaway-analysis bench). Evaluated through the compiled per-block

@@ -94,8 +94,9 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
   if (steps > 1 && (steps - 1) * opts.dt >= opts.t_stop) --steps;
 
   // Per-block readback points, hoisted: geometry is fixed for the whole run,
-  // and the batched query lets the backend gather all block temperatures at
-  // once (spectral: one dense matvec) instead of n independent queries.
+  // and the batched query lets the backend read all block temperatures at
+  // once (spectral: the interned two-pass synthesis) instead of n
+  // independent queries.
   std::vector<thermal::SurfaceSample> centres(n);
   for (std::size_t i = 0; i < n; ++i) {
     centres[i] = {blocks[i].rect.cx(), blocks[i].rect.cy()};
@@ -180,7 +181,7 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
     // Temperatures are only read back where someone consumes them: at
     // recorded steps and at epoch boundaries (the next hook call). A folded
     // segment always ends on one of those; without folding, interior steps
-    // of an epoch skip the gather — with power_update_every == 1 (the
+    // of an epoch skip the readback — with power_update_every == 1 (the
     // default) every step qualifies, preserving the per-step readback.
     const bool record_now = e % opts.record_every == 0 || last;
     const bool epoch_boundary = !last && e % k == 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <sstream>
 #include <utility>
 
@@ -121,6 +120,15 @@ numerics::Matrix AnalyticImagesBackend::build_influence(
 
 namespace {
 
+/// Whether two point sets are the same points in the same order — the key
+/// check of the transient states' readback caches.
+bool same_points(std::span<const SurfaceSample> a, std::span<const SurfaceSample> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const SurfaceSample& p, const SurfaceSample& q) {
+                      return p.x == q.x && p.y == q.y;
+                    });
+}
+
 /// FDM transient field: the backward-Euler state plus the solver handle that
 /// interprets it. Batched readback caches the per-point bilinear stencils
 /// (top-layer cell indices + weights) keyed by the query points: transient
@@ -142,7 +150,7 @@ class FdmTransientState final : public SolverBackend::TransientState {
                      std::span<double> out) const override {
     PTHERM_REQUIRE(out.size() == points.size(),
                    "TransientState::surface_rises: output size mismatch");
-    if (!stencil_matches(points)) rebuild_stencil(points);
+    if (!same_points(stencil_points_, points)) rebuild_stencil(points);
     const double* rise = field_.rise.data();
     for (std::size_t p = 0; p < points.size(); ++p) {
       const std::size_t* idx = stencil_index_.data() + 4 * p;
@@ -158,16 +166,6 @@ class FdmTransientState final : public SolverBackend::TransientState {
   [[nodiscard]] const FdmThermalSolver* solver() const noexcept { return solver_; }
 
  private:
-  [[nodiscard]] bool stencil_matches(std::span<const SurfaceSample> points) const {
-    if (stencil_points_.size() != points.size()) return false;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      if (stencil_points_[p].x != points[p].x || stencil_points_[p].y != points[p].y) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   void rebuild_stencil(std::span<const SurfaceSample> points) const {
     stencil_index_.resize(4 * points.size());
     stencil_weight_.resize(4 * points.size());
@@ -246,40 +244,18 @@ BackendCostStats FdmBackend::cost_stats() const {
 
 namespace {
 
-/// Basis values cos(m pi x / W) cos(n pi y / H) at each point, one row per
-/// point in the solver's mode order: the dense mode-synthesis operator. One
-/// multiply against surface coefficients evaluates every point at once —
-/// shared by the influence build and the transient gather so the mode
-/// layout cannot diverge between them.
-numerics::Matrix mode_basis_matrix(const SpectralThermalSolver& solver,
-                                   std::span<const SurfaceSample> points) {
-  const int mx = solver.modes_x();
-  const int my = solver.modes_y();
-  const Die& die = solver.die();
-  numerics::Matrix basis(points.size(), static_cast<std::size_t>(solver.mode_count()));
-  std::vector<double> cosx(static_cast<std::size_t>(mx));
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (int m = 0; m < mx; ++m) {
-      cosx[m] = std::cos(m * std::numbers::pi * points[p].x / die.width);
-    }
-    for (int n = 0; n < my; ++n) {
-      const double cy = std::cos(n * std::numbers::pi * points[p].y / die.height);
-      const std::size_t row = static_cast<std::size_t>(n) * mx;
-      for (int m = 0; m < mx; ++m) basis(p, row + m) = cy * cosx[m];
-    }
-  }
-  return basis;
-}
-
-/// Spectral transient field: the per-mode amplitudes plus a cached
-/// mode-synthesis gather matrix, so the per-step block-temperature readback
-/// is one dense matvec instead of n independent cosine sums. The cache is
-/// keyed by the query points — transient drivers ask for the same block
-/// centres every step, so the basis is built once.
+/// Spectral transient field: the per-mode amplitudes plus the sample half
+/// of the factored projection for the last query points, so the per-step
+/// block-temperature readback is the two interned synthesis passes —
+/// O(G * modes + n * modes_y), no n x modes table. The half is keyed by the
+/// query points: transient drivers ask for the same block centres every
+/// step, so it is built once.
 class SpectralTransientState final : public SolverBackend::TransientState {
  public:
   explicit SpectralTransientState(const SpectralThermalSolver& solver)
-      : solver_(&solver), state_(solver.make_transient()) {}
+      : solver_(&solver),
+        state_(solver.make_transient()),
+        synthesis_(solver.make_sample_synthesis({})) {}
 
   [[nodiscard]] double surface_rise(double x, double y) const override {
     return solver_->surface_rise(state_.surface, x, y);
@@ -289,34 +265,21 @@ class SpectralTransientState final : public SolverBackend::TransientState {
                      std::span<double> out) const override {
     PTHERM_REQUIRE(out.size() == points.size(),
                    "TransientState::surface_rises: output size mismatch");
-    if (points.empty()) return;  // the 0 x modes gather would reject the matvec
-    if (!gather_matches(points)) rebuild_gather(points);
-    gather_.multiply(state_.surface.coeff, out);
+    if (!same_points(synthesis_points_, points)) {
+      synthesis_ = solver_->make_sample_synthesis(points);
+      synthesis_points_.assign(points.begin(), points.end());
+    }
+    synthesis_.synthesize(state_.surface.coeff, out);
   }
 
   [[nodiscard]] SpectralThermalSolver::TransientSolution& state() noexcept { return state_; }
   [[nodiscard]] const SpectralThermalSolver* solver() const noexcept { return solver_; }
 
  private:
-  [[nodiscard]] bool gather_matches(std::span<const SurfaceSample> points) const {
-    if (gather_points_.size() != points.size()) return false;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      if (gather_points_[p].x != points[p].x || gather_points_[p].y != points[p].y) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void rebuild_gather(std::span<const SurfaceSample> points) const {
-    gather_ = mode_basis_matrix(*solver_, points);
-    gather_points_.assign(points.begin(), points.end());
-  }
-
   const SpectralThermalSolver* solver_;
   SpectralThermalSolver::TransientSolution state_;
-  mutable numerics::Matrix gather_;
-  mutable std::vector<SurfaceSample> gather_points_;
+  mutable SpectralThermalSolver::SampleSynthesis synthesis_;
+  mutable std::vector<SurfaceSample> synthesis_points_;
 };
 
 /// The spectral matrix-free influence apply: projection and synthesis
@@ -509,27 +472,22 @@ numerics::Matrix spectral_influence_columns(const SpectralThermalSolver& solver,
                                             std::span<const HeatSource> sources,
                                             std::span<const SurfaceSample> samples,
                                             BackendCostStats* stats) {
+  // Column j is the matrix-free apply of the unit vector e_j, so the dense
+  // and matrix-free operators agree entry for entry.
+  auto proj = solver.make_influence_projection(sources, samples);
   const std::size_t n = sources.size();
-  PTHERM_REQUIRE(n > 0, "influence: no sources");
-  PTHERM_REQUIRE(samples.size() == n, "influence: need one sample per source");
-  const std::size_t modes = static_cast<std::size_t>(solver.mode_count());
-  // Basis values at the samples, one row per sample, so each column build is
-  // a single dense mode-space multiply.
-  const numerics::Matrix basis = mode_basis_matrix(solver, samples);
-  numerics::Matrix r(samples.size(), n);
-  std::vector<double> coeff(modes);
-  std::vector<double> column(samples.size());
+  numerics::Matrix r(n, n);
+  std::vector<double> unit(n, 0.0);
+  std::vector<double> column(n);
   for (std::size_t j = 0; j < n; ++j) {
-    std::vector<HeatSource> one = {sources[j]};
-    one[0].power = 1.0;
-    std::fill(coeff.begin(), coeff.end(), 0.0);
-    solver.accumulate_surface_coefficients(one, coeff);
-    basis.multiply(coeff, column);
-    for (std::size_t i = 0; i < samples.size(); ++i) r(i, j) = column[i];
+    unit[j] = 1.0;
+    solver.apply_influence_batch(proj, unit, column, 1);
+    unit[j] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) r(i, j) = column[i];
   }
   if (stats != nullptr) {
     stats->influence_columns += static_cast<int>(n);
-    stats->modes = static_cast<int>(modes);
+    stats->modes = solver.mode_count();
   }
   return r;
 }

@@ -184,8 +184,9 @@ class SolverBackend {
     [[nodiscard]] virtual double surface_rise(double x, double y) const = 0;
     /// Batched surface-rise readback into caller storage — what per-step
     /// drivers (the transient cosim's block-temperature readback) call. The
-    /// default loops over surface_rise; backends with a faster gather
-    /// (spectral: one dense mode-synthesis matvec over all points) override.
+    /// default loops over surface_rise; backends with a faster batched path
+    /// override (spectral: the interned two-pass cosine synthesis; FDM:
+    /// cached bilinear stencils).
     virtual void surface_rises(std::span<const SurfaceSample> points,
                                std::span<double> out) const;
   };

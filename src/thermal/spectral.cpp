@@ -47,9 +47,9 @@ double steady_depth_profile(double g, double t, double z) {
 
 /// A source footprint clipped to the die. The single home of the clipping
 /// policy — full power over the die-clipped footprint, fully off-die
-/// sources inert, degenerate sources rejected — shared by the steady
-/// projection, the transient projection cache and the interned influence
-/// tables so the paths cannot diverge.
+/// sources inert, degenerate sources rejected — applied where the source
+/// half is built, which every spectral projection (steady solve, influence
+/// apply, transient step) goes through.
 struct ClippedFootprint {
   double x0, x1, y0, y1;
 
@@ -66,30 +66,12 @@ ClippedFootprint clip_footprint(const Die& die, const HeatSource& s) {
           std::max(s.cy - 0.5 * s.l, 0.0), std::min(s.cy + 0.5 * s.l, die.height)};
 }
 
-/// One axis of a footprint's flux projection: out[m] = c_m * scale *
-/// integral of cos(m pi u / extent) over [u0, u1], c_0 = 1, c_m = 2.
-void cosine_axis_factors(int modes, double extent, double u0, double u1, double scale,
-                         double* out) {
+/// One axis of a footprint's flux projection: out[m] = c_m * integral of
+/// cos(m pi u / extent) over [u0, u1], c_0 = 1, c_m = 2.
+void cosine_axis_factors(int modes, double extent, double u0, double u1, double* out) {
   for (int m = 0; m < modes; ++m) {
-    out[m] = ((m == 0) ? 1.0 : 2.0) * scale * cosine_footprint_integral(m, extent, u0, u1);
+    out[m] = ((m == 0) ? 1.0 : 2.0) * cosine_footprint_integral(m, extent, u0, u1);
   }
-}
-
-/// Per-watt separable flux-projection factors of one source: the source's
-/// flux mode coefficient is power * px[m] * py[n] (c_m normalization and
-/// clipped-footprint density folded in). Fully off-die sources return false
-/// with the factors zeroed.
-bool unit_flux_factors(const Die& die, const HeatSource& s, int modes_x, int modes_y,
-                       double* px, double* py) {
-  const ClippedFootprint f = clip_footprint(die, s);
-  if (!f.on_die()) {
-    std::fill(px, px + modes_x, 0.0);
-    std::fill(py, py + modes_y, 0.0);
-    return false;
-  }
-  cosine_axis_factors(modes_x, die.width, f.x0, f.x1, f.unit_weight(die), px);
-  cosine_axis_factors(modes_y, die.height, f.y0, f.y1, 1.0, py);
-  return true;
 }
 
 /// Sort + unique interning, O(n log n): row[i] is the index of keys[i] in
@@ -479,33 +461,16 @@ void SpectralThermalSolver::ensure_transient_modes() const {
   transient_ready_ = true;
 }
 
-void SpectralThermalSolver::accumulate_surface_coefficients(
-    const std::vector<HeatSource>& sources, std::vector<double>& coeff) const {
-  PTHERM_REQUIRE(coeff.size() == static_cast<std::size_t>(mode_count()),
-                 "spectral: coefficient vector size mismatch");
-  std::vector<double> px(static_cast<std::size_t>(opts_.modes_x));
-  std::vector<double> py(static_cast<std::size_t>(opts_.modes_y));
-  for (const auto& s : sources) {
-    if (!unit_flux_factors(die_, s, opts_.modes_x, opts_.modes_y, px.data(), py.data())) {
-      continue;
-    }
-    // Flux coefficients q_mn = power * px_m * py_n; the surface transfer
-    // turns flux into rise.
-    for (int n = 0; n < opts_.modes_y; ++n) {
-      const double fy = s.power * py[static_cast<std::size_t>(n)];
-      const std::size_t row = static_cast<std::size_t>(n) * opts_.modes_x;
-      for (int m = 0; m < opts_.modes_x; ++m) {
-        coeff[row + m] += transfer_[row + m] * px[static_cast<std::size_t>(m)] * fy;
-      }
-    }
-  }
-}
-
 SpectralThermalSolver::Solution SpectralThermalSolver::solve_steady(
     const std::vector<HeatSource>& sources) const {
+  std::vector<double> powers(sources.size());
+  for (std::size_t j = 0; j < sources.size(); ++j) powers[j] = sources[j].power;
   Solution sol;
-  sol.coeff.assign(static_cast<std::size_t>(mode_count()), 0.0);
-  accumulate_surface_coefficients(sources, sol.coeff);
+  sol.coeff.resize(static_cast<std::size_t>(mode_count()));
+  // Flux modes through the source half, then the per-mode surface transfer
+  // turns flux into rise.
+  make_source_projection(sources).project(powers, sol.coeff);
+  for (std::size_t mode = 0; mode < sol.coeff.size(); ++mode) sol.coeff[mode] *= transfer_[mode];
   return sol;
 }
 
@@ -605,20 +570,14 @@ std::vector<double> SpectralThermalSolver::surface_map(const Solution& sol, int 
 
 // ---------------------------------------------------------- matrix-free apply
 
-SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence_projection(
-    std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const {
+SpectralThermalSolver::SourceProjection SpectralThermalSolver::make_source_projection(
+    std::span<const HeatSource> sources) const {
   const std::size_t n = sources.size();
-  PTHERM_REQUIRE(n > 0, "influence: no sources");
-  PTHERM_REQUIRE(samples.size() == n, "influence: need one sample per source");
-  const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
-  const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
-  InfluenceProjection proj;
-  proj.count = n;
-  proj.modes_x = mx;
-  proj.modes_y = my;
-
-  // Sources: intern the clipped intervals of the on-die footprints; a fully
-  // off-die source keeps weight 0 and is skipped by the apply.
+  SourceProjection proj;
+  proj.modes_x = static_cast<std::size_t>(opts_.modes_x);
+  proj.modes_y = static_cast<std::size_t>(opts_.modes_y);
+  // Intern the clipped intervals of the on-die footprints; a fully off-die
+  // source keeps weight 0 and is skipped by the projection.
   proj.sources.resize(n);
   std::vector<std::size_t> on_die;
   std::vector<std::array<double, 2>> x_keys;
@@ -643,15 +602,24 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
                              double extent) {
     std::vector<double> table(intervals.size() * static_cast<std::size_t>(modes));
     for (std::size_t a = 0; a < intervals.size(); ++a) {
-      cosine_axis_factors(modes, extent, intervals[a][0], intervals[a][1], 1.0,
+      cosine_axis_factors(modes, extent, intervals[a][0], intervals[a][1],
                           table.data() + a * modes);
     }
     return table;
   };
   proj.flux_x = flux_table(x_intervals, opts_.modes_x, die_.width);
   proj.flux_y = flux_table(y_intervals, opts_.modes_y, die_.height);
+  proj.rows.resize(x_intervals.size() * proj.modes_y);
+  return proj;
+}
 
-  // Samples: intern the coordinates, one cosine row per distinct value.
+SpectralThermalSolver::SampleSynthesis SpectralThermalSolver::make_sample_synthesis(
+    std::span<const SurfaceSample> samples) const {
+  const std::size_t n = samples.size();
+  SampleSynthesis synth;
+  synth.modes_x = static_cast<std::size_t>(opts_.modes_x);
+  synth.modes_y = static_cast<std::size_t>(opts_.modes_y);
+  // Intern the coordinates, one cosine row per distinct value.
   std::vector<std::array<double, 1>> x_coords(n);
   std::vector<std::array<double, 1>> y_coords(n);
   for (std::size_t p = 0; p < n; ++p) {
@@ -660,10 +628,10 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   }
   std::vector<std::array<double, 1>> x_values;
   std::vector<std::array<double, 1>> y_values;
-  const auto sx_rows = intern_rows(x_coords, x_values);
-  const auto sy_rows = intern_rows(y_coords, y_values);
-  proj.samples.resize(n);
-  for (std::size_t p = 0; p < n; ++p) proj.samples[p] = {sx_rows[p], sy_rows[p]};
+  const auto x_rows = intern_rows(x_coords, x_values);
+  const auto y_rows = intern_rows(y_coords, y_values);
+  synth.samples.resize(n);
+  for (std::size_t p = 0; p < n; ++p) synth.samples[p] = {x_rows[p], y_rows[p]};
   const auto cosine_table = [](const std::vector<std::array<double, 1>>& values, int modes,
                                double extent) {
     std::vector<double> table(values.size() * static_cast<std::size_t>(modes));
@@ -674,11 +642,115 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
     }
     return table;
   };
-  proj.synth_x = cosine_table(x_values, opts_.modes_x, die_.width);
-  proj.synth_y = cosine_table(y_values, opts_.modes_y, die_.height);
-  proj.axis_rows.resize(std::max(x_intervals.size(), x_values.size()) * my);
-  proj.coeff.resize(mx * my);
+  synth.synth_x = cosine_table(x_values, opts_.modes_x, die_.width);
+  synth.synth_y = cosine_table(y_values, opts_.modes_y, die_.height);
+  synth.rows.resize(x_values.size() * synth.modes_y);
+  return synth;
+}
+
+SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence_projection(
+    std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const {
+  PTHERM_REQUIRE(!sources.empty(), "influence: no sources");
+  PTHERM_REQUIRE(samples.size() == sources.size(), "influence: need one sample per source");
+  InfluenceProjection proj;
+  proj.count = sources.size();
+  proj.source = make_source_projection(sources);
+  proj.sample = make_sample_synthesis(samples);
+  proj.coeff.resize(static_cast<std::size_t>(mode_count()));
   return proj;
+}
+
+void SpectralThermalSolver::SourceProjection::project(std::span<const double> powers,
+                                                      std::span<double> flux) {
+  PTHERM_REQUIRE(powers.size() == sources.size() && flux.size() == modes_x * modes_y,
+                 "SourceProjection::project: need one power per source and mode_count() "
+                 "flux entries");
+  const std::size_t mx = modes_x;
+  const std::size_t my = modes_y;
+  const std::size_t gx = x_intervals();
+  double* axis = rows.data();
+  // (1) Powers -> per-x-interval y flux: Y[a] += P_j w_j flux_y[y(j)] over
+  // the sources j whose clipped x-interval is a.
+  std::fill(axis, axis + gx * my, 0.0);
+  for (std::size_t j = 0; j < sources.size(); ++j) {
+    const Rows& src = sources[j];
+    if (src.weight == 0.0) continue;
+    const double pw = powers[j] * src.weight;
+    if (pw == 0.0) continue;
+    const double* fy = flux_y.data() + src.y * my;
+    double* y = axis + src.x * my;
+    for (std::size_t nn = 0; nn < my; ++nn) y[nn] += pw * fy[nn];
+  }
+  // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
+  // rank-1 accumulate per distinct interval instead of per source.
+  std::fill(flux.begin(), flux.end(), 0.0);
+  for (std::size_t a = 0; a < gx; ++a) {
+    const double* fx = flux_x.data() + a * mx;
+    const double* y = axis + a * my;
+    for (std::size_t nn = 0; nn < my; ++nn) {
+      const double fy = y[nn];
+      if (fy == 0.0) continue;
+      double* row = flux.data() + nn * mx;
+      for (std::size_t m = 0; m < mx; ++m) row[m] += fy * fx[m];
+    }
+  }
+}
+
+void SpectralThermalSolver::SampleSynthesis::synthesize(std::span<const double> coeff,
+                                                        std::span<double> values) {
+  PTHERM_REQUIRE(coeff.size() == modes_x * modes_y && values.size() == samples.size(),
+                 "SampleSynthesis::synthesize: need mode_count() coefficients and one value "
+                 "per sample");
+  const std::size_t mx = modes_x;
+  const std::size_t my = modes_y;
+  const std::size_t gs = sample_xs();
+  const double* c = coeff.data();
+  // (4) Synthesis along x at each distinct sample x: U[b][n] = sum_m C[n][m]
+  // synth_x[b][m], shared by every sample in that column. Four coefficient
+  // rows at a time: synth_x[b][m] is loaded once for four independent dot
+  // chains. Each row still sums in ascending m from 0.0, so every U[b][n]
+  // is bitwise what the one-row loop gives.
+  for (std::size_t b = 0; b < gs; ++b) {
+    const double* cx = synth_x.data() + b * mx;
+    double* u = rows.data() + b * my;
+    std::size_t nn = 0;
+    for (; nn + 4 <= my; nn += 4) {
+      const double* r0 = c + nn * mx;
+      const double* r1 = r0 + mx;
+      const double* r2 = r1 + mx;
+      const double* r3 = r2 + mx;
+      double s0 = 0.0;
+      double s1 = 0.0;
+      double s2 = 0.0;
+      double s3 = 0.0;
+      for (std::size_t m = 0; m < mx; ++m) {
+        const double xm = cx[m];
+        s0 += r0[m] * xm;
+        s1 += r1[m] * xm;
+        s2 += r2[m] * xm;
+        s3 += r3[m] * xm;
+      }
+      u[nn] = s0;
+      u[nn + 1] = s1;
+      u[nn + 2] = s2;
+      u[nn + 3] = s3;
+    }
+    for (; nn < my; ++nn) {
+      const double* row = c + nn * mx;
+      double inner = 0.0;
+      for (std::size_t m = 0; m < mx; ++m) inner += row[m] * cx[m];
+      u[nn] = inner;
+    }
+  }
+  // (5) Synthesis along y per sample: value_p = sum_n U[x(p)][n] synth_y[y(p)][n].
+  for (std::size_t p = 0; p < samples.size(); ++p) {
+    const Rows& smp = samples[p];
+    const double* u = rows.data() + smp.x * my;
+    const double* cy = synth_y.data() + smp.y * my;
+    double total = 0.0;
+    for (std::size_t nn = 0; nn < my; ++nn) total += u[nn] * cy[nn];
+    values[p] = total;
+  }
 }
 
 void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
@@ -686,74 +758,21 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
                                                   std::span<double> rises,
                                                   std::size_t count) const {
   const std::size_t n = proj.count;
-  const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
-  const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   const std::size_t modes = static_cast<std::size_t>(mode_count());
-  PTHERM_REQUIRE(proj.modes_x == mx && proj.modes_y == my,
+  PTHERM_REQUIRE(proj.source.modes_x == static_cast<std::size_t>(opts_.modes_x) &&
+                     proj.source.modes_y == static_cast<std::size_t>(opts_.modes_y),
                  "apply_influence_batch: projection belongs to a different spectral "
                  "configuration");
   PTHERM_REQUIRE(powers.size() == count * n && rises.size() == count * n,
                  "apply_influence_batch: powers/rises must have count * proj.count entries");
-  const std::size_t gx = proj.x_intervals();
-  const std::size_t gs = proj.sample_xs();
-  double* axis = proj.axis_rows.data();
-  double* coeff = proj.coeff.data();
-
   // One vector at a time through all five passes, so the scratch holds a
   // single vector and each vector's arithmetic (zero-skip guards included)
   // is that of a count-1 apply: bitwise count-invariant by construction.
   for (std::size_t k = 0; k < count; ++k) {
-    const double* pk = powers.data() + k * n;
-    double* rk = rises.data() + k * n;
-    // (1) Powers -> per-x-interval y flux in axis_rows: Y[a] += P_j w_j
-    // flux_y[y(j)] over the sources j whose clipped x-interval is a.
-    std::fill(axis, axis + gx * my, 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& src = proj.sources[j];
-      if (src.weight == 0.0) continue;
-      const double pw = pk[j] * src.weight;
-      if (pw == 0.0) continue;
-      const double* fy = proj.flux_y.data() + src.y * my;
-      double* y = axis + src.x * my;
-      for (std::size_t nn = 0; nn < my; ++nn) y[nn] += pw * fy[nn];
-    }
-    // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
-    // rank-1 accumulate per distinct interval instead of per source.
-    std::fill(coeff, coeff + modes, 0.0);
-    for (std::size_t a = 0; a < gx; ++a) {
-      const double* fx = proj.flux_x.data() + a * mx;
-      const double* y = axis + a * my;
-      for (std::size_t nn = 0; nn < my; ++nn) {
-        const double fy = y[nn];
-        if (fy == 0.0) continue;
-        double* row = coeff + nn * mx;
-        for (std::size_t m = 0; m < mx; ++m) row[m] += fy * fx[m];
-      }
-    }
+    proj.source.project(powers.subspan(k * n, n), proj.coeff);
     // (3) Per-mode surface transfer: flux modes -> surface-rise coefficients.
-    for (std::size_t mode = 0; mode < modes; ++mode) coeff[mode] *= transfer_[mode];
-    // (4) Synthesis along x at each distinct sample x, into axis_rows (Y is
-    // dead): U[b][n] = sum_m C[n][m] synth_x[b][m], shared by every sample
-    // in that column.
-    for (std::size_t b = 0; b < gs; ++b) {
-      const double* cx = proj.synth_x.data() + b * mx;
-      double* u = axis + b * my;
-      for (std::size_t nn = 0; nn < my; ++nn) {
-        const double* row = coeff + nn * mx;
-        double inner = 0.0;
-        for (std::size_t m = 0; m < mx; ++m) inner += row[m] * cx[m];
-        u[nn] = inner;
-      }
-    }
-    // (5) Synthesis along y per sample: rise_p = sum_n U[x(p)][n] synth_y[y(p)][n].
-    for (std::size_t p = 0; p < n; ++p) {
-      const auto& smp = proj.samples[p];
-      const double* u = axis + smp.x * my;
-      const double* cy = proj.synth_y.data() + smp.y * my;
-      double total = 0.0;
-      for (std::size_t nn = 0; nn < my; ++nn) total += u[nn] * cy[nn];
-      rk[p] = total;
-    }
+    for (std::size_t mode = 0; mode < modes; ++mode) proj.coeff[mode] *= transfer_[mode];
+    proj.sample.synthesize(proj.coeff, rises.subspan(k * n, n));
   }
 }
 
@@ -774,80 +793,47 @@ SpectralThermalSolver::TransientSolution SpectralThermalSolver::make_transient()
   return state;
 }
 
-bool SpectralThermalSolver::refresh_projections(TransientSolution& state,
-                                                const std::vector<HeatSource>& sources) const {
-  const std::size_t n = sources.size();
-  const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
-  const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
-  bool rebuilt = false;
-  if (state.proj_key.size() != 4 * n) {
-    state.proj_key.assign(4 * n, std::numeric_limits<double>::quiet_NaN());
-    state.proj_x.assign(n * mx, 0.0);
-    state.proj_y.assign(n * my, 0.0);
-    rebuilt = true;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const HeatSource& s = sources[j];
-    PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
-    double* key = state.proj_key.data() + 4 * j;
-    if (key[0] == s.cx && key[1] == s.cy && key[2] == s.w && key[3] == s.l) continue;
-    key[0] = s.cx;
-    key[1] = s.cy;
-    key[2] = s.w;
-    key[3] = s.l;
-    rebuilt = true;
-    // The shared projection core applies the steady path's clipping policy
-    // and folds the c_m normalization plus the per-watt flux density into
-    // the separable factors, so a step's projection is power * px_m * py_n.
-    unit_flux_factors(die_, s, opts_.modes_x, opts_.modes_y, state.proj_x.data() + j * mx,
-                      state.proj_y.data() + j * my);
-  }
-  return rebuilt;
-}
-
 int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
                                           const std::vector<HeatSource>& sources) const {
   PTHERM_REQUIRE(h > 0.0, "step_transient: h must be positive");
   const std::size_t modes = static_cast<std::size_t>(mode_count());
   const std::size_t mz = static_cast<std::size_t>(opts_.modes_z);
-  const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
-  const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   PTHERM_REQUIRE(state.amps.size() == modes * mz && state.surface.coeff.size() == modes,
                  "step_transient: state belongs to a different spectral configuration");
 
-  // (1) Project the step's powers onto the flux modes. Geometry is cached
-  // per source, so between co-simulation steps this is a scaled rank-1
-  // accumulate per source — no trigonometry — and when neither powers nor
+  // (1) Project the step's powers onto the flux modes through the source
+  // half, rebuilt only when some footprint moved. When neither powers nor
   // geometry moved since the last step (an epoch-driven driver holding its
   // powers) the flux modes are still valid and the pass is skipped whole.
-  bool flux_dirty = refresh_projections(state, sources);
-  if (state.power_key.size() != sources.size()) {
-    state.power_key.assign(sources.size(), std::numeric_limits<double>::quiet_NaN());
-    flux_dirty = true;
-  }
-  if (!flux_dirty) {
-    for (std::size_t j = 0; j < sources.size(); ++j) {
-      if (state.power_key[j] != sources[j].power) {
-        flux_dirty = true;
-        break;
-      }
-    }
+  const std::size_t n = sources.size();
+  bool flux_dirty = state.geometry_key.size() != 4 * n;
+  for (std::size_t j = 0; j < n && !flux_dirty; ++j) {
+    const HeatSource& s = sources[j];
+    const double* key = state.geometry_key.data() + 4 * j;
+    flux_dirty = key[0] != s.cx || key[1] != s.cy || key[2] != s.w || key[3] != s.l;
   }
   if (flux_dirty) {
-    std::fill(state.flux.begin(), state.flux.end(), 0.0);
-    for (std::size_t j = 0; j < sources.size(); ++j) {
-      const double power = sources[j].power;
-      state.power_key[j] = power;
-      if (power == 0.0) continue;
-      const double* px = state.proj_x.data() + j * mx;
-      const double* py = state.proj_y.data() + j * my;
-      for (std::size_t nn = 0; nn < my; ++nn) {
-        const double fy = power * py[nn];
-        if (fy == 0.0) continue;
-        double* row = state.flux.data() + nn * mx;
-        for (std::size_t m = 0; m < mx; ++m) row[m] += fy * px[m];
-      }
+    state.projection = make_source_projection(sources);
+    state.geometry_key.resize(4 * n);
+    for (std::size_t j = 0; j < n; ++j) {
+      double* key = state.geometry_key.data() + 4 * j;
+      key[0] = sources[j].cx;
+      key[1] = sources[j].cy;
+      key[2] = sources[j].w;
+      key[3] = sources[j].l;
     }
+  }
+  if (state.power_key.size() != n) {
+    state.power_key.resize(n);
+    flux_dirty = true;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (state.power_key[j] == sources[j].power) continue;
+    state.power_key[j] = sources[j].power;
+    flux_dirty = true;
+  }
+  if (flux_dirty) {
+    state.projection.project(state.power_key, state.flux);
     ++power_updates_;
   }
 

@@ -116,96 +116,124 @@ class SpectralThermalSolver {
   /// (O(M log M)); other sizes fall back to the direct mode sum.
   [[nodiscard]] std::vector<double> surface_map(const Solution& sol, int nx, int ny) const;
 
-  /// Projects the sources' surface heat flux onto the cosine modes and
-  /// applies the per-mode surface transfer, accumulating into `coeff`
-  /// (size mode_count()). The allocation-free core of solve_steady, exposed
-  /// for the batched influence build.
-  void accumulate_surface_coefficients(const std::vector<HeatSource>& sources,
-                                       std::vector<double>& coeff) const;
-
-  /// Cached machinery for the matrix-free influence apply `rises = R *
-  /// powers`, factored over the tensor-grid structure of real floorplans:
-  /// tiled plans reuse footprint edges and sample coordinates (a t x t
-  /// make_manycore plan has 4t^2 blocks but only 3t distinct clipped
-  /// x-intervals), so the separable flux and cosine tables are interned —
-  /// one row per DISTINCT clipped interval or sample coordinate — and each
-  /// source or sample keeps only its two row indices. Rows are shared
-  /// exactly when their inputs are bit-identical, so interning changes no
-  /// table entry. Memory is O(n + G * modes_per_axis + modes) — the tables
-  /// plus one vector's scratch, whatever the apply's `count` — with G <= n
-  /// the distinct-row count, versus the O(n^2) dense matrix whose build is
-  /// also O(n^2 * modes).
-  struct InfluenceProjection {
+  /// Source half of the factored spectral projection: powers -> flux modes,
+  /// factored over the tensor-grid structure of real floorplans. Tiled
+  /// plans reuse footprint edges (a t x t make_manycore plan has 4t^2 blocks
+  /// but only 3t distinct clipped x-intervals), so the separable flux tables
+  /// are interned — one row per DISTINCT clipped interval — and each source
+  /// keeps only its weight and two row indices. Rows are shared exactly when
+  /// their inputs are bit-identical, so interning changes no table entry.
+  /// Memory is O(n + G * modes_per_axis) with G <= n the distinct-row count.
+  /// solve_steady, the influence apply (and the dense build, column by
+  /// column) and the transient step all project through it.
+  struct SourceProjection {
     /// A source's flux modes are power * weight * flux_x[x] (x) flux_y[y].
-    struct SourceRows {
+    struct Rows {
       double weight = 0.0;  ///< 1 / (clipped area * W * H); 0 when fully off-die
       std::uint32_t x = 0;  ///< row of flux_x
       std::uint32_t y = 0;  ///< row of flux_y
     };
-    /// A sample's rise is the cosine sum over synth_x[x] (x) synth_y[y].
-    struct SampleRows {
-      std::uint32_t x = 0;  ///< row of synth_x
-      std::uint32_t y = 0;  ///< row of synth_y
-    };
 
-    std::size_t count = 0;  ///< sources == samples count
     std::size_t modes_x = 0;
     std::size_t modes_y = 0;
     /// c_m * integral of cos(m pi x / W) over each distinct clipped
     /// x-interval, modes_x per row (flux_y likewise over y, modes_y per row).
     std::vector<double> flux_x;
     std::vector<double> flux_y;
-    /// cos(m pi x / W) at each distinct sample x, modes_x per row (synth_y
-    /// likewise at each distinct sample y, modes_y per row).
-    std::vector<double> synth_x;
-    std::vector<double> synth_y;
-    std::vector<SourceRows> sources;
-    std::vector<SampleRows> samples;
-    /// One vector's scratch, sized at build and independent of the apply's
-    /// `count`: modes_y-long rows, first the flux_y rows summed per
-    /// x-interval, then the coefficients synthesized along x at each
-    /// distinct sample x (max(Gx, Gs) rows); and the mode-space
-    /// coefficients (mode_count()).
-    std::vector<double> axis_rows;
-    std::vector<double> coeff;
+    std::vector<Rows> sources;
+    /// Scratch: the flux_y rows summed per x-interval, modes_y per row.
+    std::vector<double> rows;
 
     [[nodiscard]] std::size_t x_intervals() const noexcept {
       return modes_x == 0 ? 0 : flux_x.size() / modes_x;
     }
+
+    /// flux[n * modes_x + m] = sum_j powers[j] * (source j's flux modes), in
+    /// two passes: (1) sum each source's weighted flux_y row into its
+    /// x-interval (n * modes_y); (2) expand every x-interval against its
+    /// flux_x row (G * modes). Sources with zero power or weight are skipped.
+    void project(std::span<const double> powers, std::span<double> flux);
+  };
+
+  /// Sample half: mode coefficients -> values at fixed sample points, with
+  /// the cosine tables interned over distinct sample coordinates the same
+  /// way (the 4t^2 block centres of a t x t tiling have 3t distinct x). The
+  /// influence apply and the transient readback synthesize through it; the
+  /// sample count is independent of any source count.
+  struct SampleSynthesis {
+    /// A sample's value is the cosine sum over synth_x[x] (x) synth_y[y].
+    struct Rows {
+      std::uint32_t x = 0;  ///< row of synth_x
+      std::uint32_t y = 0;  ///< row of synth_y
+    };
+
+    std::size_t modes_x = 0;
+    std::size_t modes_y = 0;
+    /// cos(m pi x / W) at each distinct sample x, modes_x per row (synth_y
+    /// likewise at each distinct sample y, modes_y per row).
+    std::vector<double> synth_x;
+    std::vector<double> synth_y;
+    std::vector<Rows> samples;
+    /// Scratch: the coefficients synthesized along x at each distinct
+    /// sample x, modes_y per row.
+    std::vector<double> rows;
+
     [[nodiscard]] std::size_t sample_xs() const noexcept {
       return modes_x == 0 ? 0 : synth_x.size() / modes_x;
     }
+
+    /// values[p] = sum_mn coeff[n * modes_x + m] cos(m pi x_p / W) cos(n pi
+    /// y_p / H), in two passes: (4) synthesize along x at each distinct
+    /// sample x (G * modes); (5) finish each sample along y (n * modes_y).
+    void synthesize(std::span<const double> coeff, std::span<double> values);
   };
 
-  /// Builds the influence projection for fixed source geometry and sample
-  /// points (source powers are ignored; the caller supplies powers per
-  /// apply). Requires one sample per source. Off-die sources project to
+  /// Builds the source half for fixed source geometry (powers are ignored;
+  /// the caller supplies them per projection). Off-die sources project to
   /// zero; degenerate sources throw — the shared clipping policy. Interning
   /// is sort + unique, O(n log n); the tables cost O(G * modes_per_axis)
   /// trigonometric evaluations.
+  [[nodiscard]] SourceProjection make_source_projection(std::span<const HeatSource> sources) const;
+
+  /// Builds the sample half for fixed sample points (any count, including
+  /// zero).
+  [[nodiscard]] SampleSynthesis make_sample_synthesis(std::span<const SurfaceSample> samples) const;
+
+  /// The matrix-free influence apply `rises = R * powers`: the source half,
+  /// the per-mode surface transfer and the sample half, over one vector's
+  /// mode-space scratch. Memory is O(n + G * modes_per_axis + modes) — the
+  /// tables plus one vector's scratch, whatever the apply's `count` — versus
+  /// the O(n^2) dense matrix whose build is also O(n^2 * modes).
+  struct InfluenceProjection {
+    std::size_t count = 0;  ///< sources == samples count
+    SourceProjection source;
+    SampleSynthesis sample;
+    std::vector<double> coeff;  ///< mode-space scratch (mode_count())
+  };
+
+  /// Builds the influence projection for fixed source geometry and sample
+  /// points. Requires one sample per source.
   [[nodiscard]] InfluenceProjection make_influence_projection(
       std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const;
 
   /// rises[k*n + i] = sum_j R[i][j] * powers[k*n + j] for `count` power
-  /// vectors (scenario-major, n = proj.count) without forming R, in five
-  /// passes: (1) sum each source's weighted flux_y row into its x-interval
-  /// (n * modes_y); (2) expand every x-interval against its flux_x row into
-  /// the flux modes (Gx * modes); (3) apply the per-mode surface transfer;
-  /// (4) synthesize along x at each distinct sample x (Gs * modes); (5)
-  /// finish each sample along y (n * modes_y). Cost per vector is
-  /// O(n * modes_per_axis + G * modes); with nothing shared (G = n) that is
-  /// the per-source rank-1 apply's 2 n modes plus 2 n modes_y. Vectors run
-  /// one at a time through all five passes, so vector k's rises are bitwise
-  /// identical to a count-1 apply of it alone. `proj` must come from this
-  /// solver's make_influence_projection.
+  /// vectors (scenario-major, n = proj.count) without forming R: per vector,
+  /// the source half's passes 1-2, (3) the per-mode surface transfer, then
+  /// the sample half's passes 4-5. Cost per vector is O(n * modes_per_axis
+  /// + G * modes); with nothing shared (G = n) that is the per-source
+  /// rank-1 apply's 2 n modes plus 2 n modes_y. Vectors run one at a time
+  /// through all five passes, so vector k's rises are bitwise identical to
+  /// a count-1 apply of it alone. `proj` must come from this solver's
+  /// make_influence_projection.
   void apply_influence_batch(InfluenceProjection& proj, std::span<const double> powers,
                              std::span<double> rises, std::size_t count) const;
 
   /// Transient field in mode space: per-(lateral mode, z-mode) amplitudes
   /// plus the synthesized surface solution, and the two step caches — the
-  /// per-source-geometry rectangle->mode projections (only powers change
-  /// between co-simulation steps, so re-projection is a scaled rank-1
-  /// accumulate) and the e^{-lambda h} decay factors keyed by the step size.
+  /// source half of the factored projection for the current geometry (only
+  /// powers change between co-simulation steps, so a power update is the
+  /// two interned passes) and the e^{-lambda h} decay factors keyed by the
+  /// step size.
   struct TransientSolution {
     /// Surface-rise coefficients S_mn after the last step. A plain steady
     /// Solution, so surface_rise / surface_map / the influence basis all
@@ -216,15 +244,14 @@ class SpectralThermalSolver {
     /// Flux mode coefficients q_mn of the last-applied sources [W/m^2].
     std::vector<double> flux;
 
-    // Projection cache: per-source separable footprint integrals (with the
-    // c_m normalization folded in) keyed by the source's clipped geometry.
-    std::vector<double> proj_x;    ///< modes_x per source
-    std::vector<double> proj_y;    ///< modes_y per source
-    std::vector<double> proj_key;  ///< cx, cy, w, l per cached source
+    /// Source half for the last-ingested geometry, rebuilt whole when any
+    /// source's cx, cy, w or l differs from geometry_key (4 per source).
+    SourceProjection projection;
+    std::vector<double> geometry_key;
     /// Last-ingested power per source: when neither powers nor geometry
     /// moved since the previous step, the flux modes are still valid and
-    /// the whole projection pass is skipped — interior steps of a power-
-    /// update epoch collapse to the pure mode-decay update.
+    /// the whole projection is skipped — interior steps of a power-update
+    /// epoch collapse to the pure mode-decay update.
     std::vector<double> power_key;
 
     // Decay cache: e^{-alpha g^2 h} and e^{-alpha gamma_p^2 h}, keyed by h
@@ -284,11 +311,6 @@ class SpectralThermalSolver {
   [[nodiscard]] const Die& die() const noexcept { return die_; }
 
  private:
-  /// Rebuilds the per-source projection cache entries whose geometry moved;
-  /// returns whether any entry was rebuilt.
-  bool refresh_projections(TransientSolution& state,
-                           const std::vector<HeatSource>& sources) const;
-
   /// The single-die closed-form setup (transfer, cos(gamma_p z) eigenbasis,
   /// gains, tail) — the legacy constructor body, shared by trivial stacks.
   void init_single_die();

@@ -143,8 +143,9 @@ TEST_P(BackendMatrix, TransientCapabilityIsGatedNotSilentlyIgnored) {
 
 TEST_P(BackendMatrix, BatchedTransientReadbackMatchesPointQueries) {
   // The per-step block-temperature readback goes through the batched
-  // surface_rises (spectral: one dense mode-synthesis matvec; FDM: the
-  // default loop) — it must agree with the per-point virtual to rounding.
+  // surface_rises (spectral: the interned two-pass synthesis; FDM: cached
+  // bilinear stencils) — it must agree with the per-point virtual to
+  // rounding.
   if (GetParam() == ThermalBackend::Analytic) GTEST_SKIP() << "steady-only backend";
   const auto fp = small_plan();
   const auto backend = make_thermal_backend(fp.die(), backend_opts(GetParam()));
@@ -159,7 +160,7 @@ TEST_P(BackendMatrix, BatchedTransientReadbackMatchesPointQueries) {
     EXPECT_GT(want, 0.0);
     EXPECT_NEAR(batched[i], want, 1e-12 * want) << "sample " << i;
   }
-  // Changing the query points must re-key the cached gather, not reuse it.
+  // Changing the query points must re-key the cached tables, not reuse them.
   std::vector<thermal::SurfaceSample> moved(samples.begin(), samples.end());
   moved[0].x *= 0.5;
   std::vector<double> batched_moved(moved.size());

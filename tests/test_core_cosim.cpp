@@ -177,6 +177,27 @@ TEST(Cosim, BodyBiasLowersLeakage) {
   EXPECT_LT(rb.max_temperature, ra.max_temperature + 1e-9);
 }
 
+TEST(Cosim, ExitLeakageIsEachBlocksLeakageAtItsExitTemperature) {
+  // The per-block exit leakage comes from the same single evaluation that
+  // total_leakage sums, with and without installed adjustments.
+  for (const bool adjusted : {false, true}) {
+    ElectroThermalSolver solver(tech(), small_plan(), {});
+    if (adjusted) {
+      std::vector<LeakageAdjust> adjust(9);
+      for (std::size_t i = 0; i < adjust.size(); ++i) adjust[i] = {1.0 + 0.05 * i, 0.01 * i};
+      solver.set_leakage_adjust(adjust);
+    }
+    const auto r = solver.solve();
+    double total = 0.0;
+    for (std::size_t i = 0; i < r.blocks.size(); ++i) {
+      EXPECT_EQ(r.blocks[i].p_leakage, solver.block_leakage_power(i, r.blocks[i].temperature))
+          << "block " << i << (adjusted ? " (adjusted)" : "");
+      total += r.blocks[i].p_leakage;
+    }
+    EXPECT_EQ(r.total_leakage, total);
+  }
+}
+
 TEST(Cosim, RejectsBadConfiguration) {
   const auto fp = small_plan();
   CosimOptions bad;

@@ -3,10 +3,12 @@
 // including a lumped package resistance), mode resolution/rejection of the
 // InfluenceMode selector, the lazy dense realization, manycore-scale
 // convergence without an n x n matrix, batch-vs-single bitwise equality of
-// apply_batch, and the interned spectral tables (shared edges, unshared
-// random sources, clipped and off-die sources, duplicate samples).
+// apply_batch, the interned spectral tables (shared edges, unshared
+// random sources, clipped and off-die sources, duplicate samples), and the
+// transient step and readback that share the factored projection's halves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -268,9 +270,9 @@ TEST(InfluenceApply, GroupedApplyMatchesDenseOnRandomSources) {
   const auto samples = random_samples(die, sources.size(), rng);
   const thermal::SpectralBackend backend(die, {});
   const auto proj = backend.solver().make_influence_projection(sources, samples);
-  EXPECT_EQ(proj.x_intervals(), sources.size());
-  EXPECT_EQ(proj.flux_y.size() / proj.modes_y, sources.size());
-  EXPECT_EQ(proj.sample_xs(), sources.size());
+  EXPECT_EQ(proj.source.x_intervals(), sources.size());
+  EXPECT_EQ(proj.source.flux_y.size() / proj.source.modes_y, sources.size());
+  EXPECT_EQ(proj.sample.sample_xs(), sources.size());
   expect_grouped_apply_matches_dense(backend, sources, samples);
 }
 
@@ -297,9 +299,9 @@ TEST(InfluenceApply, GroupedApplyMatchesDenseWithClippedAndOffDieSources) {
   };
   const thermal::SpectralBackend backend(die, {});
   const auto proj = backend.solver().make_influence_projection(sources, samples);
-  EXPECT_EQ(proj.x_intervals(), 3u);
-  EXPECT_EQ(proj.sources[4].weight, 0.0);
-  EXPECT_EQ(proj.sources[5].weight, 0.0);
+  EXPECT_EQ(proj.source.x_intervals(), 3u);
+  EXPECT_EQ(proj.source.sources[4].weight, 0.0);
+  EXPECT_EQ(proj.source.sources[5].weight, 0.0);
   expect_grouped_apply_matches_dense(backend, sources, samples);
 }
 
@@ -326,8 +328,8 @@ TEST(InfluenceApply, ManycoreProjectionInternsThreeIntervalsPerTileColumn) {
     const auto proj =
         solver.make_influence_projection(fp.heat_sources(tech()), block_centre_samples(fp));
     EXPECT_EQ(proj.count, static_cast<std::size_t>(4 * t * t));
-    EXPECT_EQ(proj.x_intervals(), static_cast<std::size_t>(3 * t)) << t << " x " << t;
-    EXPECT_EQ(proj.sample_xs(), static_cast<std::size_t>(3 * t)) << t << " x " << t;
+    EXPECT_EQ(proj.source.x_intervals(), static_cast<std::size_t>(3 * t)) << t << " x " << t;
+    EXPECT_EQ(proj.sample.sample_xs(), static_cast<std::size_t>(3 * t)) << t << " x " << t;
   }
 }
 
@@ -344,6 +346,88 @@ TEST(InfluenceApply, ManycoreScaleCosimConvergesMatrixFree) {
   EXPECT_FALSE(r.runaway);
   EXPECT_EQ(r.blocks.size(), 1024u);
   EXPECT_GT(r.max_temperature, fp.die().t_sink);
+}
+
+// After one held-power step long enough that every z-mode has fully
+// decayed, the spectral transient field is the steady solve; read back
+// through the transient's sample half it must equal the steady influence
+// apply over the same geometry, whose source and sample halves are the same
+// tables (different summation order, so rounding-level, not bitwise).
+void expect_settled_transient_matches_steady_apply(
+    const std::vector<thermal::HeatSource>& sources,
+    const std::vector<thermal::SurfaceSample>& samples) {
+  const thermal::SpectralBackend backend(die_2mm(), {});
+  const auto state = backend.make_transient_state();
+  backend.step_transient(*state, 10.0, sources);  // ~2e4 slowest time constants
+  std::vector<double> settled(samples.size());
+  state->surface_rises(samples, settled);
+
+  std::vector<double> powers;
+  for (const auto& s : sources) powers.push_back(s.power);
+  std::vector<double> steady(samples.size());
+  backend.make_influence_apply(sources, samples)->apply(powers, steady);
+  const double scale = *std::max_element(steady.begin(), steady.end());
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_NEAR(settled[i], steady[i], 1e-10 * scale) << "sample " << i;
+  }
+}
+
+TEST(TransientProjection, SettledFieldEqualsSteadyApplyOnTiledPlan) {
+  const auto fp = manycore_plan(3);
+  auto sources = fp.heat_sources(tech());
+  const auto samples = block_centre_samples(fp);
+  Rng rng(5);
+  for (auto& s : sources) s.power = rng.uniform(0.1, 2.0);
+  const thermal::SpectralThermalSolver solver(fp.die(), {});
+  ASSERT_LT(solver.make_source_projection(sources).x_intervals(), sources.size());
+  expect_settled_transient_matches_steady_apply(sources, samples);
+}
+
+TEST(TransientProjection, SettledFieldEqualsSteadyApplyOnRandomPlan) {
+  // Nothing aligned (one table row per source), plus a source straddling
+  // the x = 0 edge and one fully off the die.
+  const auto die = die_2mm();
+  Rng rng(17);
+  std::vector<thermal::HeatSource> sources(30);
+  for (auto& s : sources) {
+    s.w = rng.uniform(50e-6, 400e-6);
+    s.l = rng.uniform(50e-6, 400e-6);
+    s.cx = rng.uniform(0.5 * s.w, die.width - 0.5 * s.w);
+    s.cy = rng.uniform(0.5 * s.l, die.height - 0.5 * s.l);
+    s.power = rng.uniform(0.1, 2.0);
+  }
+  sources.push_back({0.0, 1.0e-3, 0.5e-3, 0.3e-3, 1.5});     // straddles x = 0
+  sources.push_back({3.0e-3, 1.0e-3, 0.2e-3, 0.2e-3, 2.0});  // fully off die
+  const thermal::SpectralThermalSolver solver(die, {});
+  ASSERT_EQ(solver.make_source_projection(sources).x_intervals(), sources.size() - 1);
+  expect_settled_transient_matches_steady_apply(sources, random_samples(die, sources.size(), rng));
+}
+
+TEST(TransientProjection, ReadbackPointCountIsIndependentOfTheSources) {
+  // The sample half is keyed by the query points alone: more points than
+  // sources, then the same count moved, must both match point queries.
+  const auto fp = manycore_plan(3);
+  const thermal::SpectralBackend backend(fp.die(), {});
+  const auto state = backend.make_transient_state();
+  backend.step_transient(*state, 5e-4, fp.heat_sources(tech()));
+  Rng rng(8);
+  auto points = random_samples(fp.die(), 53, rng);
+  ASSERT_NE(points.size(), fp.blocks().size());
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<double> batched(points.size());
+    state->surface_rises(points, batched);
+    std::vector<double> want(points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      want[p] = state->surface_rise(points[p].x, points[p].y);
+    }
+    const double scale = *std::max_element(want.begin(), want.end());
+    ASSERT_GT(scale, 0.0);
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      EXPECT_NEAR(batched[p], want[p], 1e-12 * scale) << "pass " << pass << " point " << p;
+    }
+    for (auto& pt : points) pt.x = 0.5 * (pt.x + 0.37 * fp.die().width);
+  }
 }
 
 }  // namespace

@@ -287,6 +287,28 @@ TEST(SpectralTransient, ProjectionCacheFollowsGeometryAndPowerChanges) {
   }
 }
 
+TEST(SpectralTransient, MovedFootprintWithHeldPowersReprojects) {
+  // The source half is keyed by the whole geometry: a footprint that moves
+  // while every power is held must still re-project, and an unchanged
+  // repeat step must not.
+  const SpectralThermalSolver solver(die_1mm(), {});
+  const auto first = two_sources();
+  auto state = solver.make_transient();
+  solver.step_transient(state, 1e-4, first);
+  const long long after_first = solver.transient_power_updates();
+  solver.step_transient(state, 1e-4, first);
+  EXPECT_EQ(solver.transient_power_updates(), after_first);
+  auto moved = first;
+  moved[1].cy = 0.35e-3;
+  solver.step_transient(state, 10.0, moved);
+  EXPECT_EQ(solver.transient_power_updates(), after_first + 1);
+  const auto moved_steady = solver.solve_steady(moved);
+  for (double y : {0.2e-3, 0.35e-3, 0.6e-3}) {
+    const double want = solver.surface_rise(moved_steady, moved[1].cx, y);
+    EXPECT_NEAR(solver.surface_rise(state, moved[1].cx, y), want, 1e-12 * std::abs(want));
+  }
+}
+
 TEST(SpectralTransient, MatchedDepthAgreementWithFdmTrajectory) {
   // The transient acceptance bar: against a fine-dt backward-Euler FDM
   // reference (32 x 32 x 16), the spectral trajectory stays within 2% at
