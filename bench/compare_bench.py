@@ -135,9 +135,10 @@ def main():
                     f"{key}: real_time {bt:.4g} -> {ct:.4g} {b['time_unit']} "
                     f"({100 * (ratio - 1):.1f}%, {kind})")
         for counter in guarded_counters(base_report, cand_report):
-            if counter in b and counter in c and c[counter] > b[counter]:
+            bv, cv = b.get(counter), c.get(counter)
+            if bv is not None and cv is not None and cv > bv:
                 regressions.append(
-                    f"{key}: {counter} {b[counter]:g} -> {c[counter]:g} "
+                    f"{key}: {counter} {bv:g} -> {cv:g} "
                     "(solver counters must not grow)")
 
     print(f"compared {len(set(base) & set(cand))} common benchmarks "

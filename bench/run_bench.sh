@@ -2,8 +2,8 @@
 # Runs the speed_* Google Benchmark binaries and merges their JSON reports
 # into a single machine-readable BENCH_<label>.json at the repo root, so
 # every PR can append a point to the perf trajectory. Each benchmark runs
-# REPETITIONS times (default 3) and only the aggregate rows are kept
-# (<name>_mean, _median, _stddev, _cv); compare_bench.py gates on _median.
+# three times and only the aggregate rows are kept (<name>_mean, _median,
+# _stddev, _cv); compare_bench.py gates on _median.
 #
 # Usage: bench/run_bench.sh [BUILD_DIR] [LABEL]
 #   BUILD_DIR  cmake build directory containing bench/ (default: build)
@@ -14,7 +14,6 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 LABEL="${2:-seed}"
 OUT="$REPO_ROOT/BENCH_${LABEL}.json"
-REPETITIONS="${REPETITIONS:-3}"
 
 BENCHES=(speed_batch speed_cosim speed_layered speed_leakage speed_manycore speed_rtm speed_spice speed_telemetry speed_thermal)
 TMPDIR="$(mktemp -d)"
@@ -56,13 +55,13 @@ for b in "${BENCHES[@]}"; do
   fi
   echo "== $b" >&2
   "$bin" --benchmark_format=json --benchmark_out="$TMPDIR/$b.json" \
-         --benchmark_out_format=json --benchmark_repetitions="$REPETITIONS" \
+         --benchmark_out_format=json --benchmark_repetitions=3 \
          --benchmark_report_aggregates_only=true >&2
 done
 
 python3 - "$OUT" "$LABEL" "$BUILD_TYPE" "$TELEMETRY_ENABLED" "$SOLVER_COUNTERS" \
         "${BENCHES[@]/#/$TMPDIR/}" <<'EOF'
-import json, sys, datetime
+import json, math, sys, datetime
 
 out_path, label, build_type, telemetry_enabled, solver_counters, *paths = sys.argv[1:]
 merged = {
@@ -104,10 +103,15 @@ for path in paths:
         for k, v in bm.items():
             if k not in entry and k not in skip_keys and isinstance(v, (int, float)):
                 entry[k] = v
+        # The _cv row of a counter whose mean is 0 is NaN, which strict JSON
+        # readers reject: non-finite numbers are written as null.
+        for k, v in entry.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                entry[k] = None
         entries.append(entry)
     merged["benchmarks"][name] = entries
 with open(out_path, "w") as f:
-    json.dump(merged, f, indent=2)
+    json.dump(merged, f, indent=2, allow_nan=False)
     f.write("\n")
 print(out_path)
 EOF

@@ -47,9 +47,9 @@ double steady_depth_profile(double g, double t, double z) {
 
 /// A source footprint clipped to the die. The single home of the clipping
 /// policy — full power over the die-clipped footprint, fully off-die
-/// sources inert, degenerate sources rejected — applied where the source
-/// half is built, which every spectral projection (steady solve, influence
-/// apply, transient step) goes through.
+/// sources inert, degenerate sources rejected — shared by the steady solve
+/// and the source half that the influence apply and the transient step
+/// project through, so the paths cannot diverge.
 struct ClippedFootprint {
   double x0, x1, y0, y1;
 
@@ -463,14 +463,28 @@ void SpectralThermalSolver::ensure_transient_modes() const {
 
 SpectralThermalSolver::Solution SpectralThermalSolver::solve_steady(
     const std::vector<HeatSource>& sources) const {
-  std::vector<double> powers(sources.size());
-  for (std::size_t j = 0; j < sources.size(); ++j) powers[j] = sources[j].power;
+  const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
+  const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   Solution sol;
-  sol.coeff.resize(static_cast<std::size_t>(mode_count()));
-  // Flux modes through the source half, then the per-mode surface transfer
-  // turns flux into rise.
-  make_source_projection(sources).project(powers, sol.coeff);
-  for (std::size_t mode = 0; mode < sol.coeff.size(); ++mode) sol.coeff[mode] *= transfer_[mode];
+  sol.coeff.assign(mx * my, 0.0);
+  // A one-shot solve has nothing to amortize the source half's interning
+  // over, so each source adds its separable flux modes directly, with the
+  // per-mode surface transfer turning flux into rise in the same pass.
+  std::vector<double> fx(mx);
+  std::vector<double> fy(my);
+  for (const HeatSource& s : sources) {
+    const ClippedFootprint f = clip_footprint(die_, s);
+    if (!f.on_die()) continue;
+    cosine_axis_factors(opts_.modes_x, die_.width, f.x0, f.x1, fx.data());
+    cosine_axis_factors(opts_.modes_y, die_.height, f.y0, f.y1, fy.data());
+    const double pw = s.power * f.unit_weight(die_);
+    for (std::size_t nn = 0; nn < my; ++nn) {
+      const double q = pw * fy[nn];
+      double* row = sol.coeff.data() + nn * mx;
+      const double* tr = transfer_.data() + nn * mx;
+      for (std::size_t m = 0; m < mx; ++m) row[m] += tr[m] * fx[m] * q;
+    }
+  }
   return sol;
 }
 

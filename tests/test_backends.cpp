@@ -5,6 +5,7 @@
 // option-validation contracts at solver construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <memory>
@@ -168,6 +169,22 @@ TEST_P(BackendMatrix, BatchedTransientReadbackMatchesPointQueries) {
   EXPECT_NEAR(batched_moved[0], state->surface_rise(moved[0].x, moved[0].y),
               1e-12 * batched_moved[0]);
   EXPECT_NE(batched_moved[0], batched[0]);
+  // The point count is independent of the source count: a denser set of
+  // off-centre points must agree as well.
+  std::vector<thermal::SurfaceSample> dense(53);
+  for (std::size_t p = 0; p < dense.size(); ++p) {
+    dense[p] = {fp.die().width * std::fmod(0.05 + 0.618034 * static_cast<double>(p), 1.0),
+                fp.die().height * (static_cast<double>(p) + 0.5) / 53.0};
+  }
+  ASSERT_NE(dense.size(), sources.size());
+  std::vector<double> batched_dense(dense.size());
+  state->surface_rises(dense, batched_dense);
+  double scale = 0.0;
+  for (const double r : batched) scale = std::max(scale, r);
+  for (std::size_t p = 0; p < dense.size(); ++p) {
+    EXPECT_NEAR(batched_dense[p], state->surface_rise(dense[p].x, dense[p].y), 1e-12 * scale)
+        << "dense point " << p;
+  }
 }
 
 TEST(BackendAgreement, FdmStencilReadbackIsBitwiseIdenticalToPointQueries) {

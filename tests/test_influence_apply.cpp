@@ -404,31 +404,5 @@ TEST(TransientProjection, SettledFieldEqualsSteadyApplyOnRandomPlan) {
   expect_settled_transient_matches_steady_apply(sources, random_samples(die, sources.size(), rng));
 }
 
-TEST(TransientProjection, ReadbackPointCountIsIndependentOfTheSources) {
-  // The sample half is keyed by the query points alone: more points than
-  // sources, then the same count moved, must both match point queries.
-  const auto fp = manycore_plan(3);
-  const thermal::SpectralBackend backend(fp.die(), {});
-  const auto state = backend.make_transient_state();
-  backend.step_transient(*state, 5e-4, fp.heat_sources(tech()));
-  Rng rng(8);
-  auto points = random_samples(fp.die(), 53, rng);
-  ASSERT_NE(points.size(), fp.blocks().size());
-  for (int pass = 0; pass < 2; ++pass) {
-    std::vector<double> batched(points.size());
-    state->surface_rises(points, batched);
-    std::vector<double> want(points.size());
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      want[p] = state->surface_rise(points[p].x, points[p].y);
-    }
-    const double scale = *std::max_element(want.begin(), want.end());
-    ASSERT_GT(scale, 0.0);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      EXPECT_NEAR(batched[p], want[p], 1e-12 * scale) << "pass " << pass << " point " << p;
-    }
-    for (auto& pt : points) pt.x = 0.5 * (pt.x + 0.37 * fp.die().width);
-  }
-}
-
 }  // namespace
 }  // namespace ptherm::core
