@@ -15,6 +15,10 @@ Reports from run_bench.sh carry repetition aggregates (<name>_median, _mean,
 _stddev, _cv). A benchmark is compared on its _median row when the report has
 one, and on its single sample otherwise, so older single-sample baselines
 still diff against newer aggregated reports (the line says which it used).
+A flagged wall-time regression whose growth is within twice the larger _cv
+(run-to-run coefficient of variation) of the two reports is labelled
+"unresolved (noise)": it still counts as a regression, but the repetitions
+could not tell it apart from noise.
 
 Exit status: 0 = clean, 1 = at least one regression flagged. CI runs this as
 an advisory (continue-on-error) step against the previous PR's checked-in
@@ -68,13 +72,19 @@ def load(path):
     with open(path) as f:
         report = json.load(f)
     entries = {}
+    cvs = {}
     for suite, benches in report.get("benchmarks", {}).items():
         for bench in benches:
             name = bench["name"]
             if name.endswith("_median"):
                 entries[f"{suite}:{name[:-len('_median')]}"] = dict(bench, median=True)
+            elif name.endswith("_cv"):
+                cvs[f"{suite}:{name[:-len('_cv')]}"] = bench.get("real_time")
             elif not name.endswith(AGGREGATE_SUFFIXES):
                 entries.setdefault(f"{suite}:{name}", bench)
+    for key, cv in cvs.items():
+        if key in entries and cv is not None:
+            entries[key]["cv"] = cv
     return report, entries
 
 
@@ -127,9 +137,13 @@ def main():
             ratio = ct / bt
             kind = "median" if b.get("median") and c.get("median") else "single sample"
             if ratio > 1.0 + args.time_tolerance:
+                noise = 2.0 * max(b.get("cv") or 0.0, c.get("cv") or 0.0)
+                label = (f"; unresolved (noise): within 2 x cv = {100 * noise:.1f}%"
+                         if ratio - 1.0 <= noise else "")
                 regressions.append(
                     f"{key}: real_time {bt:.4g} -> {ct:.4g} {b['time_unit']} "
-                    f"(+{100 * (ratio - 1):.1f}% > {100 * args.time_tolerance:.0f}%, {kind})")
+                    f"(+{100 * (ratio - 1):.1f}% > {100 * args.time_tolerance:.0f}%, "
+                    f"{kind}{label})")
             elif ratio < 1.0 - args.time_tolerance:
                 improvements.append(
                     f"{key}: real_time {bt:.4g} -> {ct:.4g} {b['time_unit']} "
@@ -150,7 +164,8 @@ def main():
     for line in improvements:
         print(f"improved: {line}")
     if regressions:
-        print(f"\n{len(regressions)} regression(s):")
+        unresolved = sum("unresolved (noise)" in line for line in regressions)
+        print(f"\n{len(regressions)} regression(s), {unresolved} unresolved (noise):")
         for line in regressions:
             print(f"REGRESSION: {line}")
         return 1

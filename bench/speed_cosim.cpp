@@ -88,7 +88,7 @@ void BM_CosimSpectral(benchmark::State& state) {
   core::CosimOptions opts;
   opts.backend = core::ThermalBackend::Spectral;
   core::CosimResult last;
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
     core::ElectroThermalSolver solver(device::Technology::cmos012(), fp, opts);
     last = solver.solve();
@@ -114,7 +114,7 @@ void BM_InfluenceBuildFdm(benchmark::State& state) {
   const thermal::FdmThermalSolver solver(fp.die(), opts);
   const auto sources = fp.heat_sources(tech);
   const auto samples = core::block_centre_samples(fp);
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::build_influence_fdm(solver, sources, samples, true, &stats));
@@ -133,7 +133,7 @@ void BM_InfluenceBuildFdmSeedPath(benchmark::State& state) {
   const thermal::FdmThermalSolver solver(fp.die(), opts);
   const auto sources = fp.heat_sources(tech);
   const auto samples = core::block_centre_samples(fp);
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::build_influence_fdm(solver, sources, samples, false, &stats));
@@ -164,7 +164,7 @@ void BM_InfluenceBuildSpectral(benchmark::State& state) {
   const thermal::SpectralThermalSolver solver(fp.die(), {});
   const auto sources = fp.heat_sources(tech);
   const auto samples = core::block_centre_samples(fp);
-  core::InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::build_influence_spectral(solver, sources, samples, &stats));

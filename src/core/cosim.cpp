@@ -69,8 +69,7 @@ ElectroThermalSolver::ElectroThermalSolver(device::Technology tech, floorplan::F
     : tech_(std::move(tech)), fp_(std::move(fp)), opts_(opts) {
   PTHERM_REQUIRE(!fp_.blocks().empty(), "ElectroThermalSolver: empty floorplan");
   validate(opts_);
-  compiled_leakage_.reserve(fp_.blocks().size());
-  for (const auto& block : fp_.blocks()) compiled_leakage_.emplace_back(block);
+  compiled_leakage_ = floorplan::CompiledBlockLeakage::compile_all(fp_.blocks());
   backend_ = make_thermal_backend(fp_.die(), opts_);
   build_influence();
 }
@@ -92,7 +91,7 @@ void ElectroThermalSolver::build_influence() {
   } else {
     influence_.emplace(build_dense_influence());
   }
-  influence_stats_ = influence_stats_from(backend_->cost_stats());
+  influence_stats_ = backend_->cost_stats();
 }
 
 InfluenceOperator ElectroThermalSolver::build_dense_influence() const {

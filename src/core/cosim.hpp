@@ -240,8 +240,8 @@ class ElectroThermalSolver {
                        std::span<double> exit_leakage = {}) const;
 
   /// Leakage power of block `i` at temperature `temp` (exposed for tests and
-  /// for the runaway-analysis bench). Evaluated through the compiled per-block
-  /// program (floorplan/compiled_leakage.hpp) — bitwise equal to the Block
+  /// for the runaway-analysis bench). Evaluated through the block's compiled
+  /// leakage handle (floorplan/compiled_leakage.hpp) — bitwise equal to the Block
   /// walk, allocation-free — times the block's LeakageAdjust if one is set.
   [[nodiscard]] double block_leakage_power(std::size_t i, double temp) const;
 
@@ -268,9 +268,9 @@ class ElectroThermalSolver {
   /// an O(n^2) diagnostic escape hatch the solve itself never pays.
   [[nodiscard]] const InfluenceOperator& influence_matrix() const;
 
-  /// Cost counters from the influence build (FDM CG iterations, spectral
-  /// modes/FFTs), for the perf-trajectory benches.
-  [[nodiscard]] const InfluenceBuildStats& influence_build_stats() const noexcept {
+  /// The backend's cost counters as of the influence build (columns, FDM CG
+  /// iterations, spectral modes/FFTs), for the perf-trajectory benches.
+  [[nodiscard]] const thermal::BackendCostStats& influence_build_stats() const noexcept {
     return influence_stats_;
   }
 
@@ -278,8 +278,8 @@ class ElectroThermalSolver {
   /// of the converged power state (see examples/hotspot_analysis.cpp).
   [[nodiscard]] const thermal::SolverBackend& backend() const noexcept { return *backend_; }
 
-  /// Compiled per-block leakage programs, one per block — what run_picard
-  /// evaluates every scenario's leakage through.
+  /// Compiled leakage handles, one per block, sharing the plan's interned
+  /// programs — what run_picard evaluates every scenario's leakage through.
   [[nodiscard]] const std::vector<floorplan::CompiledBlockLeakage>& compiled_leakage()
       const noexcept {
     return compiled_leakage_;
@@ -294,7 +294,7 @@ class ElectroThermalSolver {
   device::Technology tech_;
   floorplan::Floorplan fp_;
   CosimOptions opts_;
-  /// Compiled leakage programs, one per block (see block_leakage_power).
+  /// Compiled leakage handles, one per block (see block_leakage_power).
   std::vector<floorplan::CompiledBlockLeakage> compiled_leakage_;
   /// Per-block scenario adjustments; empty means nominal.
   std::vector<LeakageAdjust> adjust_;
@@ -305,7 +305,7 @@ class ElectroThermalSolver {
   /// influence_matrix() in matrix-free mode (mutable: realization is a
   /// cache, not observable state).
   mutable std::optional<InfluenceOperator> influence_;
-  InfluenceBuildStats influence_stats_;
+  thermal::BackendCostStats influence_stats_;
 };
 
 }  // namespace ptherm::core

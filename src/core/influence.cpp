@@ -1,20 +1,6 @@
 #include "core/influence.hpp"
 
-#include <utility>
-
-#include "telemetry/counters.hpp"
-
 namespace ptherm::core {
-
-InfluenceBuildStats influence_stats_from(const thermal::BackendCostStats& cost) {
-  // Through the registry, not a field-by-field copy: the backend counters
-  // contribute under their catalog names and the influence view reads the
-  // same names back, so both sides share one mapping (telemetry/counters.cpp
-  // statically asserts the catalog covers every field).
-  telemetry::Registry reg;
-  telemetry::contribute(reg, cost);
-  return telemetry::influence_build_from(reg);
-}
 
 std::vector<InfluenceSample> block_centre_samples(const floorplan::Floorplan& fp) {
   std::vector<InfluenceSample> samples;
@@ -33,21 +19,18 @@ InfluenceOperator build_influence_analytic(const thermal::Die& die,
 InfluenceOperator build_influence_fdm(const thermal::FdmThermalSolver& solver,
                                       std::vector<thermal::HeatSource> sources,
                                       std::span<const InfluenceSample> samples, bool warm_start,
-                                      InfluenceBuildStats* stats) {
-  thermal::BackendCostStats cost;
-  auto r = thermal::fdm_influence_columns(solver, sources, samples, warm_start, &cost);
-  if (stats != nullptr) *stats = influence_stats_from(cost);
-  return InfluenceOperator(std::move(r));
+                                      thermal::BackendCostStats* stats) {
+  if (stats != nullptr) *stats = {};
+  return InfluenceOperator(
+      thermal::fdm_influence_columns(solver, sources, samples, warm_start, stats));
 }
 
 InfluenceOperator build_influence_spectral(const thermal::SpectralThermalSolver& solver,
                                            std::vector<thermal::HeatSource> sources,
                                            std::span<const InfluenceSample> samples,
-                                           InfluenceBuildStats* stats) {
-  thermal::BackendCostStats cost;
-  auto r = thermal::spectral_influence_columns(solver, sources, samples, &cost);
-  if (stats != nullptr) *stats = influence_stats_from(cost);
-  return InfluenceOperator(std::move(r));
+                                           thermal::BackendCostStats* stats) {
+  if (stats != nullptr) *stats = {};
+  return InfluenceOperator(thermal::spectral_influence_columns(solver, sources, samples, stats));
 }
 
 }  // namespace ptherm::core

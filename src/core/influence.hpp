@@ -29,23 +29,6 @@ namespace ptherm::core {
 /// co-simulation use).
 using InfluenceSample = thermal::SurfaceSample;
 
-/// Cost counters from an influence build, for the perf trajectory. All
-/// fields `long long`: the telemetry catalog (telemetry/counters.hpp) binds
-/// each to a named registry counter and statically asserts completeness.
-struct InfluenceBuildStats {
-  long long columns = 0;        ///< unit-source solves performed
-  long long cg_iterations = 0;  ///< total CG iterations (FDM backend only)
-  long long modes = 0;          ///< cosine modes carried (spectral backend)
-  long long fft_calls = 0;      ///< 1-D FFT invocations (spectral backend)
-};
-
-/// Projection of the backend cost counters onto the influence-build view,
-/// routed through the telemetry registry: the backend counters contribute
-/// under their catalog names and the influence view reads the same names
-/// back, so the two structs share ONE name mapping and a new backend counter
-/// cannot silently go missing from `influence_build_stats()`.
-[[nodiscard]] InfluenceBuildStats influence_stats_from(const thermal::BackendCostStats& cost);
-
 /// The dense influence operator is the thermal layer's dense realization of
 /// the InfluenceApply seam; this name is kept for the builders below and
 /// their callers.
@@ -68,16 +51,16 @@ using InfluenceOperator = thermal::DenseInfluenceApply;
 /// cold-start build. Throws
 /// ptherm::PreconditionError naming the column, the failure mode (CG
 /// breakdown versus iteration limit), and the residual if a column fails to
-/// converge.
+/// converge. A non-null `stats` receives this build's cost counters.
 [[nodiscard]] InfluenceOperator build_influence_fdm(
     const thermal::FdmThermalSolver& solver, std::vector<thermal::HeatSource> sources,
     std::span<const InfluenceSample> samples, bool warm_start = true,
-    InfluenceBuildStats* stats = nullptr);
+    thermal::BackendCostStats* stats = nullptr);
 
 /// Batched spectral build against a caller-owned solver: each column is one
 /// analytic mode projection plus one mode-space multiply.
 [[nodiscard]] InfluenceOperator build_influence_spectral(
     const thermal::SpectralThermalSolver& solver, std::vector<thermal::HeatSource> sources,
-    std::span<const InfluenceSample> samples, InfluenceBuildStats* stats = nullptr);
+    std::span<const InfluenceSample> samples, thermal::BackendCostStats* stats = nullptr);
 
 }  // namespace ptherm::core

@@ -17,10 +17,12 @@ RcThermalNetwork::RcThermalNetwork(device::Technology tech, floorplan::Floorplan
   PTHERM_REQUIRE(opts_.dt > 0.0 && opts_.t_stop > opts_.dt, "RcThermalNetwork: bad grid");
   PTHERM_REQUIRE(opts_.depth_fraction > 0.0 && opts_.depth_fraction <= 1.0,
                  "RcThermalNetwork: depth_fraction in (0, 1]");
+  PTHERM_REQUIRE(opts_.record_every >= 1, "RcThermalNetwork: record_every must be >= 1");
 
   // Influence operator from the steady solver (closed form by default), then
   // G = R^-1 via dense LU (N is the block count — tens, not thousands).
   ElectroThermalSolver steady(tech_, fp_, opts_.steady);
+  leakage_ = steady.compiled_leakage();
   const std::size_t n = steady.influence_matrix().size();
   const numerics::LuFactorization lu(steady.influence_matrix().matrix());
   g_.assign(n, std::vector<double>(n, 0.0));
@@ -49,7 +51,7 @@ TransientCosimResult RcThermalNetwork::solve(const ActivityProfile& activity) co
     std::vector<double> dT(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       double p = blocks[i].p_dynamic * activity(i, t) +
-                 blocks[i].leakage_power(tech_, temps[i], opts_.vb);
+                 leakage_[i].leakage_power(tech_, temps[i], opts_.vb);
       for (std::size_t j = 0; j < n; ++j) p -= g_[i][j] * (temps[j] - t_sink);
       dT[i] = p / c_blocks_[i];
     }
@@ -69,7 +71,7 @@ TransientCosimResult RcThermalNetwork::solve(const ActivityProfile& activity) co
     double p_leak = 0.0, p_dyn = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       p_dyn += blocks[i].p_dynamic * activity(i, sol.times[k]);
-      p_leak += blocks[i].leakage_power(tech_, sol.states[k][i], opts_.vb);
+      p_leak += leakage_[i].leakage_power(tech_, sol.states[k][i], opts_.vb);
     }
     result.dynamic_power.push_back(p_dyn);
     result.leakage_power.push_back(p_leak);

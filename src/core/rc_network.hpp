@@ -58,6 +58,7 @@ class RcThermalNetwork {
   device::Technology tech_;
   floorplan::Floorplan fp_;
   RcNetworkOptions opts_;
+  std::vector<floorplan::CompiledBlockLeakage> leakage_;  ///< the steady solver's
   std::vector<std::vector<double>> g_;
   std::vector<double> c_blocks_;
 };

@@ -5,7 +5,7 @@
 // re-solve the SAME die with different power vectors — and everything
 // expensive about a cosim depends only on geometry: the thermal backend, the
 // dense influence operator or the spectral flux-projection and mode-synthesis
-// tables, and the compiled per-block leakage programs. ScenarioBatch builds
+// tables, and the compiled leakage programs. ScenarioBatch builds
 // that set once (by owning a regular ElectroThermalSolver) and then solves
 // many scenarios against it:
 //
@@ -152,7 +152,7 @@ class ScenarioBatch {
   /// Backend cost counters with the batch counters merged in — the bench
   /// JSON's one-stop view.
   [[nodiscard]] thermal::BackendCostStats cost_stats() const;
-  [[nodiscard]] const InfluenceBuildStats& influence_build_stats() const noexcept {
+  [[nodiscard]] const thermal::BackendCostStats& influence_build_stats() const noexcept {
     return solver_.influence_build_stats();
   }
   [[nodiscard]] const thermal::SolverBackend& backend() const noexcept {

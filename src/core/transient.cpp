@@ -38,6 +38,7 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
                                            const TransientCosimOptions& opts) {
   PTHERM_REQUIRE(static_cast<bool>(activity), "transient cosim: null activity profile");
   const auto& blocks = fp.blocks();
+  const auto leakage = floorplan::CompiledBlockLeakage::compile_all(blocks);
   // The original per-step coupling, expressed as the epoch hook: dynamic
   // power from the activity profile, leakage from each block's temperature
   // at the epoch boundary. Synchronous call — the references cannot dangle.
@@ -45,7 +46,7 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
                                    std::span<double> p_dyn, std::span<double> p_leak) {
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       p_dyn[i] = blocks[i].p_dynamic * activity(i, t);
-      p_leak[i] = blocks[i].leakage_power(tech, temps[i], opts.vb);
+      p_leak[i] = leakage[i].leakage_power(tech, temps[i], opts.vb);
     }
   };
   return solve_transient_cosim(tech, fp, hook, opts);

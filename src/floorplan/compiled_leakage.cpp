@@ -1,6 +1,10 @@
 #include "floorplan/compiled_leakage.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <unordered_map>
+#include <utility>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -79,10 +83,15 @@ class NetworkCompiler {
 
 }  // namespace
 
-CompiledBlockLeakage::CompiledBlockLeakage(const Block& block) {
-  groups_.reserve(block.gate_groups.size());
-  for (const auto& g : block.gate_groups) {
-    PTHERM_ASSERT(g.gate != nullptr, "GateGroup without topology");
+CompiledBlockLeakage::CompiledBlockLeakage(const Block& block)
+    : CompiledBlockLeakage(compile_all(std::span(&block, 1)).front()) {}
+
+std::vector<CompiledBlockLeakage> CompiledBlockLeakage::compile_all(
+    std::span<const Block> blocks) {
+  // Handles share the set while it is filled; it is immutable once returned.
+  const auto set = std::make_shared<ProgramSet>();
+  // Validates one gate state and appends its program to the set's ops.
+  const auto compile = [&](const GateGroup& g) {
     const auto& gate = *g.gate;
     PTHERM_REQUIRE(gate.length > 0.0, "CompiledBlockLeakage: gate.length not set");
     PTHERM_REQUIRE(static_cast<int>(g.inputs.size()) >= gate.input_count(),
@@ -95,21 +104,48 @@ CompiledBlockLeakage::CompiledBlockLeakage(const Block& block) {
     PTHERM_REQUIRE(up_on || down_on,
                    "CompiledBlockLeakage: floating output (both networks OFF) — not static CMOS");
 
-    Group group;
-    group.off_type = up_on ? MosType::Nmos : MosType::Pmos;
-    group.length = gate.length;
-    group.count = g.count;
-    group.op_begin = static_cast<std::int32_t>(ops_.size());
-    NetworkCompiler compiler(&ops_, group.off_type, g.inputs);
+    Program program;
+    program.off_type = up_on ? MosType::Nmos : MosType::Pmos;
+    program.length = gate.length;
+    program.op_begin = static_cast<std::int32_t>(set->ops.size());
+    NetworkCompiler compiler(&set->ops, program.off_type, g.inputs);
     compiler.emit(up_on ? gate.pull_down : gate.pull_up);
-    group.op_end = static_cast<std::int32_t>(ops_.size());
-    max_stack_ = std::max(max_stack_, compiler.max_depth());
-    groups_.push_back(group);
+    program.op_end = static_cast<std::int32_t>(set->ops.size());
+    set->max_stack = std::max(set->max_stack, compiler.max_depth());
+    return program;
+  };
+
+  // The interning key points into the blocks' own groups, which outlive this
+  // call, so a lookup copies no input vector.
+  using Key = std::pair<const leakage::GateTopology*, const leakage::InputVector*>;
+  const auto hash = [](const Key& k) {
+    return std::hash<const void*>{}(k.first) ^ std::hash<leakage::InputVector>{}(*k.second);
+  };
+  const auto equal = [](const Key& a, const Key& b) {
+    return a.first == b.first && *a.second == *b.second;
+  };
+  std::unordered_map<Key, Program, decltype(hash), decltype(equal)> interned(0, hash, equal);
+  std::vector<CompiledBlockLeakage> compiled;
+  compiled.reserve(blocks.size());
+  for (const Block& block : blocks) {
+    const auto begin = static_cast<std::int32_t>(set->terms.size());
+    for (const auto& g : block.gate_groups) {
+      PTHERM_ASSERT(g.gate != nullptr, "GateGroup without topology");
+      const auto [it, fresh] = interned.try_emplace(Key{g.gate.get(), &g.inputs});
+      if (fresh) it->second = compile(g);
+      set->terms.push_back({it->second, g.count});
+    }
+    compiled.push_back(
+        CompiledBlockLeakage(set, begin, static_cast<std::int32_t>(set->terms.size())));
   }
+  set->programs = interned.size();
+  return compiled;
 }
 
 double CompiledBlockLeakage::leakage_current(const Technology& tech, double temp,
                                              double vb) const {
+  if (term_begin_ == term_end_) return 0.0;
+  const ProgramSet& set = *set_;
   // Library gates stack a handful of devices; a fixed local buffer keeps the
   // eval allocation-free and thread-safe. The heap fallback is for synthetic
   // topologies deeper than any real cell.
@@ -117,8 +153,8 @@ double CompiledBlockLeakage::leakage_current(const Technology& tech, double temp
   double local[kLocalStack];
   std::vector<double> heap;
   double* stack = local;
-  if (max_stack_ > kLocalStack) {
-    heap.resize(static_cast<std::size_t>(max_stack_));
+  if (set.max_stack > kLocalStack) {
+    heap.resize(static_cast<std::size_t>(set.max_stack));
     stack = heap.data();
   }
 
@@ -128,11 +164,15 @@ double CompiledBlockLeakage::leakage_current(const Technology& tech, double temp
   bias.vsb = -vb;
   bias.temp = temp;
 
+  // Locals, not members: they stay in registers across the opaque calls.
+  const Op* const ops = set.ops.data();
+  const Term* const end = set.terms.data() + term_end_;
   double sum = 0.0;
-  for (const Group& g : groups_) {
+  for (const Term* term = set.terms.data() + term_begin_; term != end; ++term) {
+    const Program& program = term->program;
     int sp = 0;
-    for (std::int32_t oi = g.op_begin; oi < g.op_end; ++oi) {
-      const Op& op = ops_[static_cast<std::size_t>(oi)];
+    for (std::int32_t oi = program.op_begin; oi < program.op_end; ++oi) {
+      const Op& op = ops[oi];
       switch (op.kind) {
         case Op::Kind::Push:
           stack[sp++] = op.width;
@@ -167,8 +207,8 @@ double CompiledBlockLeakage::leakage_current(const Technology& tech, double temp
     PTHERM_ASSERT(sp == 1, "compiled program left a bad stack");
     // Eq. (13) on the collapsed width — the gate_static tail.
     const double i_off =
-        device::subthreshold_current(tech, g.off_type, stack[0], g.length, bias);
-    sum += g.count * i_off;
+        device::subthreshold_current(tech, program.off_type, stack[0], program.length, bias);
+    sum += term->count * i_off;
   }
   return sum;
 }

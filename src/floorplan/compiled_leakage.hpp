@@ -1,21 +1,23 @@
-// Compiled per-block leakage: the Picard loop's hot scalar path.
+// Compiled block leakage: the one leakage evaluator the solvers call.
 //
-// Block::leakage_current walks every gate group's series-parallel OFF network
-// on every call — re-deciding ON/OFF per node, re-discovering the traversal,
-// and heap-allocating collapse_chain's per-call drops vector. None of that
-// depends on temperature or technology: the ON/OFF partition is a pure
-// function of the (fixed) input vector, so the whole walk can be compiled
-// once per block into a flat op program over a tiny value stack. Evaluation
-// replays exactly the arithmetic off_reduction + collapse_chain +
-// subthreshold_current perform, in the same order on the same values, so the
-// result is BITWISE identical to Block::leakage_current (pinned by tests) —
-// allocation-free and at a fraction of the cost. Because the program caches
-// no temperature- or technology-dependent value, one compiled block serves
-// every (tech, temp, vb) query: the batched scenario engine evaluates the
-// same program under per-scenario V/f corner technologies.
+// Block::leakage_current walks each gate group's series-parallel OFF network
+// on every call, re-deciding ON/OFF per node and heap-allocating
+// collapse_chain's drops vector. The ON/OFF partition depends only on the
+// topology and its fixed input vector, so compile_all compiles it once per
+// distinct (topology, inputs) in a plan (18 programs for a 4096-block
+// manycore plan) into one shared set of flat op programs over a tiny value
+// stack. A block's handle is a range of (program, count) terms in group
+// order. Evaluation replays the arithmetic of off_reduction + collapse_chain
+// + subthreshold_current in the same order on the same values, so results
+// are BITWISE equal to Block::leakage_current, which the tests keep as their
+// oracle. No program caches a temperature- or technology-dependent value, so
+// one handle serves every (tech, temp, vb): V/f corners, RTM supply levels.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "device/tech.hpp"
@@ -28,9 +30,14 @@ class CompiledBlockLeakage {
   /// Empty program: leakage_current == 0 (a block without gate groups).
   CompiledBlockLeakage() = default;
 
-  /// Compiles `block`'s gate groups. Throws the same contention / floating /
-  /// missing-topology errors the uncompiled path would raise on first eval.
+  /// Compiles one block: compile_all over a one-block span.
   explicit CompiledBlockLeakage(const Block& block);
+
+  /// One handle per block, all sharing one interned program set. Throws the
+  /// same contention / floating / missing-topology errors the uncompiled
+  /// path would raise on first eval, checked once per distinct program.
+  [[nodiscard]] static std::vector<CompiledBlockLeakage> compile_all(
+      std::span<const Block> blocks);
 
   /// Bitwise equal to block.leakage_current(tech, temp, vb) [A].
   [[nodiscard]] double leakage_current(const device::Technology& tech, double temp,
@@ -42,8 +49,11 @@ class CompiledBlockLeakage {
     return leakage_current(tech, temp, vb) * tech.vdd;
   }
 
-  // The program representation is public for the compiler helper in the
-  // implementation file; the data members stay private.
+  /// Programs in the shared set: one per distinct (topology, inputs).
+  [[nodiscard]] std::size_t program_count() const noexcept { return set_ ? set_->programs : 0; }
+
+  // The op representation is public for the compiler helper in the
+  // implementation file; the program set stays private.
   /// Post-order program over a value stack of effective widths [m].
   struct Op {
     enum class Kind : std::uint8_t {
@@ -57,20 +67,35 @@ class CompiledBlockLeakage {
     std::int32_t count = 0;    ///< ParallelSum / SeriesCollapse only
   };
 
-  /// One gate group: a slice of ops_ that leaves the group's collapsed OFF
-  /// width on the stack, plus the Eq. (13) evaluation parameters.
-  struct Group {
+ private:
+  /// One interned (topology, inputs) program: a slice of `ops` that leaves
+  /// the collapsed OFF width on the stack, plus the Eq. (13) parameters.
+  struct Program {
     device::MosType off_type = device::MosType::Nmos;
     double length = 0.0;  ///< shared channel length [m]
-    double count = 0.0;   ///< gates in the group
     std::int32_t op_begin = 0;
     std::int32_t op_end = 0;
   };
+  /// One gate group of a block: its program's descriptor, held by value so
+  /// the eval loop reaches the ops in one load, and how many gates run it.
+  struct Term {
+    Program program;
+    double count = 0.0;
+  };
+  struct ProgramSet {
+    std::vector<Op> ops;
+    std::vector<Term> terms;   ///< every block's groups, block after block
+    std::size_t programs = 0;  ///< distinct (topology, inputs) interned
+    int max_stack = 0;         ///< deepest value stack any program needs
+  };
 
- private:
-  std::vector<Op> ops_;
-  std::vector<Group> groups_;
-  int max_stack_ = 0;  ///< deepest value stack any group needs
+  CompiledBlockLeakage(std::shared_ptr<const ProgramSet> set, std::int32_t term_begin,
+                       std::int32_t term_end)
+      : set_(std::move(set)), term_begin_(term_begin), term_end_(term_end) {}
+
+  std::shared_ptr<const ProgramSet> set_;
+  std::int32_t term_begin_ = 0;  ///< this block's slice of set_->terms
+  std::int32_t term_end_ = 0;
 };
 
 }  // namespace ptherm::floorplan

@@ -56,12 +56,12 @@ std::vector<double> VfLadder::speed_fractions() const {
   return fractions;
 }
 
-Actuator::Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder ladder)
-    : tech_(std::move(tech)),
-      fp_(std::move(fp)),
-      ladder_(std::move(ladder)),
-      levels_(fp_.blocks().size(), 0) {
-  PTHERM_REQUIRE(!fp_.blocks().empty(), "Actuator: empty floorplan");
+Actuator::Actuator(const device::Technology& tech, const floorplan::Floorplan& fp, VfLadder ladder)
+    : ladder_(std::move(ladder)), levels_(fp.blocks().size(), 0) {
+  PTHERM_REQUIRE(!fp.blocks().empty(), "Actuator: empty floorplan");
+  p_dynamic_.reserve(fp.blocks().size());
+  for (const auto& b : fp.blocks()) p_dynamic_.push_back(b.p_dynamic);
+  leakage_ = floorplan::CompiledBlockLeakage::compile_all(fp.blocks());
   const int nl = ladder_.level_count();
   scales_.resize(nl);
   speeds_.resize(nl);
@@ -72,7 +72,7 @@ Actuator::Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder la
   // and the power subsystem cannot drift apart.
   power::SwitchingContext ctx0;
   ctx0.frequency = ladder_.at(0).frequency;
-  device::Technology t0 = tech_;
+  device::Technology t0 = tech;
   t0.vdd = ladder_.at(0).voltage;
   const double p0 = power::transient_power(t0, ctx0);
   PTHERM_ASSERT(p0 > 0.0, "Actuator: degenerate nominal operating point");
@@ -81,7 +81,7 @@ Actuator::Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder la
     // supply the OFF transistor sees less drain-induced barrier lowering, so
     // its effective threshold rises and leakage falls exponentially — the
     // voltage-dependent leakage the RTM loop feeds back.
-    device::Technology tl = device::at_supply(tech_, ladder_.at(l).voltage);
+    device::Technology tl = device::at_supply(tech, ladder_.at(l).voltage);
     power::SwitchingContext ctx = ctx0;
     ctx.frequency = ladder_.at(l).frequency;
     scales_[l] = power::transient_power(tl, ctx) / p0;
@@ -108,13 +108,13 @@ void Actuator::reset() { std::fill(levels_.begin(), levels_.end(), 0); }
 double Actuator::dynamic_power(std::size_t block, double activity) const {
   PTHERM_REQUIRE(block < levels_.size(), "Actuator::dynamic_power: block out of range");
   PTHERM_REQUIRE(activity >= 0.0, "Actuator::dynamic_power: activity must be >= 0");
-  return fp_.blocks()[block].p_dynamic * activity * scales_[levels_[block]];
+  return p_dynamic_[block] * activity * scales_[levels_[block]];
 }
 
 double Actuator::leakage_power(std::size_t block, double temp, double vb) const {
   PTHERM_REQUIRE(block < levels_.size(), "Actuator::leakage_power: block out of range");
-  return fp_.blocks()[block].leakage_power(
-      level_tech_[static_cast<std::size_t>(levels_[block])], temp, vb);
+  const auto& tech = level_tech_[static_cast<std::size_t>(levels_[block])];
+  return leakage_[block].leakage_power(tech, temp, vb);
 }
 
 double Actuator::throughput_scale(std::size_t block) const {

@@ -4,7 +4,7 @@
 // characterized at); the Actuator maps a block's requested activity to
 // delivered dynamic power through the existing power/dynamic model
 // (P ~ alpha f C V^2, so the per-level scale is (V/V0)^2 * (f/f0)) and
-// evaluates leakage through leakage/ at the level's ACTUAL supply voltage —
+// evaluates compiled leakage at the level's ACTUAL supply voltage —
 // lowering VDD shrinks DIBL and the output swing, so throttling feeds back
 // into the electro-thermal fixed point instead of just scaling a constant.
 #pragma once
@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "floorplan/compiled_leakage.hpp"
 #include "floorplan/floorplan.hpp"
 
 namespace ptherm::rtm {
@@ -44,14 +45,14 @@ class VfLadder {
   std::vector<OperatingPoint> points_;
 };
 
-/// Per-block V/f state over a floorplan. The floorplan and technology are
-/// copied in (same ownership policy as ElectroThermalSolver: the actuator
-/// cannot dangle); levels start at 0 (fastest).
+/// Per-block V/f state over a floorplan. Construction copies what it needs
+/// (nominal dynamic powers, compiled leakage), so the actuator holds no
+/// reference to `fp` and cannot dangle; levels start at 0 (fastest).
 class Actuator {
  public:
-  Actuator(device::Technology tech, floorplan::Floorplan fp, VfLadder ladder);
+  Actuator(const device::Technology& tech, const floorplan::Floorplan& fp, VfLadder ladder);
 
-  [[nodiscard]] std::size_t block_count() const noexcept { return fp_.blocks().size(); }
+  [[nodiscard]] std::size_t block_count() const noexcept { return levels_.size(); }
   [[nodiscard]] const VfLadder& ladder() const noexcept { return ladder_; }
 
   /// Current level of `block`.
@@ -77,10 +78,10 @@ class Actuator {
   [[nodiscard]] double dynamic_scale(int lvl) const;
 
  private:
-  device::Technology tech_;
-  floorplan::Floorplan fp_;
   VfLadder ladder_;
   std::vector<int> levels_;                  ///< per block
+  std::vector<double> p_dynamic_;            ///< per block, nominal [W]
+  std::vector<floorplan::CompiledBlockLeakage> leakage_;  ///< per block
   std::vector<double> scales_;               ///< per level, (V/V0)^2 (f/f0)
   std::vector<double> speeds_;               ///< per level, f/f0
   std::vector<device::Technology> level_tech_;  ///< tech with vdd = level voltage

@@ -3,10 +3,10 @@
 // "subsystem/metric" naming scheme ("backend/cg_iterations",
 // "spice/newton_iterations"). Merging stat sets is contribute() twice into
 // one registry and reading the struct back (backend_cost_from) — the
-// hand-copied field merges this replaces lived in ScenarioBatch::cost_stats,
-// run_rtm, and influence_stats_from, and each was one forgotten field away
-// from silently dropping a counter. Here, a static_assert pins each struct's
-// size to its table, so an unnamed field fails the build.
+// hand-copied field merges this replaces lived in ScenarioBatch::cost_stats
+// and run_rtm, and each was one forgotten field away from silently dropping
+// a counter. Here, a static_assert pins each struct's size to its table, so
+// an unnamed field fails the build.
 #pragma once
 
 #include <span>
@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/influence.hpp"
 #include "core/scenario_batch.hpp"
 #include "spice/report.hpp"
 #include "telemetry/registry.hpp"
@@ -51,14 +50,6 @@ void contribute(Registry& reg, const thermal::BackendCostStats& stats,
 /// stats is two contributes into one registry.
 void contribute(Registry& reg, const core::ScenarioBatchStats& stats,
                 std::string_view prefix = "backend/");
-
-/// Influence-build counters: the influence view is a PROJECTION of the
-/// backend counters, so its fields bind to the backend names
-/// (columns <-> influence_columns) and default to the backend/ prefix.
-void contribute(Registry& reg, const core::InfluenceBuildStats& stats,
-                std::string_view prefix = "backend/");
-[[nodiscard]] core::InfluenceBuildStats influence_build_from(
-    const Registry& reg, std::string_view prefix = "backend/");
 
 /// SPICE solve counters from a SolveReport: spice/newton_iterations,
 /// spice/homotopy_steps, spice/rungs, spice/cold_restarts.

@@ -5,7 +5,7 @@
 // JSONL or CSV for bench/run_bench.sh and bench/compare_bench.py.
 //
 // The existing per-subsystem stat structs (thermal::BackendCostStats,
-// core::InfluenceBuildStats, core::ScenarioBatchStats, spice::SolveReport)
+// core::ScenarioBatchStats, spice::SolveReport)
 // register into this through the descriptor catalog in telemetry/counters.hpp
 // — which is also how their merge rules are unified: merging two stat sets
 // is contribute() twice into one registry, not a hand-copied field list.

@@ -279,12 +279,12 @@ TEST(BackendAgreement, InfluenceOperatorsAgreePairwise) {
   const thermal::FdmThermalSolver fdm_solver(fp.die(), fo);
   const auto fdm = build_influence_fdm(fdm_solver, sources, samples);
   const thermal::SpectralThermalSolver sp_solver(fp.die(), {});
-  InfluenceBuildStats sp_stats;
+  thermal::BackendCostStats sp_stats;
   const auto spectral = build_influence_spectral(sp_solver, sources, samples, &sp_stats);
 
   ASSERT_EQ(analytic.size(), fdm.size());
   ASSERT_EQ(analytic.size(), spectral.size());
-  EXPECT_EQ(sp_stats.columns, static_cast<int>(sources.size()));
+  EXPECT_EQ(sp_stats.influence_columns, static_cast<int>(sources.size()));
   EXPECT_EQ(sp_stats.modes, sp_solver.mode_count());
   for (std::size_t i = 0; i < analytic.size(); ++i) {
     for (std::size_t j = 0; j < analytic.size(); ++j) {

@@ -1,9 +1,13 @@
-// Tests for the compiled per-block leakage programs: bitwise agreement with
-// the uncompiled Block walk across temperatures, supplies, and body bias;
+// Tests for the compiled leakage programs: bitwise agreement with the
+// uncompiled Block walk (the oracle) across plans, temperatures, supplies,
+// and body bias; interning of one program per distinct gate state;
 // technology independence of one compiled program; and the error contract.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,6 +17,7 @@
 #include "floorplan/floorplan.hpp"
 #include "floorplan/generators.hpp"
 #include "leakage/gate.hpp"
+#include "netlist/cells.hpp"
 
 namespace ptherm::floorplan {
 namespace {
@@ -41,17 +46,76 @@ floorplan::Floorplan generated_plan() {
   return make_uniform_grid(tech(), die_1mm(), 3, 3, cfg, rng);
 }
 
+floorplan::Floorplan manycore_plan() {
+  Rng rng(5);
+  thermal::Die die = die_1mm();
+  die.width = 4e-3;
+  die.height = 4e-3;
+  return make_manycore(tech(), die, 4, 4, {}, rng);
+}
+
+/// Blocks drawn from the whole cell library: 0-6 groups each in random
+/// states and counts, some states repeated inside a block, and some groups
+/// on a structurally identical copy of a cell (a distinct topology pointer).
+floorplan::Floorplan random_plan() {
+  Rng rng(2718);
+  const netlist::CellLibrary lib(tech());
+  floorplan::Floorplan fp(die_1mm());
+  for (int i = 0; i < 16; ++i) {
+    Block b;
+    b.name = "random_" + std::to_string(i);
+    b.rect = {(i % 4) * 0.25e-3, (i / 4) * 0.25e-3, 0.2e-3, 0.2e-3};
+    b.p_dynamic = 0.1;
+    const auto groups = rng.uniform_index(7);
+    for (std::uint64_t g = 0; g < groups; ++g) {
+      auto cell = lib.find(lib.names()[rng.uniform_index(lib.names().size())]);
+      if (rng.bernoulli(0.2)) cell = std::make_shared<const GateTopology>(*cell);
+      leakage::InputVector inputs(static_cast<std::size_t>(cell->input_count()));
+      for (std::size_t k = 0; k < inputs.size(); ++k) inputs[k] = rng.bernoulli();
+      b.gate_groups.push_back({cell, std::move(inputs), rng.uniform(1.0, 1e4)});
+      if (rng.bernoulli(0.2)) b.gate_groups.push_back(b.gate_groups.back());
+    }
+    fp.add_block(std::move(b));
+  }
+  return fp;
+}
+
 TEST(CompiledLeakage, BitwiseEqualsBlockWalkOnGeneratedBlocks) {
-  const auto fp = generated_plan();
-  for (const Block& block : fp.blocks()) {
-    const CompiledBlockLeakage compiled(block);
-    for (const double temp : {280.0, 300.0, 318.15, 360.0, 400.0}) {
-      EXPECT_EQ(compiled.leakage_current(tech(), temp),
-                block.leakage_current(tech(), temp))
-          << block.name << " at " << temp << " K";
-      EXPECT_EQ(compiled.leakage_power(tech(), temp), block.leakage_power(tech(), temp));
+  const Technology nominal = tech();
+  const Technology low_supply = device::at_supply(nominal, 0.8 * nominal.vdd);
+  for (const auto& fp : {generated_plan(), manycore_plan(), random_plan()}) {
+    const auto all = CompiledBlockLeakage::compile_all(fp.blocks());
+    ASSERT_EQ(all.size(), fp.blocks().size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const Block& block = fp.blocks()[i];
+      const CompiledBlockLeakage single(block);
+      for (const Technology* t : {&nominal, &low_supply}) {
+        for (const double temp : {280.0, 300.0, 318.15, 360.0, 400.0}) {
+          for (const double vb : {-0.2, 0.0}) {
+            const double walk = block.leakage_current(*t, temp, vb);
+            EXPECT_EQ(all[i].leakage_current(*t, temp, vb), walk)
+                << block.name << " at " << temp << " K, vb " << vb;
+            EXPECT_EQ(single.leakage_current(*t, temp, vb), walk) << block.name;
+            EXPECT_EQ(all[i].leakage_power(*t, temp, vb), block.leakage_power(*t, temp, vb));
+          }
+        }
+      }
     }
   }
+}
+
+TEST(CompiledLeakage, InternsOneProgramPerDistinctGateState) {
+  for (const auto& fp : {manycore_plan(), random_plan()}) {
+    std::set<std::pair<const GateTopology*, leakage::InputVector>> states;
+    for (const Block& block : fp.blocks()) {
+      for (const auto& g : block.gate_groups) states.emplace(g.gate.get(), g.inputs);
+    }
+    const auto all = CompiledBlockLeakage::compile_all(fp.blocks());
+    for (const auto& compiled : all) EXPECT_EQ(compiled.program_count(), states.size());
+  }
+  // Four library cells in every reachable input state: 2 + 4 + 4 + 8.
+  EXPECT_EQ(CompiledBlockLeakage::compile_all(manycore_plan().blocks()).front().program_count(),
+            18u);
 }
 
 TEST(CompiledLeakage, BitwiseUnderBodyBias) {
@@ -103,15 +167,34 @@ TEST(CompiledLeakage, CompileTimeErrorsMirrorTheLazyWalk) {
   block.gate_groups.push_back({gate, {true}, 10.0});
   EXPECT_NO_THROW(CompiledBlockLeakage{block});
 
+  const auto expect_rejected = [&](const Block& bad, const char* what) {
+    EXPECT_THROW((void)bad.leakage_current(tech(), 300.0), PreconditionError) << what;
+    EXPECT_THROW(CompiledBlockLeakage{bad}, PreconditionError) << what;
+    // Interning must not let a valid group on the same topology, compiled
+    // first, mask the bad one.
+    const std::vector<Block> plan{block, bad};
+    EXPECT_THROW((void)CompiledBlockLeakage::compile_all(plan), PreconditionError) << what;
+  };
+
   Block wrong_inputs = block;
   wrong_inputs.gate_groups[0].inputs = {};  // too few for a 1-input gate
-  EXPECT_THROW(CompiledBlockLeakage{wrong_inputs}, PreconditionError);
+  expect_rejected(wrong_inputs, "short input vector");
 
   Block bad_length = block;
   auto zero_len = std::make_shared<GateTopology>(*gate);
   zero_len->length = 0.0;
   bad_length.gate_groups[0].gate = zero_len;
-  EXPECT_THROW(CompiledBlockLeakage{bad_length}, PreconditionError);
+  expect_rejected(bad_length, "zero length");
+
+  // Pull-up on input 1, pull-down on input 0: both ON or both OFF.
+  auto split = std::make_shared<GateTopology>(*gate);
+  split->pull_up = SpNetwork::device(1, kW);
+  Block contention = block;
+  contention.gate_groups[0] = {split, {true, false}, 10.0};
+  expect_rejected(contention, "contention");
+  Block floating = block;
+  floating.gate_groups[0] = {split, {false, true}, 10.0};
+  expect_rejected(floating, "floating output");
 }
 
 }  // namespace

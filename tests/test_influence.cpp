@@ -114,7 +114,7 @@ TEST(Influence, FdmBatchedWarmStartMatchesSeedColdJacobiBuild) {
   fast.ny = 24;
   fast.nz = 12;
   const thermal::FdmThermalSolver solver_ic(fp.die(), fast);
-  InfluenceBuildStats stats;
+  thermal::BackendCostStats stats;
   const auto batched = build_influence_fdm(solver_ic, sources, samples, true, &stats);
 
   thermal::FdmOptions seed_opts = fast;
@@ -124,7 +124,7 @@ TEST(Influence, FdmBatchedWarmStartMatchesSeedColdJacobiBuild) {
 
   const std::size_t n = sources.size();
   ASSERT_EQ(batched.size(), n);
-  EXPECT_EQ(stats.columns, static_cast<int>(n));
+  EXPECT_EQ(stats.influence_columns, static_cast<int>(n));
   EXPECT_GT(stats.cg_iterations, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {

@@ -143,6 +143,9 @@ TEST(RcNetwork, RejectsBadConfiguration) {
   RcNetworkOptions bad;
   bad.depth_fraction = 0.0;
   EXPECT_THROW(RcThermalNetwork(tech(), plan(), bad), PreconditionError);
+  bad = {};
+  bad.record_every = 0;  // would reach k % 0 in solve
+  EXPECT_THROW(RcThermalNetwork(tech(), plan(), bad), PreconditionError);
   RcThermalNetwork ok(tech(), plan(), {});
   EXPECT_THROW(ok.solve(ActivityProfile{}), PreconditionError);
 }

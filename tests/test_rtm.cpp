@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -154,6 +155,30 @@ TEST(Actuator, LeakageDropsWithSupplyVoltageAndGrowsWithTemperature) {
   EXPECT_LT(throttled, 0.8 * nominal);
   // And leakage is exponential-ish in temperature at any level.
   EXPECT_GT(actuator.leakage_power(0, hot), 2.0 * actuator.leakage_power(0, 340.0));
+}
+
+TEST(Actuator, LeakageIsTheBlockWalkAtTheLevelSupply) {
+  std::vector<floorplan::Block> blocks;
+  std::optional<Actuator> actuator;
+  {
+    const auto fp = quad_plan(8.0);
+    blocks = fp.blocks();
+    actuator.emplace(tech(), fp, test_ladder());
+  }  // the source floorplan is gone: the actuator must not refer to it
+  const VfLadder& ladder = actuator->ladder();
+  for (int l = 0; l < ladder.level_count(); ++l) {
+    const auto level_tech = device::at_supply(tech(), ladder.at(l).voltage);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      actuator->set_level(i, l);
+      for (const double temp : {330.0, 380.0}) {
+        for (const double vb : {-0.2, 0.0}) {
+          EXPECT_EQ(actuator->leakage_power(i, temp, vb),
+                    blocks[i].leakage_power(level_tech, temp, vb))
+              << "block " << i << ", level " << l;
+        }
+      }
+    }
+  }
 }
 
 TEST(Actuator, SetLevelClampsAndReportsChanges) {

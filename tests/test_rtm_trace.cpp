@@ -169,6 +169,9 @@ TEST(TraceIo, MalformedInputsThrowIoError) {
   expect_bad("ptherm-trace v1\nblocks 2\nsample_dt 1e-3\nsamples 1\n0.5 oops\n");  // bad value
   expect_bad("ptherm-trace v1\nblocks 1\nsample_dt 1e-3\nsamples 1\n-0.5\n");  // negative
   expect_bad("ptherm-trace v1\nblocks 1\nsample_dt 1e-3\nsamples 1\n0.5\n0.7\n");  // trailing
+  // A huge declared block count must fail on the missing data, not on
+  // allocating a row for it.
+  expect_bad("ptherm-trace v1\nblocks 1000000000\nsample_dt 1e-3\nsamples 1\n0.5\n");
 }
 
 TEST(TraceIo, WritingADefaultConstructedTraceIsAPreconditionError) {

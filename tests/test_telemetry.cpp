@@ -303,17 +303,6 @@ TEST(CounterCatalog, MergingIsContributeTwice) {
   }
 }
 
-TEST(CounterCatalog, InfluenceViewProjectsBackendNames) {
-  telemetry::Registry reg;
-  telemetry::contribute(reg, distinct_stats(50));
-  const auto view = telemetry::influence_build_from(reg);
-  const auto src = distinct_stats(50);
-  EXPECT_EQ(view.columns, src.influence_columns);
-  EXPECT_EQ(view.cg_iterations, src.cg_iterations);
-  EXPECT_EQ(view.modes, src.modes);
-  EXPECT_EQ(view.fft_calls, src.fft_calls);
-}
-
 TEST(CounterCatalog, BatchStatsShareTheBackendNames) {
   core::ScenarioBatchStats batch;
   batch.scenarios = 3;
