@@ -4,13 +4,18 @@
 //   * the collapse model (both variants),
 //   * the exact nested-Brent stack solver,
 //   * the full MNA Newton solve of the same stack,
-//   * gate-level and netlist-level model evaluation.
+//   * gate-level and netlist-level model evaluation,
+//   * one compiled-leakage sweep over a 4096-block manycore plan, per block
+//     at spread temperatures and uniform at the sink temperature.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "device/mosfet.hpp"
+#include "floorplan/compiled_leakage.hpp"
+#include "floorplan/generators.hpp"
 #include "leakage/collapse.hpp"
 #include "leakage/exact_stack.hpp"
 #include "leakage/gate.hpp"
@@ -116,5 +121,43 @@ void BM_NetlistLeakage(benchmark::State& state) {
   state.counters["gates"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_NetlistLeakage)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_CompiledLeakageSweep(benchmark::State& state) {
+  // One Picard sweep's leakage over the 4096-block manycore plan (32 x 32
+  // tiles, 16,384 gate groups, 18 interned programs). Arg 0: every block at
+  // its own temperature, spread over 318-348 K (sweeps >= 1). Arg 1: every
+  // block at T_sink through uniform_leakage_power, each program once (the
+  // start sweep).
+  const bool uniform = state.range(0) == 1;
+  thermal::Die die;
+  die.width = 12e-3;
+  die.height = 12e-3;
+  die.thickness = 500e-6;
+  die.k_si = 148.0;
+  die.t_sink = 318.15;
+  Rng rng(2026);
+  floorplan::GeneratorConfig cfg;
+  cfg.total_dynamic_power = 1.5 * 32 * 32;
+  cfg.gates_per_mm2 = 50e3;
+  const auto fp = floorplan::make_manycore(tech(), die, 32, 32, cfg, rng);
+  const auto handles = floorplan::CompiledBlockLeakage::compile_all(fp.blocks());
+  const std::size_t n = handles.size();
+  std::vector<double> temps(n);
+  for (std::size_t i = 0; i < n; ++i) temps[i] = die.t_sink + 30.0 * rng.uniform();
+  std::vector<double> power(n);
+  for (auto _ : state) {
+    if (uniform) {
+      floorplan::CompiledBlockLeakage::uniform_leakage_power(handles, tech(), die.t_sink, 0.0,
+                                                             power);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) power[i] = handles[i].leakage_power(tech(), temps[i]);
+    }
+    benchmark::DoNotOptimize(power.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.counters["blocks"] = static_cast<double>(n);
+}
+BENCHMARK(BM_CompiledLeakageSweep)->Arg(0)->Arg(1);
 
 }  // namespace

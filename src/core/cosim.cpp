@@ -58,10 +58,14 @@ void validate(const CosimOptions& opts) {
 double adjusted_leakage_power(const device::Technology& tech,
                               const floorplan::CompiledBlockLeakage& leakage, double temp,
                               double vb, const LeakageAdjust& adj) {
-  const double base = leakage.leakage_power(tech, temp, vb);
+  return adjusted_leakage_power(tech, leakage.leakage_power(tech, temp, vb), temp, adj);
+}
+
+double adjusted_leakage_power(const device::Technology& tech, double base_power, double temp,
+                              const LeakageAdjust& adj) {
   // Nominal adjustments are bitwise transparent: exp(-0/nVT) == 1.0 exactly
   // and 1.0 * base == base, so this single expression serves both paths.
-  return adj.scale * (device::leakage_multiplier(tech, adj.delta_vt0, temp) * base);
+  return adj.scale * (device::leakage_multiplier(tech, adj.delta_vt0, temp) * base_power);
 }
 
 ElectroThermalSolver::ElectroThermalSolver(device::Technology tech, floorplan::Floorplan fp,
@@ -127,6 +131,10 @@ double ElectroThermalSolver::block_leakage_power(std::size_t i, double temp) con
 void ElectroThermalSolver::set_leakage_adjust(std::vector<LeakageAdjust> adjust) {
   PTHERM_REQUIRE(adjust.empty() || adjust.size() == fp_.blocks().size(),
                  "set_leakage_adjust: need one adjustment per block (or none)");
+  for (const LeakageAdjust& a : adjust) {
+    PTHERM_REQUIRE(std::isfinite(a.scale) && std::isfinite(a.delta_vt0),
+                   "set_leakage_adjust: non-finite scale or delta_vt0");
+  }
   adjust_ = std::move(adjust);
 }
 
@@ -200,9 +208,29 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
   std::vector<double> powers(count * n);
   std::vector<double> rises(count * n);
 
+  const auto adjust = [&](std::size_t k, std::size_t j) {
+    return LeakageAdjust{in.adj_scale[k * n + j], in.adj_dvt0[k * n + j]};
+  };
   const auto leakage = [&](std::size_t k, std::size_t j, double temp) {
-    const LeakageAdjust adj{in.adj_scale[k * n + j], in.adj_dvt0[k * n + j]};
-    return adjusted_leakage_power(*in.tech[k], compiled_leakage_[j], temp, opts_.vb, adj);
+    return adjusted_leakage_power(*in.tech[k], compiled_leakage_[j], temp, opts_.vb,
+                                  adjust(k, j));
+  };
+  // Every scenario starts with every block at t_sink, so the first sweep's
+  // base leakage depends only on the technology: one uniform-temperature
+  // evaluation (each distinct program once) per distinct technology, which
+  // each scenario then adjusts — bitwise the per-block values.
+  std::vector<const device::Technology*> start_tech;
+  std::vector<double> start_power;  // n base powers per start_tech entry
+  const auto start_leakage = [&](const device::Technology* tech) -> const double* {
+    const auto found = std::find(start_tech.begin(), start_tech.end(), tech);
+    const auto at = static_cast<std::size_t>(found - start_tech.begin());
+    if (found == start_tech.end()) {
+      start_tech.push_back(tech);
+      start_power.resize(start_tech.size() * n);
+      floorplan::CompiledBlockLeakage::uniform_leakage_power(
+          compiled_leakage_, *tech, t_sink, opts_.vb, {start_power.data() + at * n, n});
+    }
+    return start_power.data() + at * n;
   };
   const auto finalize = [&](std::size_t k) {
     ScenarioResult& res = results[k];
@@ -220,7 +248,9 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     if (!res.converged) {
       SolveDiagnostics diag;
       diag.solver = "ElectroThermalSolver";
-      diag.stage = res.runaway ? "runaway" : "max-iterations";
+      diag.stage = res.runaway                           ? "runaway"
+                   : !std::isfinite(res.max_delta_last) ? "non-finite residual"
+                                                        : "max-iterations";
       diag.iterations = res.iterations;
       diag.residual = res.max_delta_last;
       diag.worst = blocks[hottest].name;
@@ -241,7 +271,14 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
         const double* temp = temps.data() + k * n;
         const double* p_dyn = in.p_dynamic.data() + k * n;
         double* p = powers.data() + a * n;
-        for (std::size_t j = 0; j < n; ++j) p[j] = p_dyn[j] + leakage(k, j, temp[j]);
+        if (it == 0) {
+          const double* base = start_leakage(in.tech[k]);
+          for (std::size_t j = 0; j < n; ++j) {
+            p[j] = p_dyn[j] + adjusted_leakage_power(*in.tech[k], base[j], t_sink, adjust(k, j));
+          }
+        } else {
+          for (std::size_t j = 0; j < n; ++j) p[j] = p_dyn[j] + leakage(k, j, temp[j]);
+        }
       }
     }
     influence.apply_batch({powers.data(), m * n}, {rises.data(), m * n}, m);
@@ -274,7 +311,9 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
       // leakage-thermal runaway below the hard rise limit.
       res.runaway = max_rise > opts_.runaway_rise_limit || guards[k].diverging();
       res.converged = !res.runaway && residual < opts_.tol;
-      if (res.runaway || res.converged) {
+      // A NaN or infinite residual (a non-finite power or rise) ends the
+      // scenario unconverged at its last finite iterate.
+      if (res.runaway || res.converged || guards[k].failed()) {
         finalize(k);
       } else {
         active[keep++] = k;  // compaction keeps ascending order

@@ -134,6 +134,12 @@ struct LeakageAdjust {
                                             double temp, double vb,
                                             const LeakageAdjust& adj);
 
+/// The same expression on an already evaluated base power
+/// leakage.leakage_power(tech, temp, vb) [W] — how run_picard adjusts the
+/// start sweep's one uniform-temperature evaluation per technology.
+[[nodiscard]] double adjusted_leakage_power(const device::Technology& tech, double base_power,
+                                            double temp, const LeakageAdjust& adj);
+
 struct BlockState {
   double temperature = 0.0;  ///< [K]
   double p_dynamic = 0.0;    ///< [W]
@@ -152,7 +158,8 @@ struct CosimResult {
   double max_delta_last = 0.0;    ///< last residual max |T_sink + rise - T| [K]
   double contraction = 0.0;       ///< r_k / r_{k-1} at exit: < 1 contracting, 0 after one sweep
   /// Structured non-convergence context (common/diagnostics.hpp): set iff
-  /// the Picard loop did not converge — stage "runaway" or "max-iterations",
+  /// the Picard loop did not converge — stage "runaway", "max-iterations" or
+  /// "non-finite residual" (a NaN or infinite power or rise ended the solve),
   /// the iteration count, the last residual [K], and the hottest block by
   /// name. Empty on converged solves.
   std::optional<SolveDiagnostics> diagnostics;
@@ -177,8 +184,9 @@ struct ScenarioResult {
   double contraction = 0.0;      ///< r_k / r_{k-1} at exit (see CosimResult)
   std::vector<double> temperatures;  ///< per-block [K]
   /// Structured non-convergence context (common/diagnostics.hpp): set iff
-  /// this scenario did not converge — runaway or max-iterations, and the
-  /// hottest block by name. Empty when converged.
+  /// this scenario did not converge — runaway, max-iterations or a
+  /// non-finite residual, and the hottest block by name. Empty when
+  /// converged.
   std::optional<SolveDiagnostics> diagnostics;
   /// With CosimOptions::trace.convergence: this scenario's Picard residual
   /// [K] of each of its iterations (size == iterations). Empty when tracing
@@ -246,6 +254,7 @@ class ElectroThermalSolver {
   [[nodiscard]] double block_leakage_power(std::size_t i, double temp) const;
 
   /// Installs per-block leakage adjustments (one per block; empty clears).
+  /// Throws ptherm::PreconditionError on a non-finite scale or delta_vt0.
   /// This is how a single solver reproduces one scenario of a ScenarioBatch
   /// exactly — the sequential reference path of the batched engine's tests.
   void set_leakage_adjust(std::vector<LeakageAdjust> adjust);

@@ -1,6 +1,7 @@
 #include "core/scenario_batch.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -80,6 +81,13 @@ std::size_t ScenarioBatch::add_scenario(std::vector<double> p_dynamic,
   PTHERM_REQUIRE(adjust.empty() || adjust.size() == n,
                  "add_scenario: need one adjustment per block (or none)");
   PTHERM_REQUIRE(level >= 0 && level < level_count(), "add_scenario: level out of range");
+  for (const double p : p_dynamic) {
+    PTHERM_REQUIRE(std::isfinite(p), "add_scenario: non-finite dynamic power");
+  }
+  for (const LeakageAdjust& a : adjust) {
+    PTHERM_REQUIRE(std::isfinite(a.scale) && std::isfinite(a.delta_vt0),
+                   "add_scenario: non-finite leakage adjustment");
+  }
   powers_.insert(powers_.end(), p_dynamic.begin(), p_dynamic.end());
   if (adjust.empty()) {
     adj_scale_.insert(adj_scale_.end(), n, 1.0);

@@ -108,6 +108,7 @@ class ScenarioBatch {
   /// Fully general scenario: per-block dynamic powers [W] (size
   /// block_count()), optional per-block leakage adjustments (empty =
   /// nominal), V/f level for the leakage technology. Returns its index.
+  /// Throws ptherm::PreconditionError on a non-finite power or adjustment.
   std::size_t add_scenario(std::vector<double> p_dynamic,
                            std::vector<LeakageAdjust> adjust = {}, int level = 0);
 

@@ -21,7 +21,8 @@ double subthreshold_current(const Technology& tech, MosType type, double width, 
   const double ratio = bias.temp / tech.t_ref;
   const double exponent = (bias.vgs - vth) / (tech.n_swing * vt);
   const double drain_factor = 1.0 - std::exp(-bias.vds / vt);
-  return tech.i0(type) * (width / length) * ratio * ratio * std::exp(exponent) * drain_factor;
+  return subthreshold_product(tech.i0(type), width / length, ratio, std::exp(exponent),
+                              drain_factor);
 }
 
 double off_current(const Technology& tech, MosType type, double width, double length,

@@ -37,6 +37,18 @@ struct BiasPoint {
 [[nodiscard]] double subthreshold_current(const Technology& tech, MosType type, double width,
                                           double length, const BiasPoint& bias) noexcept;
 
+/// Eq. (1) from its factors, in subthreshold_current's multiplication order:
+///   I0 * (W/L) * ratio * ratio * exp_term * drain_factor,
+/// ratio = T/Tref, exp_term = exp((VGS - VTH)/(n VT)), drain_factor =
+/// 1 - exp(-VDS/VT). Callers that hoist the width-independent factors out of
+/// a loop (floorplan/compiled_leakage) evaluate this same product, so they
+/// stay bitwise equal to subthreshold_current.
+[[nodiscard]] constexpr double subthreshold_product(double i0, double w_over_l, double ratio,
+                                                    double exp_term,
+                                                    double drain_factor) noexcept {
+  return i0 * w_over_l * ratio * ratio * exp_term * drain_factor;
+}
+
 /// OFF current of a single device with VGS = 0, VSB = 0, VDS = VDD at
 /// temperature `temp` — the N = 1 case of the paper's Eq. (13).
 [[nodiscard]] double off_current(const Technology& tech, MosType type, double width,

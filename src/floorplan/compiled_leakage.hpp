@@ -7,9 +7,25 @@
 // distinct (topology, inputs) in a plan (18 programs for a 4096-block
 // manycore plan) into one shared set of flat op programs over a tiny value
 // stack. A block's handle is a range of (program, count) terms in group
-// order. Evaluation replays the arithmetic of off_reduction + collapse_chain
-// + subthreshold_current in the same order on the same values, so results
-// are BITWISE equal to Block::leakage_current, which the tests keep as their
+// order.
+//
+// Evaluation does no work twice that a call's (tech, temp, vb) already fixes:
+//  * Hoisted factors. Each call computes the temperature factors once — VT,
+//    (T/Tref), the drain factor 1 - exp(-VDD/VT), exp((0 - VTH)/(n VT)) per
+//    OFF type on first use, and the collapse's n VT, sigma VDD/(n VT) and
+//    alpha — instead of once per gate group inside subthreshold_current,
+//    collapse_f and delta_v.
+//  * Folding. A program without a series collapse (an inverter, a parallel
+//    OFF network, a single OFF device) has a temperature-free OFF width;
+//    compile_all runs its push / parallel-sum ops once and keeps W/L.
+//  * The uniform entry point. uniform_leakage_power evaluates many handles at one
+//    temperature, running each distinct program once and summing per block —
+//    the Picard start sweep, where every block sits at T_sink.
+// Both entry points go through one per-program kernel that replays the arithmetic
+// of off_reduction + collapse_chain + subthreshold_current in the same order
+// on the same values (device::subthreshold_product and
+// leakage::delta_v_blend_at are shared with those functions), so results are
+// BITWISE equal to Block::leakage_current, which the tests keep as their
 // oracle. No program caches a temperature- or technology-dependent value, so
 // one handle serves every (tech, temp, vb): V/f corners, RTM supply levels.
 #pragma once
@@ -49,11 +65,20 @@ class CompiledBlockLeakage {
     return leakage_current(tech, temp, vb) * tech.vdd;
   }
 
+  /// power[i] = handles[i].leakage_power(tech, temp, vb), bitwise, with
+  /// every handle at the SAME temperature. Each program of the first
+  /// non-empty handle's set runs once, when a term first needs it; a handle
+  /// from another set falls back to its own leakage_power. power.size()
+  /// must equal handles.size().
+  static void uniform_leakage_power(std::span<const CompiledBlockLeakage> handles,
+                                    const device::Technology& tech, double temp, double vb,
+                                    std::span<double> power);
+
   /// Programs in the shared set: one per distinct (topology, inputs).
   [[nodiscard]] std::size_t program_count() const noexcept { return set_ ? set_->programs : 0; }
 
-  // The op representation is public for the compiler helper in the
-  // implementation file; the program set stays private.
+  // The op and program representation is public for the compiler and the
+  // kernel in the implementation file; the program set stays private.
   /// Post-order program over a value stack of effective widths [m].
   struct Op {
     enum class Kind : std::uint8_t {
@@ -67,15 +92,20 @@ class CompiledBlockLeakage {
     std::int32_t count = 0;    ///< ParallelSum / SeriesCollapse only
   };
 
- private:
   /// One interned (topology, inputs) program: a slice of `ops` that leaves
-  /// the collapsed OFF width on the stack, plus the Eq. (13) parameters.
+  /// the collapsed OFF width on the stack, plus the Eq. (13) parameters. A
+  /// folded program has an empty slice and holds its constant W/L instead of
+  /// the channel length, so the descriptor stays 24 bytes.
   struct Program {
     device::MosType off_type = device::MosType::Nmos;
-    double length = 0.0;  ///< shared channel length [m]
+    std::int32_t id = 0;          ///< interning order, 0 .. program_count() - 1
+    double length_or_wl = 0.0;    ///< channel length [m]; W/L when folded
     std::int32_t op_begin = 0;
     std::int32_t op_end = 0;
+    [[nodiscard]] bool folded() const noexcept { return op_begin == op_end; }
   };
+
+ private:
   /// One gate group of a block: its program's descriptor, held by value so
   /// the eval loop reaches the ops in one load, and how many gates run it.
   struct Term {

@@ -1,5 +1,7 @@
 #include "floorplan/floorplan.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace ptherm::floorplan {
@@ -24,6 +26,8 @@ Floorplan::Floorplan(thermal::Die die) : die_(die) {
 
 void Floorplan::add_block(Block block) {
   PTHERM_REQUIRE(block.rect.w > 0.0 && block.rect.h > 0.0, "add_block: degenerate rect");
+  PTHERM_REQUIRE(std::isfinite(block.p_dynamic),
+                 "add_block: non-finite dynamic power: " + block.name);
   PTHERM_REQUIRE(block.rect.x >= 0.0 && block.rect.y >= 0.0 &&
                      block.rect.x + block.rect.w <= die_.width + 1e-12 &&
                      block.rect.y + block.rect.h <= die_.height + 1e-12,

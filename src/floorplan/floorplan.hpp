@@ -66,7 +66,8 @@ class Floorplan {
  public:
   explicit Floorplan(thermal::Die die);
 
-  /// Adds a block; throws if it leaves the die or overlaps an existing block.
+  /// Adds a block; throws if it leaves the die, overlaps an existing block,
+  /// or has a non-finite p_dynamic.
   void add_block(Block block);
 
   [[nodiscard]] const thermal::Die& die() const noexcept { return die_; }

@@ -30,12 +30,7 @@ double delta_v_case_b(const Technology& /*tech*/, double f, double temp) noexcep
 }
 
 double delta_v_blend(const Technology& tech, double f, double temp) noexcept {
-  const double vt = thermal_voltage(temp);
-  const double alpha = collapse_alpha(tech);
-  // log1p/softplus guard against overflow for large |f|.
-  const double softplus = (f > 30.0) ? f : std::log1p(std::exp(f));
-  const double logistic = 1.0 / (1.0 + std::exp(-f));
-  return vt * (alpha * softplus + (1.0 - alpha) * logistic);
+  return delta_v_blend_at(f, thermal_voltage(temp), collapse_alpha(tech));
 }
 
 double delta_v_refined(const Technology& tech, double f, double temp) noexcept {

@@ -91,6 +91,9 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
     const double residual = guard.step(out.device_temperatures, rises);
     out.contraction = guard.contraction();
     out.max_temperature = std::max(opts.t_sink, std::ranges::max(out.device_temperatures));
+    // A non-finite residual (NaN or infinite powers) ends the loop
+    // unconverged at the last finite iterate.
+    if (guard.failed()) break;
 
     // Runaway: flag and stop, never clamp — the returned temperatures are the
     // genuine divergent iterates. The hard rise limit catches fast blow-ups,

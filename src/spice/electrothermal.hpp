@@ -68,9 +68,10 @@ struct ElectroThermalDcSolution {
 /// footprint stay at opts.dc.temp. Inner solves reuse one NewtonCore and
 /// warm-start from the previous outer iterate; inner non-convergence
 /// propagates as ConvergenceFailure carrying the full SolveReport. Outer
-/// non-convergence (including runaway) is flagged on the solution, not
-/// thrown — the electrical state is still the converged solve at the last
-/// iterate's temperatures.
+/// non-convergence (including runaway, and a non-finite outer residual,
+/// which stops the loop at the last finite iterate) is flagged on the
+/// solution, not thrown — the electrical state is still the converged solve
+/// at the last iterate's temperatures.
 [[nodiscard]] ElectroThermalDcSolution solve_electrothermal_dc(
     const Circuit& circuit, const thermal::SolverBackend& backend,
     std::span<const DeviceFootprint> footprints, const ElectroThermalDcOptions& opts = {});

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ptherm::thermal {
 
@@ -169,6 +170,7 @@ std::vector<double> FdmThermalSolver::rhs_for(const std::vector<HeatSource>& sou
 
 FdmThermalSolver::Solution FdmThermalSolver::solve_steady(
     const std::vector<HeatSource>& sources, const std::vector<double>* warm_start) const {
+  TELEMETRY_SPAN("fdm/steady_solve");
   const std::vector<double> rhs = rhs_for(sources);
   std::span<const double> x0;
   if (warm_start) {

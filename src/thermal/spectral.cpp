@@ -13,6 +13,7 @@
 #include "numerics/dense.hpp"
 #include "numerics/eigen.hpp"
 #include "numerics/fft.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ptherm::thermal {
 
@@ -463,6 +464,7 @@ void SpectralThermalSolver::ensure_transient_modes() const {
 
 SpectralThermalSolver::Solution SpectralThermalSolver::solve_steady(
     const std::vector<HeatSource>& sources) const {
+  TELEMETRY_SPAN("spectral/steady_solve");
   const std::size_t mx = static_cast<std::size_t>(opts_.modes_x);
   const std::size_t my = static_cast<std::size_t>(opts_.modes_y);
   Solution sol;

@@ -1,7 +1,9 @@
 // Tests for the compiled leakage programs: bitwise agreement with the
 // uncompiled Block walk (the oracle) across plans, temperatures, supplies,
-// and body bias; interning of one program per distinct gate state;
-// technology independence of one compiled program; and the error contract.
+// and body bias; the uniform-temperature entry point against both; value stacks
+// deeper than the local buffer; interning of one program per distinct gate
+// state; technology independence of one compiled program; and the error
+// contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -149,6 +151,104 @@ TEST(CompiledLeakage, EmptyBlockLeaksNothing) {
   block.rect = {0.0, 0.0, 1e-4, 1e-4};
   EXPECT_EQ(CompiledBlockLeakage(block).leakage_current(tech(), 300.0), 0.0);
   EXPECT_EQ(CompiledBlockLeakage().leakage_current(tech(), 300.0), 0.0);
+}
+
+TEST(CompiledLeakage, UniformEvaluationIsBitwiseThePerBlockHandleAndTheWalk) {
+  // One uniform-temperature evaluation (each program once, summed per block)
+  // must reproduce every block's own handle and the Block walk exactly,
+  // across plans (random_plan holds empty blocks), supplies and body biases.
+  const Technology nominal = tech();
+  const Technology low_supply = device::at_supply(nominal, 0.8 * nominal.vdd);
+  bool saw_empty = false;
+  for (const auto& fp : {manycore_plan(), random_plan()}) {
+    const auto all = CompiledBlockLeakage::compile_all(fp.blocks());
+    std::vector<double> power(all.size());
+    for (const Technology* t : {&nominal, &low_supply}) {
+      for (const double temp : {300.0, 318.15, 375.0}) {
+        for (const double vb : {-0.2, 0.0}) {
+          CompiledBlockLeakage::uniform_leakage_power(all, *t, temp, vb, power);
+          for (std::size_t i = 0; i < all.size(); ++i) {
+            const Block& block = fp.blocks()[i];
+            saw_empty = saw_empty || block.gate_groups.empty();
+            EXPECT_EQ(power[i], all[i].leakage_power(*t, temp, vb))
+                << block.name << " at " << temp << " K, vb " << vb;
+            EXPECT_EQ(power[i], block.leakage_power(*t, temp, vb)) << block.name;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_empty) << "random_plan should exercise empty blocks";
+}
+
+TEST(CompiledLeakage, UniformEvaluationFallsBackForHandlesOfAnotherSet) {
+  // Handles from two compile_all calls plus a default (empty) handle: the
+  // first set's programs run once, the others evaluate themselves.
+  const auto many = manycore_plan();
+  const auto rand = random_plan();
+  const auto a = CompiledBlockLeakage::compile_all(many.blocks());
+  const auto b = CompiledBlockLeakage::compile_all(rand.blocks());
+  const std::vector<CompiledBlockLeakage> mixed{CompiledBlockLeakage(), a[0], b[1], a[3], b[0]};
+  const std::vector<const Block*> oracle{nullptr, &many.blocks()[0], &rand.blocks()[1],
+                                         &many.blocks()[3], &rand.blocks()[0]};
+  std::vector<double> power(mixed.size());
+  CompiledBlockLeakage::uniform_leakage_power(mixed, tech(), 340.0, -0.1, power);
+  EXPECT_EQ(power[0], 0.0);
+  for (std::size_t i = 1; i < mixed.size(); ++i) {
+    EXPECT_EQ(power[i], oracle[i]->leakage_power(tech(), 340.0, -0.1)) << "handle " << i;
+  }
+  std::vector<double> too_short(2);
+  EXPECT_THROW(CompiledBlockLeakage::uniform_leakage_power(mixed, tech(), 340.0, 0.0, too_short),
+               PreconditionError);
+}
+
+TEST(CompiledLeakage, DeepTopologiesUseTheHeapStackBitwise) {
+  // Value stacks deeper than the 32-slot local buffer: a 40-way parallel OFF
+  // network (temperature-free, but too deep for the compile-time fold), a
+  // 40-device series chain, and a parallel of such chains next to a shallow
+  // inverter in the same plan.
+  constexpr int kDeep = 40;
+  constexpr double kW = 0.4e-6;
+  const auto deep_gate = [&](bool series) {
+    std::vector<SpNetwork> devices;
+    for (int k = 0; k < kDeep; ++k) devices.push_back(SpNetwork::device(0, kW * (1.0 + 0.01 * k)));
+    auto gate = std::make_shared<GateTopology>();
+    gate->name = series ? "deep_series" : "deep_parallel";
+    gate->length = 0.13e-6;
+    // Input high: the pull-down conducts, the deep pMOS network is OFF.
+    gate->pull_down = SpNetwork::device(0, kW);
+    gate->pull_up = series ? SpNetwork::series(std::move(devices))
+                           : SpNetwork::parallel(std::move(devices));
+    return gate;
+  };
+  auto chains = std::make_shared<GateTopology>(*deep_gate(true));
+  chains->name = "parallel_of_chains";
+  chains->pull_up = SpNetwork::parallel({deep_gate(true)->pull_up, deep_gate(true)->pull_up});
+  auto inverter = std::make_shared<GateTopology>(*deep_gate(false));
+  inverter->name = "inv";
+  inverter->pull_up = SpNetwork::device(0, kW);
+
+  Block block;
+  block.name = "deep";
+  block.rect = {0.0, 0.0, 1e-4, 1e-4};
+  block.gate_groups.push_back({deep_gate(false), {true}, 3.0});
+  block.gate_groups.push_back({deep_gate(true), {true}, 5.0});
+  block.gate_groups.push_back({chains, {true}, 2.0});
+  block.gate_groups.push_back({inverter, {true}, 7.0});
+  block.gate_groups.push_back({inverter, {false}, 11.0});
+  const std::vector<Block> plan{block};
+  const auto all = CompiledBlockLeakage::compile_all(plan);
+  ASSERT_EQ(all.front().program_count(), 5u);
+  std::vector<double> power(1);
+  for (const double temp : {290.0, 330.0, 390.0}) {
+    for (const double vb : {-0.2, 0.0}) {
+      EXPECT_EQ(all.front().leakage_current(tech(), temp, vb),
+                block.leakage_current(tech(), temp, vb))
+          << temp << " K, vb " << vb;
+      CompiledBlockLeakage::uniform_leakage_power(all, tech(), temp, vb, power);
+      EXPECT_EQ(power.front(), block.leakage_power(tech(), temp, vb)) << temp << " K";
+    }
+  }
 }
 
 TEST(CompiledLeakage, CompileTimeErrorsMirrorTheLazyWalk) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -205,6 +207,48 @@ TEST(Cosim, RejectsBadConfiguration) {
   EXPECT_THROW(ElectroThermalSolver(tech(), fp, bad), PreconditionError);
   floorplan::Floorplan empty(die_1mm());
   EXPECT_THROW(ElectroThermalSolver(tech(), empty, {}), PreconditionError);
+}
+
+TEST(Cosim, NonFiniteInputsAreRejectedByName) {
+  auto fp = small_plan();
+  floorplan::Block nan_block = fp.blocks().front();
+  nan_block.name = "nan_block";
+  nan_block.rect = {0.0, 0.0, 1e-5, 1e-5};
+  floorplan::Floorplan empty(die_1mm());
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    nan_block.p_dynamic = bad;
+    EXPECT_THROW(empty.add_block(nan_block), PreconditionError) << bad;
+  }
+  ElectroThermalSolver solver(tech(), fp, {});
+  std::vector<LeakageAdjust> adjust(fp.blocks().size());
+  adjust[3].scale = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(solver.set_leakage_adjust(adjust), PreconditionError);
+  adjust[3] = {1.0, std::nan("")};
+  EXPECT_THROW(solver.set_leakage_adjust(adjust), PreconditionError);
+  try {
+    solver.set_leakage_adjust(adjust);
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cosim, NonFiniteResidualEndsTheSolveUnconvergedWithADiagnostic) {
+  // A NaN power that reaches the loop past add_block (the plan's blocks are
+  // mutable) makes the first residual NaN, which a std::max reduction would
+  // drop and read as converged. It must end the solve unconverged, named,
+  // at the last finite iterate.
+  auto fp = small_plan();
+  fp.blocks()[4].p_dynamic = std::nan("");
+  ElectroThermalSolver solver(tech(), fp, {});
+  const auto r = solver.solve();
+  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(r.runaway);
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_TRUE(std::isnan(r.max_delta_last));
+  ASSERT_TRUE(r.diagnostics.has_value());
+  EXPECT_EQ(r.diagnostics->stage, "non-finite residual");
+  EXPECT_EQ(r.max_temperature, die_1mm().t_sink);
+  for (const auto& b : r.blocks) EXPECT_EQ(b.temperature, die_1mm().t_sink);
 }
 
 TEST(Cosim, TotalsAreSumsOverBlocks) {

@@ -1,9 +1,12 @@
 // Tests for numerics/fixed_point.hpp on scalar affine maps T <- a + g T: the
 // safeguarded Picard step never damps a contraction, rescues an overshooting
-// map with the safeguard's relaxation, and flags a diverging one.
+// map with the safeguard's relaxation, flags a diverging one, and fails on a
+// non-finite residual instead of dropping it.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "numerics/fixed_point.hpp"
 
@@ -89,6 +92,24 @@ TEST(SafeguardedPicard, ContractionIsZeroBeforeTheSecondStep) {
   double x = 0.0;
   EXPECT_EQ(step(guard, 0.5, x), kA);  // r_0 = |a + g * 0 - 0|
   EXPECT_EQ(guard.contraction(), 0.0);
+}
+
+TEST(SafeguardedPicard, NonFiniteTargetFailsTheStepAndKeepsTheIterate) {
+  // std::max(r, NaN) would return r and hide the NaN; the step must not.
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    SafeguardedPicard guard(0.7, 10);
+    std::vector<double> x{1.0, 2.0, 3.0};
+    EXPECT_EQ(guard.step(x, std::vector<double>{1.5, 2.5, 3.5}), 0.5);
+    EXPECT_FALSE(guard.failed());
+    const std::vector<double> before = x;
+    // The bad entry sits between finite ones: a later finite difference
+    // must not overwrite it.
+    const double r = guard.step(x, std::vector<double>{1.0, bad, 3.0});
+    EXPECT_FALSE(std::isfinite(r)) << bad;
+    EXPECT_EQ(std::isnan(r), std::isnan(bad));
+    EXPECT_TRUE(guard.failed());
+    EXPECT_EQ(x, before) << "a failed step must not move the iterate";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,6 +124,32 @@ TEST(ScenarioBatch, BitwiseEqualsSequentialOnSpectralMatrixFree) {
   EXPECT_TRUE(batch.matrix_free());
   const auto results = batch.solve_all();
   for (std::size_t k = 0; k < results.size(); ++k) {
+    expect_bitwise_equal(results[k], reference_solve(batch, k, small_plan(), opts), k);
+  }
+}
+
+TEST(ScenarioBatch, InterleavedVfLevelsStartEachTechnologyOnItsOwnSweep) {
+  // The start sweep evaluates leakage once per distinct technology in a
+  // chunk. Levels interleaved within and across chunks (chunk 3) must each
+  // get their own, so every scenario stays bitwise its sequential solve.
+  CosimOptions opts;
+  opts.trace.convergence = true;
+  ScenarioBatchOptions bopts;
+  bopts.chunk = 3;
+  ScenarioBatch batch(tech(), small_plan(), opts, bopts);
+  const VariationModel var{0.03};
+  for (int s = 0; s < 8; ++s) {
+    const double v = tech().vdd * (s % 3 == 0 ? 1.0 : s % 3 == 1 ? 0.85 : 1.1);
+    const auto dvt0 = var.sample_scenario_delta_vt0(batch.block_count(), 99,
+                                                    static_cast<std::uint64_t>(s));
+    std::vector<LeakageAdjust> adjust(batch.block_count());
+    for (std::size_t j = 0; j < adjust.size(); ++j) adjust[j] = {1.0 + 0.1 * s, dvt0[j]};
+    batch.add_vf_corner(v, 1.0, adjust);
+  }
+  EXPECT_EQ(batch.level_count(), 3);
+  const auto results = batch.solve_all();
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    EXPECT_TRUE(results[k].converged) << "scenario " << k;
     expect_bitwise_equal(results[k], reference_solve(batch, k, small_plan(), opts), k);
   }
 }
@@ -350,6 +378,17 @@ TEST(ScenarioBatch, RejectsBadInput) {
   EXPECT_THROW(batch.add_vf_level(-1.0, 1.0), PreconditionError);
   EXPECT_THROW((void)batch.scenario_powers(0), PreconditionError);
   EXPECT_THROW(for_each_chunk(4, 0, [](std::size_t, std::size_t) {}), PreconditionError);
+  // Non-finite powers and adjustments never enter the Picard loop.
+  std::vector<double> powers(batch.block_count(), 0.1);
+  powers[2] = std::nan("");
+  EXPECT_THROW(batch.add_scenario(powers), PreconditionError);
+  powers[2] = 0.1;
+  std::vector<LeakageAdjust> adjust(batch.block_count());
+  adjust[5].scale = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(batch.add_scenario(powers, adjust), PreconditionError);
+  adjust[5] = {1.0, std::nan("")};
+  EXPECT_THROW(batch.add_scenario(powers, adjust), PreconditionError);
+  EXPECT_EQ(batch.size(), 0u);
 }
 
 TEST(ScenarioBatch, ForEachChunkCoversTheRangeInOrder) {

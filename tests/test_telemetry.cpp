@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,8 @@
 #include "telemetry/counters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "thermal/fdm.hpp"
+#include "thermal/spectral.hpp"
 
 namespace ptherm {
 namespace {
@@ -649,6 +652,29 @@ TEST(TraceAnatomy, OneTracerObservesCosimRtmAndSpice) {
   const std::string tail = "],\"displayTimeUnit\":\"ms\"}\n";
   ASSERT_GT(json.size(), tail.size());
   EXPECT_EQ(json.substr(json.size() - tail.size()), tail);
+}
+
+TEST(TraceAnatomy, SteadySolvesOfTheSpectralAndFdmSolversAreSpanned) {
+  ScopedTracer scoped;
+  const std::vector<thermal::HeatSource> sources{{0.3e-3, 0.4e-3, 0.2e-3, 0.2e-3, 1.0}};
+  thermal::SpectralOptions sopts;
+  sopts.modes_x = 16;
+  sopts.modes_y = 16;
+  (void)thermal::SpectralThermalSolver(die_1mm(), sopts).solve_steady(sources);
+  thermal::FdmOptions fopts;
+  fopts.nx = 8;
+  fopts.ny = 8;
+  fopts.nz = 4;
+  (void)thermal::FdmThermalSolver(die_1mm(), fopts).solve_steady(sources);
+
+  const auto events = scoped.tracer().events();
+  const auto count = [&](std::string_view want) {
+    return std::count_if(events.begin(), events.end(), [&](const telemetry::SpanEvent& e) {
+      return std::string_view(e.name) == want;
+    });
+  };
+  EXPECT_EQ(count("spectral/steady_solve"), 1);
+  EXPECT_EQ(count("fdm/steady_solve"), 1);
 }
 
 }  // namespace
