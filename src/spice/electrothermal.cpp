@@ -31,25 +31,46 @@ std::vector<double> pack_unknowns(const Circuit& circuit, const DcSolution& sol)
 
 }  // namespace
 
+void validate(const ElectroThermalDcOptions& opts) {
+  PTHERM_REQUIRE(opts.damping > 0.0 && opts.damping <= 1.0,
+                 "ElectroThermalDcOptions: damping must be in (0, 1]");
+  PTHERM_REQUIRE(opts.temp_tol > 0.0, "ElectroThermalDcOptions: temp_tol must be > 0");
+  PTHERM_REQUIRE(opts.max_outer_iterations >= 1,
+                 "ElectroThermalDcOptions: max_outer_iterations must be >= 1");
+  PTHERM_REQUIRE(opts.runaway_rise_limit > 0.0,
+                 "ElectroThermalDcOptions: runaway_rise_limit must be > 0");
+  PTHERM_REQUIRE(opts.runaway_streak >= 1,
+                 "ElectroThermalDcOptions: runaway_streak must be >= 1");
+  PTHERM_REQUIRE(std::isfinite(opts.t_sink), "ElectroThermalDcOptions: t_sink must be finite");
+}
+
 ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
                                                  const thermal::SolverBackend& backend,
                                                  std::span<const DeviceFootprint> footprints,
                                                  const ElectroThermalDcOptions& opts) {
   const std::size_t n = footprints.size();
   PTHERM_REQUIRE(n > 0, "solve_electrothermal_dc: no device footprints");
+  validate(opts);
   TELEMETRY_SPAN("spice/electrothermal_dc");
 
   // Footprint -> MOSFET index, heat sources, and coincident sample points.
   std::vector<std::size_t> mos_index(n);
   std::vector<thermal::HeatSource> sources(n);
   std::vector<thermal::SurfaceSample> samples(n);
+  std::vector<bool> has_footprint(circuit.mosfets().size(), false);
   for (std::size_t k = 0; k < n; ++k) {
     const auto& fp = footprints[k];
     mos_index[k] = circuit.mosfet_index(fp.device);
+    PTHERM_REQUIRE(!has_footprint[mos_index[k]],
+                   "solve_electrothermal_dc: device '" + fp.device + "' has two footprints");
+    has_footprint[mos_index[k]] = true;
     sources[k] = {fp.cx, fp.cy, fp.w, fp.l, 0.0};
     samples[k] = {fp.cx, fp.cy};
   }
-  const auto influence = thermal::resolve_influence_apply(backend, sources, samples);
+  const auto influence = [&] {
+    TELEMETRY_SPAN("spice/build_influence");
+    return thermal::resolve_influence_apply(backend, sources, samples);
+  }();
 
   detail::NewtonCore core(circuit, opts.dc);
   const std::size_t n_mos = circuit.mosfets().size();

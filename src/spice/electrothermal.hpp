@@ -51,6 +51,12 @@ struct ElectroThermalDcOptions {
   int runaway_streak = 10;
 };
 
+/// Throws ptherm::PreconditionError if the outer-loop settings are unusable
+/// (damping outside (0, 1], temp_tol <= 0, max_outer_iterations < 1,
+/// runaway_rise_limit <= 0, runaway_streak < 1, or a non-finite t_sink) —
+/// the checks core::validate(CosimOptions) makes for the block cosim.
+void validate(const ElectroThermalDcOptions& opts);
+
 struct ElectroThermalDcSolution {
   /// Electrical solution at the final device temperatures; its report's
   /// device_temperatures map holds every MOSFET's exit temperature.
@@ -65,7 +71,9 @@ struct ElectroThermalDcSolution {
 };
 
 /// Solves the coupled electro-thermal DC operating point. Devices without a
-/// footprint stay at opts.dc.temp. Inner solves reuse one NewtonCore and
+/// footprint stay at opts.dc.temp; a device named by two footprints (its
+/// power would be injected twice) and invalid options (see validate) throw
+/// PreconditionError. Inner solves reuse one NewtonCore and
 /// warm-start from the previous outer iterate; inner non-convergence
 /// propagates as ConvergenceFailure carrying the full SolveReport. Outer
 /// non-convergence (including runaway, and a non-finite outer residual,

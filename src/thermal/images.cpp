@@ -2,19 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 
 #include "common/error.hpp"
 
 namespace ptherm::thermal {
 
+namespace {
+constexpr double kPi = std::numbers::pi;
+/// Images per kernel chunk: the three passes of rise() work on stack arrays
+/// of this many images.
+constexpr std::size_t kChunk = 64;
+/// Trailing partial sums of the z-image series the Euler transform averages.
+constexpr int kTail = 8;
+}  // namespace
+
 ChipThermalModel::ChipThermalModel(Die die, std::vector<HeatSource> sources, ImageOptions opts)
     : die_(die), sources_(std::move(sources)), opts_(opts) {
   PTHERM_REQUIRE(die_.width > 0.0 && die_.height > 0.0 && die_.thickness > 0.0,
                  "ChipThermalModel: degenerate die");
+  PTHERM_REQUIRE(std::isfinite(die_.k_si) && die_.k_si > 0.0,
+                 "ChipThermalModel: k_si must be finite and > 0");
   PTHERM_REQUIRE(opts_.lateral_order >= 0, "ChipThermalModel: negative image order");
   PTHERM_REQUIRE(opts_.z_order >= 1, "ChipThermalModel: z_order must be positive");
   for (const auto& s : sources_) {
     PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "ChipThermalModel: degenerate source");
+    PTHERM_REQUIRE(std::isfinite(s.cx) && std::isfinite(s.cy),
+                   "ChipThermalModel: non-finite source centre");
+    PTHERM_REQUIRE(std::isfinite(s.power), "ChipThermalModel: non-finite source power");
   }
   clip_sources();
   rebuild_images();
@@ -61,8 +76,9 @@ void ChipThermalModel::rebuild_images() {
   for (std::size_t si = 0; si < clipped_.size(); ++si) {
     const HeatSource& s = clipped_[si];
     if (s.w <= 0.0) continue;  // fully off-die: no field
+    const double t0 = rect_center_rise(die_.k_si, s.power, s.w, s.l);
     if (order == 0) {
-      images_.push_back({s, si});
+      images_.push_back({s, si, t0});
       continue;
     }
     // Mirror lattice for adiabatic walls at x = 0 / x = wd (and same in y):
@@ -80,7 +96,7 @@ void ChipThermalModel::rebuild_images() {
             HeatSource img = s;
             img.cx = cx;
             img.cy = cy;
-            images_.push_back({img, si});
+            images_.push_back({img, si, t0});
           }
         }
       }
@@ -88,48 +104,80 @@ void ChipThermalModel::rebuild_images() {
   }
 }
 
-double ChipThermalModel::image_rise(const Image& img, double x, double y) const {
-  const double dx = x - img.source.cx;
-  const double dy = y - img.source.cy;
-  const double rho_sq = dx * dx + dy * dy;
-  const double t = die_.thickness;
-  if (opts_.bottom_images) {
-    // With a sink plane at depth t the net field of a source decays like
-    // exp(-pi*rho/(2t)); beyond a few thicknesses it is numerically nothing,
-    // so distant lateral mirrors are skipped outright (this also makes the
-    // lateral-order truncation converge instead of accumulating tails).
-    if (rho_sq > (8.0 * t) * (8.0 * t)) return 0.0;
-  }
-  double rise = rect_rise_min(die_.k_si, img.source, x, y);
-  if (!opts_.bottom_images) return rise;
-  // Alternating z-image series for the isothermal plane at depth t, seen
-  // from the (adiabatic) surface:
-  //   dT = 2 * sum_j (-1)^j * P / (2 pi k sqrt(rho^2 + (2jt)^2)).
-  // Terms use the point kernel (every image is buried >= 2t, far compared to
-  // the source extent). The terms decay slowly for rho >~ t, so the sum is
-  // Euler-accelerated: repeated averaging of the trailing partial sums turns
-  // O(1/J) truncation error into something negligible.
-  const int n_terms = opts_.z_order;
-  constexpr int kTail = 8;
-  double partials[kTail];
-  double series = 0.0;
-  int tail_count = 0;
-  for (int j = 1; j <= n_terms; ++j) {
-    const double depth = 2.0 * j * t;
-    series += 2.0 * ((j % 2 == 1) ? -1.0 : 1.0) *
-              point_source_rise(die_.k_si, img.source.power, std::sqrt(rho_sq + depth * depth));
-    if (j > n_terms - kTail) partials[tail_count++] = series;
-  }
-  // Euler transform on the trailing partial sums.
-  for (int level = tail_count - 1; level > 0; --level) {
-    for (int i = 0; i < level; ++i) partials[i] = 0.5 * (partials[i] + partials[i + 1]);
-  }
-  return rise + (tail_count > 0 ? partials[0] : series);
-}
-
 double ChipThermalModel::rise(double x, double y) const {
+  const double t = die_.thickness;
+  const double k = die_.k_si;
+  const bool bottom = opts_.bottom_images;
+  // With a sink plane at depth t the net field of a source decays like
+  // exp(-pi*rho/(2t)); beyond a few thicknesses it is numerically nothing,
+  // so distant lateral mirrors are skipped outright (this also makes the
+  // lateral-order truncation converge instead of accumulating tails).
+  const double cut_sq = (8.0 * t) * (8.0 * t);
+  const double two_pi_k = 2.0 * kPi * k;  // Eq. (16) denominator, less r
+  const int n_terms = opts_.z_order;
   double sum = 0.0;
-  for (const auto& img : images_) sum += image_rise(img, x, y);
+  for (std::size_t begin = 0; begin < images_.size(); begin += kChunk) {
+    const std::size_t end = std::min(begin + kChunk, images_.size());
+    // Pass 1 — cull and gather: each near image's squared lateral distance,
+    // power and Eq. (20) rise min(T0, Tline), the line source along the
+    // longer side (T0 is precomputed per image).
+    double rho_sq[kChunk];
+    double power[kChunk];
+    double surface[kChunk];
+    std::size_t m = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Image& img = images_[i];
+      double dx = x - img.source.cx;
+      double dy = y - img.source.cy;
+      const double r_sq = dx * dx + dy * dy;
+      if (bottom && r_sq > cut_sq) continue;
+      double length = img.source.w;
+      if (img.source.l > img.source.w) {
+        std::swap(dx, dy);
+        length = img.source.l;
+      }
+      rho_sq[m] = r_sq;
+      power[m] = img.source.power;
+      surface[m] = std::min(img.t0, line_source_rise(k, img.source.power, length, dx, dy));
+      ++m;
+    }
+    if (!bottom) {
+      for (std::size_t q = 0; q < m; ++q) sum += surface[q];
+      continue;
+    }
+    // Pass 2 — alternating z-image series for the isothermal plane at depth
+    // t, seen from the (adiabatic) surface:
+    //   dT = 2 * sum_j (-1)^j * P / (2 pi k sqrt(rho^2 + (2jt)^2)).
+    // Terms use the point kernel (every image is buried >= 2t, far compared
+    // to the source extent, so r >= 2t > 0 and Eq. (16)'s floor on r never
+    // applies). The terms decay slowly for rho >~ t, so the sum is
+    // Euler-accelerated: repeated averaging of the trailing partial sums
+    // turns O(1/J) truncation error into something negligible. The image
+    // loop is innermost so it vectorizes.
+    double series[kChunk];
+    double partials[kTail][kChunk];
+    std::fill_n(series, m, 0.0);
+    int tail_count = 0;
+    for (int j = 1; j <= n_terms; ++j) {
+      const double depth = 2.0 * j * t;
+      const double depth_sq = depth * depth;
+      const double weight = 2.0 * ((j % 2 == 1) ? -1.0 : 1.0);
+      for (std::size_t q = 0; q < m; ++q) {
+        series[q] += weight * (power[q] / (two_pi_k * std::sqrt(rho_sq[q] + depth_sq)));
+      }
+      if (j > n_terms - kTail) std::copy_n(series, m, partials[tail_count++]);
+    }
+    // Pass 3 — finish: Euler transform on the trailing partial sums, then
+    // each image's surface rise plus its series, added in image order.
+    for (int level = tail_count - 1; level > 0; --level) {
+      for (int i = 0; i < level; ++i) {
+        for (std::size_t q = 0; q < m; ++q) {
+          partials[i][q] = 0.5 * (partials[i][q] + partials[i + 1][q]);
+        }
+      }
+    }
+    for (std::size_t q = 0; q < m; ++q) sum += surface[q] + partials[0][q];
+  }
   return sum;
 }
 
@@ -157,10 +205,15 @@ std::vector<double> ChipThermalModel::surface_map(int nx, int ny) const {
 
 void ChipThermalModel::set_source_power(std::size_t i, double power) {
   PTHERM_REQUIRE(i < sources_.size(), "set_source_power: index out of range");
+  PTHERM_REQUIRE(std::isfinite(power), "set_source_power: non-finite power");
   sources_[i].power = power;
   clipped_[i].power = power;
+  const double t0 = rect_center_rise(die_.k_si, power, clipped_[i].w, clipped_[i].l);
   for (auto& img : images_) {
-    if (img.parent == i) img.source.power = power;
+    if (img.parent == i) {
+      img.source.power = power;
+      img.t0 = t0;
+    }
   }
 }
 

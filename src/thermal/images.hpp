@@ -49,6 +49,17 @@ struct ImageOptions {
 /// closed-form kernel calls — the "fast" estimator the paper contrasts with
 /// numerical solvers.
 ///
+/// Every evaluation (rise, temperature, surface_map, and through them the
+/// analytic backend and its influence columns) runs one kernel over the
+/// mirror images in fixed-size chunks: cull the images beyond the sink
+/// plane's reach and gather the near ones' Eq. (20) rises, sum their
+/// z-image series with the image loop innermost, then finish each image and
+/// add it in image order. Each image's arithmetic is the scalar per-image
+/// formula, so the result does not depend on the chunking.
+///
+/// Rejects (ptherm::PreconditionError) a non-positive or non-finite k_si, a
+/// non-finite source centre or power, and degenerate geometry.
+///
 /// Source-clipping policy (power conservation, matching FdmThermalSolver):
 /// each source's footprint is clipped to the die surface and the FULL source
 /// power is radiated from the clipped rectangle; a source entirely outside
@@ -77,18 +88,17 @@ class ChipThermalModel {
 
   /// Replaces the power of source `i` (geometry fixed); images are updated.
   /// Used by the electro-thermal fixed point, which re-evaluates powers only.
+  /// Throws PreconditionError on a non-finite power.
   void set_source_power(std::size_t i, double power);
 
  private:
   struct Image {
     HeatSource source;   ///< lateral mirror copy
     std::size_t parent;  ///< index of the originating source
+    double t0;           ///< Eq. (18) centre rise of the clipped source
   };
   void clip_sources();
   void rebuild_images();
-  /// Contribution of one lateral copy at surface point (x, y): the Eq. (20)
-  /// rectangle kernel plus (when enabled) the alternating z-image series.
-  [[nodiscard]] double image_rise(const Image& img, double x, double y) const;
 
   Die die_;
   std::vector<HeatSource> sources_;   ///< as given by the caller

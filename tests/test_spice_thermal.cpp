@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
 #include "core/scenario_batch.hpp"
@@ -166,6 +168,73 @@ TEST(ElectroThermalDc, UnfootprintedDevicesStayAtAmbient) {
   ASSERT_TRUE(sol.dc.converged);
   EXPECT_DOUBLE_EQ(sol.dc.report.device_temperatures.at("MCOLD"), t_sink);
   EXPECT_GE(sol.dc.report.device_temperatures.at("MHOT"), t_sink);
+}
+
+// ---------------------------------------------------------------------------
+// Input validation: the outer loop's settings mirror core::validate's checks
+// on CosimOptions, and every footprint names a distinct device.
+
+/// Whether solve_electrothermal_dc rejects options edited by `edit`.
+template <class Edit>
+void expect_rejected(Edit edit) {
+  thermal::AnalyticImagesBackend backend(hot_die(300.0));
+  const auto ckt = wide_device_circuit();
+  const auto fps = center_footprint();
+  auto opts = et_opts(300.0);
+  edit(opts);
+  EXPECT_THROW(validate(opts), PreconditionError);
+  EXPECT_THROW((void)solve_electrothermal_dc(ckt, backend, fps, opts), PreconditionError);
+}
+
+TEST(ElectroThermalDcValidation, DefaultOptionsAreValid) {
+  EXPECT_NO_THROW(validate(ElectroThermalDcOptions{}));
+  EXPECT_NO_THROW(validate(et_opts(300.0)));
+}
+
+TEST(ElectroThermalDcValidation, RejectsDampingOutsideUnitInterval) {
+  for (const double d : {0.0, -0.5, 1.5, std::nan("")}) {
+    expect_rejected([d](ElectroThermalDcOptions& o) { o.damping = d; });
+  }
+}
+
+TEST(ElectroThermalDcValidation, RejectsNonPositiveTempTol) {
+  for (const double tol : {0.0, -1e-3, std::nan("")}) {
+    expect_rejected([tol](ElectroThermalDcOptions& o) { o.temp_tol = tol; });
+  }
+}
+
+TEST(ElectroThermalDcValidation, RejectsZeroOuterIterations) {
+  expect_rejected([](ElectroThermalDcOptions& o) { o.max_outer_iterations = 0; });
+  expect_rejected([](ElectroThermalDcOptions& o) { o.max_outer_iterations = -3; });
+}
+
+TEST(ElectroThermalDcValidation, RejectsNonPositiveRunawayRiseLimit) {
+  expect_rejected([](ElectroThermalDcOptions& o) { o.runaway_rise_limit = 0.0; });
+  expect_rejected([](ElectroThermalDcOptions& o) { o.runaway_rise_limit = -10.0; });
+}
+
+TEST(ElectroThermalDcValidation, RejectsZeroRunawayStreak) {
+  // A streak of 0 read as diverging after the first outer step, flagging
+  // every solve as runaway.
+  expect_rejected([](ElectroThermalDcOptions& o) { o.runaway_streak = 0; });
+  expect_rejected([](ElectroThermalDcOptions& o) { o.runaway_streak = -1; });
+}
+
+TEST(ElectroThermalDcValidation, RejectsNonFiniteSink) {
+  for (const double t : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    expect_rejected([t](ElectroThermalDcOptions& o) { o.t_sink = t; });
+  }
+}
+
+TEST(ElectroThermalDcValidation, RejectsTwoFootprintsForOneDevice) {
+  // The device's power would be injected at both footprints.
+  thermal::AnalyticImagesBackend backend(hot_die(300.0));
+  const auto ckt = wide_device_circuit();
+  std::vector<DeviceFootprint> fps;
+  fps.push_back({"MHOT", 30e-6, 50e-6, 10e-6, 10e-6});
+  fps.push_back({"MHOT", 70e-6, 50e-6, 10e-6, 10e-6});
+  const auto opts = et_opts(300.0);
+  EXPECT_THROW((void)solve_electrothermal_dc(ckt, backend, fps, opts), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,9 +26,11 @@
 #include "rtm/trace.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
+#include "spice/electrothermal.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "thermal/backend.hpp"
 #include "thermal/fdm.hpp"
 #include "thermal/spectral.hpp"
 
@@ -675,6 +677,41 @@ TEST(TraceAnatomy, SteadySolvesOfTheSpectralAndFdmSolversAreSpanned) {
   };
   EXPECT_EQ(count("spectral/steady_solve"), 1);
   EXPECT_EQ(count("fdm/steady_solve"), 1);
+}
+
+TEST(TraceAnatomy, ElectroThermalDcSpansItsInfluenceBuild) {
+  // The dense analytic build is most of a small electro-thermal solve; its
+  // own span, once per solve inside spice/electrothermal_dc and before any
+  // outer iteration, lets a trace tell it from Newton.
+  ScopedTracer scoped;
+  const auto t = tech();
+  const thermal::AnalyticImagesBackend backend(die_1mm());
+  std::vector<spice::DeviceFootprint> fps;
+  fps.push_back({"MN", 0.3e-3, 0.5e-3, 0.1e-3, 0.1e-3});
+  fps.push_back({"MP", 0.7e-3, 0.5e-3, 0.1e-3, 0.1e-3});
+  spice::ElectroThermalDcOptions opts;
+  opts.t_sink = die_1mm().t_sink;
+  opts.dc.temp = opts.t_sink;
+  const auto ckt = make_inverter(t, 0.5 * t.vdd);
+  ASSERT_TRUE(spice::solve_electrothermal_dc(ckt, backend, fps, opts).converged);
+
+  const auto events = scoped.tracer().events();
+  const auto find_all = [&](std::string_view want) {
+    std::vector<telemetry::SpanEvent> out;
+    for (const auto& e : events) {
+      if (std::string_view(e.name) == want) out.push_back(e);
+    }
+    return out;
+  };
+  const auto build = find_all("spice/build_influence");
+  const auto solve = find_all("spice/electrothermal_dc");
+  const auto outer = find_all("spice/et_outer_iteration");
+  ASSERT_EQ(build.size(), 1u);
+  ASSERT_EQ(solve.size(), 1u);
+  ASSERT_FALSE(outer.empty());
+  EXPECT_GE(build[0].start_ns, solve[0].start_ns);
+  EXPECT_LE(build[0].start_ns + build[0].duration_ns, solve[0].start_ns + solve[0].duration_ns);
+  EXPECT_LE(build[0].start_ns + build[0].duration_ns, outer.front().start_ns);
 }
 
 }  // namespace

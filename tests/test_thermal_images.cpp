@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "thermal/images.hpp"
@@ -177,6 +178,29 @@ TEST(ChipModel, RejectsDegenerateInput) {
   EXPECT_THROW(ChipThermalModel(bad, {center_block()}), PreconditionError);
   HeatSource degenerate{0.5e-3, 0.5e-3, 0.0, 0.1e-3, 1.0};
   EXPECT_THROW(ChipThermalModel(die_1mm(), {degenerate}), PreconditionError);
+
+  // Conductivity: zero gave a NaN rise, a negative one a negative rise.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double k : {0.0, -148.0, kNan, kInf}) {
+    Die bad_k = die_1mm();
+    bad_k.k_si = k;
+    EXPECT_THROW(ChipThermalModel(bad_k, {center_block()}), PreconditionError) << k;
+  }
+  // Non-finite source centre or power, at construction and on update.
+  for (const double v : {kNan, kInf, -kInf}) {
+    HeatSource s = center_block();
+    s.cx = v;
+    EXPECT_THROW(ChipThermalModel(die_1mm(), {s}), PreconditionError) << v;
+    s = center_block();
+    s.cy = v;
+    EXPECT_THROW(ChipThermalModel(die_1mm(), {s}), PreconditionError) << v;
+    EXPECT_THROW(ChipThermalModel(die_1mm(), {center_block(v)}), PreconditionError) << v;
+    ChipThermalModel m(die_1mm(), {center_block()});
+    const double before = m.rise(0.5e-3, 0.5e-3);
+    EXPECT_THROW(m.set_source_power(0, v), PreconditionError) << v;
+    EXPECT_EQ(m.rise(0.5e-3, 0.5e-3), before);
+  }
 }
 
 TEST(ChipModel, ImageOrderConvergesOnceSinkPlaneIsActive) {
