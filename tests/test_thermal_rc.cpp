@@ -197,6 +197,31 @@ TEST(SelfHeating, TimeConstantGovernsTheRise) {
   EXPECT_NEAR(rise_at_tau / final_rise, 1.0 - std::exp(-1.0), 0.05);
 }
 
+TEST(SelfHeating, TraceIsPinnedBitwise) {
+  // Golden samples of the default chopped trace, captured as hexfloats: the
+  // first sample, both sides of the first ON -> OFF edge, the last ON sample
+  // and the last sample. Any change to the integrator's arithmetic or step
+  // grid shows up here as a bitwise mismatch.
+  const auto trace = run_self_heating(config());
+  ASSERT_EQ(trace.time.size(), 20001u);
+  struct Sample {
+    std::size_t i;
+    double temp, current;
+  };
+  const Sample golden[] = {
+      {0, 0x1.2f26666666666p+8, 0x1.89374bc6a7efap-9},
+      {3333, 0x1.50bc380c1e08p+8, 0x1.6ecdb230f2c5fp-9},
+      {3334, 0x1.50b3d804f57fcp+8, 0.0},
+      {16666, 0x1.50bec874cddaap+8, 0x1.6ecbadf85ffb2p-9},
+      {20000, 0x1.2fd29d7ccb49dp+8, 0.0},
+  };
+  for (const auto& g : golden) {
+    EXPECT_EQ(trace.temp[g.i], g.temp) << "sample " << g.i;
+    EXPECT_EQ(trace.current[g.i], g.current) << "sample " << g.i;
+  }
+  EXPECT_EQ(trace.time.back(), 0x1.ffffffffffc6ap-1);
+}
+
 TEST(SelfHeating, RejectsBadConfig) {
   SelfHeatingConfig cfg;  // rc unset
   EXPECT_THROW(run_self_heating(cfg), PreconditionError);
