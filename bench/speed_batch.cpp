@@ -57,7 +57,7 @@ core::CosimOptions batch_opts() {
 
 void record_batch(benchmark::State& state, const core::ScenarioBatch& batch,
                   const std::vector<core::ScenarioResult>& results) {
-  const auto stats = batch.cost_stats();
+  const auto& stats = batch.stats();
   state.counters["scenarios"] = static_cast<double>(stats.scenarios);
   state.counters["batched_matvecs"] = static_cast<double>(stats.batched_matvecs);
   state.counters["picard_iterations_total"] =

@@ -14,7 +14,7 @@
 //   floorplan/ blocks, die, synthetic power maps, compiled block leakage
 //   scaling/   roadmap behind the Fig. 1 reproduction
 //   core/      the concurrent electro-thermal solver, influence operators,
-//              the batched scenario engine, transient cosim, RC network
+//              the batched scenario engine, transient cosim
 //   telemetry/ spans, the metrics registry and the solver-counter catalog
 //   rtm/       runtime thermal management: traces, DVFS actuation, sensors,
 //              policies, and the closed-loop driver over the transient cosim
@@ -27,7 +27,6 @@
 #include "common/table.hpp"
 #include "core/cosim.hpp"
 #include "core/influence.hpp"
-#include "core/rc_network.hpp"
 #include "core/scenario_batch.hpp"
 #include "core/transient.hpp"
 #include "device/mosfet.hpp"

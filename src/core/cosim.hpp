@@ -272,7 +272,7 @@ class ElectroThermalSolver {
   /// Thermal influence operator R[i][j] = rise at block i's centre per watt
   /// in block j [K/W] including r_package, as realised by the configured
   /// backend. Exposed because the runaway criterion (spectral condition
-  /// R * dP/dT < 1) is an ablation bench and the RC network factorizes it.
+  /// R * dP/dT < 1) is an ablation bench.
   /// In matrix-free mode the dense matrix is realised lazily on first call —
   /// an O(n^2) diagnostic escape hatch the solve itself never pays.
   [[nodiscard]] const InfluenceOperator& influence_matrix() const;

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "power/dynamic.hpp"
-#include "telemetry/counters.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ptherm::core {
@@ -199,17 +198,6 @@ void ScenarioBatch::run_chunk(std::size_t begin, std::size_t end,
   // Scenario-iterations the masks avoided: without masking every scenario
   // would ride all `sweeps` blocked applies.
   stats_.masked_iterations_saved += static_cast<long long>(count) * sweeps - iterations_sum;
-}
-
-thermal::BackendCostStats ScenarioBatch::cost_stats() const {
-  // Merge = two contributes into one registry (the batch counters land on
-  // the same backend/ names their mirror fields carry), then read the struct
-  // back through the catalog — field-complete by the catalog's static_assert
-  // instead of by a hand-maintained copy list.
-  telemetry::Registry reg;
-  telemetry::contribute(reg, solver_.backend().cost_stats());
-  telemetry::contribute(reg, stats_);
-  return telemetry::backend_cost_from(reg);
 }
 
 }  // namespace ptherm::core

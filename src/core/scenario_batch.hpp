@@ -64,14 +64,17 @@ void validate(const ScenarioBatchOptions& opts);
 void for_each_chunk(std::size_t count, int chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-/// Batch-engine counters (merged into BackendCostStats by cost_stats()).
-/// Keep this a plain bag of long long counters: telemetry/counters.cpp pins
-/// its layout with a static_assert so every field reaches the registry.
+/// Batch-engine counters. Keep this a plain bag of long long counters:
+/// telemetry/counters.cpp pins its layout with a static_assert so every
+/// field reaches the registry.
 struct ScenarioBatchStats {
   long long scenarios = 0;                ///< scenario solves completed
-  long long batched_matvecs = 0;          ///< multi-RHS applies issued
+  long long batched_matvecs = 0;          ///< multi-RHS influence applies issued
   long long picard_iterations_total = 0;  ///< sum of per-scenario iterations
-  long long masked_iterations_saved = 0;  ///< scenario-iterations masks avoided
+  /// Scenario-iterations the convergence masks avoided: what the blocked
+  /// sweeps would have cost had every scenario run as long as the slowest
+  /// one in its chunk, minus what they actually cost.
+  long long masked_iterations_saved = 0;
 };
 
 class ScenarioBatch {
@@ -150,9 +153,6 @@ class ScenarioBatch {
   /// Sweep-level convergence trace; empty unless the construction options
   /// set trace.convergence. Accumulates across solve_all calls, like stats().
   [[nodiscard]] const ScenarioBatchTrace& trace() const noexcept { return trace_; }
-  /// Backend cost counters with the batch counters merged in — the bench
-  /// JSON's one-stop view.
-  [[nodiscard]] thermal::BackendCostStats cost_stats() const;
   [[nodiscard]] const thermal::BackendCostStats& influence_build_stats() const noexcept {
     return solver_.influence_build_stats();
   }

@@ -5,105 +5,33 @@
 #include <cstddef>
 
 #include "common/error.hpp"
-#include "numerics/dense.hpp"
 
 namespace ptherm::numerics {
 
-namespace {
-std::size_t step_count(double t0, double t1, double dt) {
+OdeSolution rk4(const std::function<double(double, double)>& f, double y0, double t0,
+                double t1, double dt) {
   PTHERM_REQUIRE(t1 > t0, "ode: t1 must exceed t0");
   PTHERM_REQUIRE(dt > 0.0, "ode: dt must be positive");
-  return static_cast<std::size_t>(std::ceil((t1 - t0) / dt - 1e-12));
-}
-}  // namespace
-
-OdeSolution rk4(const OdeRhs& f, std::vector<double> y0, double t0, double t1, double dt) {
-  const std::size_t steps = step_count(t0, t1, dt);
-  const std::size_t n = y0.size();
+  const auto steps = static_cast<std::size_t>(std::ceil((t1 - t0) / dt - 1e-12));
   OdeSolution sol;
   sol.times.reserve(steps + 1);
   sol.states.reserve(steps + 1);
   sol.times.push_back(t0);
   sol.states.push_back(y0);
-  std::vector<double> y = std::move(y0);
+  double y = y0;
   double t = t0;
   for (std::size_t s = 0; s < steps; ++s) {
     const double h = std::min(dt, t1 - t);
-    const auto k1 = f(t, y);
-    std::vector<double> tmp(n);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * h * k1[i];
-    const auto k2 = f(t + 0.5 * h, tmp);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + 0.5 * h * k2[i];
-    const auto k3 = f(t + 0.5 * h, tmp);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + h * k3[i];
-    const auto k4 = f(t + h, tmp);
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
+    const double k1 = f(t, y);
+    const double k2 = f(t + 0.5 * h, y + 0.5 * h * k1);
+    const double k3 = f(t + 0.5 * h, y + 0.5 * h * k2);
+    const double k4 = f(t + h, y + h * k3);
+    y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
     t += h;
     sol.times.push_back(t);
     sol.states.push_back(y);
   }
   return sol;
-}
-
-OdeSolution backward_euler(const OdeRhs& f, std::vector<double> y0, double t0, double t1,
-                           double dt, int max_inner_iterations, double tol) {
-  const std::size_t steps = step_count(t0, t1, dt);
-  const std::size_t n = y0.size();
-  OdeSolution sol;
-  sol.times.reserve(steps + 1);
-  sol.states.reserve(steps + 1);
-  sol.times.push_back(t0);
-  sol.states.push_back(y0);
-  std::vector<double> y = std::move(y0);
-  double t = t0;
-  std::vector<double> g(n), y_next(n), pert(n);
-  for (std::size_t s = 0; s < steps; ++s) {
-    const double h = std::min(dt, t1 - t);
-    const double t_next = t + h;
-    // Newton on G(y_next) = y_next - y - h f(t_next, y_next) = 0. A plain
-    // fixed point diverges for stiff systems (|h * df/dy| > 1), which is the
-    // very regime backward Euler exists for, so we pay for the numerical
-    // Jacobian; state dimensions here are tiny.
-    y_next = y;  // predictor: previous state (robust for stiff problems)
-    for (int it = 0; it < max_inner_iterations; ++it) {
-      const auto fn = f(t_next, y_next);
-      double norm_g = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        g[i] = y_next[i] - y[i] - h * fn[i];
-        norm_g = std::max(norm_g, std::abs(g[i]));
-      }
-      if (norm_g < tol) break;
-      Matrix jac(n, n);
-      for (std::size_t j = 0; j < n; ++j) {
-        pert = y_next;
-        const double dy = 1e-7 * std::max(1.0, std::abs(y_next[j]));
-        pert[j] += dy;
-        const auto fp = f(t_next, pert);
-        for (std::size_t i = 0; i < n; ++i) {
-          jac(i, j) = (i == j ? 1.0 : 0.0) - h * (fp[i] - fn[i]) / dy;
-        }
-      }
-      std::vector<double> rhs(n);
-      for (std::size_t i = 0; i < n; ++i) rhs[i] = -g[i];
-      const auto step = solve_dense(std::move(jac), rhs);
-      for (std::size_t i = 0; i < n; ++i) y_next[i] += step[i];
-    }
-    y = y_next;
-    t = t_next;
-    sol.times.push_back(t);
-    sol.states.push_back(y);
-  }
-  return sol;
-}
-
-OdeSolution rk4_scalar(const std::function<double(double, double)>& f, double y0, double t0,
-                       double t1, double dt) {
-  OdeRhs rhs = [&f](double t, const std::vector<double>& y) {
-    return std::vector<double>{f(t, y[0])};
-  };
-  return rk4(rhs, {y0}, t0, t1, dt);
 }
 
 }  // namespace ptherm::numerics

@@ -1,7 +1,5 @@
-// ODE integration for thermal transients (self-heating, Fig. 9) and the
-// compact-RC network. Two integrators: classic RK4 for smooth nonstiff
-// problems and implicit (backward) Euler with a fixed-point inner loop for
-// the stiff electro-thermal feedback case.
+// ODE integration for the chopped self-heating transient (Fig. 9): classic
+// fixed-step RK4 for a smooth, nonstiff scalar problem.
 #pragma once
 
 #include <functional>
@@ -9,24 +7,14 @@
 
 namespace ptherm::numerics {
 
-/// dy/dt = f(t, y) for a vector state.
-using OdeRhs = std::function<std::vector<double>(double, const std::vector<double>&)>;
-
 struct OdeSolution {
   std::vector<double> times;
-  std::vector<std::vector<double>> states;  ///< states[i] is y(times[i])
+  std::vector<double> states;  ///< states[i] is y(times[i])
 };
 
-/// Fixed-step classic Runge-Kutta 4.
-OdeSolution rk4(const OdeRhs& f, std::vector<double> y0, double t0, double t1, double dt);
-
-/// Fixed-step backward Euler; the implicit equation is solved by damped
-/// fixed-point iteration (adequate for the dissipative thermal systems here).
-OdeSolution backward_euler(const OdeRhs& f, std::vector<double> y0, double t0, double t1,
-                           double dt, int max_inner_iterations = 50, double tol = 1e-12);
-
-/// Convenience scalar wrappers.
-OdeSolution rk4_scalar(const std::function<double(double, double)>& f, double y0, double t0,
-                       double t1, double dt);
+/// Fixed-step classic Runge-Kutta 4 for dy/dt = f(t, y). The last step is
+/// shortened so the trace ends exactly at t1.
+OdeSolution rk4(const std::function<double(double, double)>& f, double y0, double t0,
+                double t1, double dt);
 
 }  // namespace ptherm::numerics

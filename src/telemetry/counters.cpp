@@ -16,10 +16,6 @@ constexpr BackendCounterField kBackendFields[] = {
     {"fft_calls", &BackendCostStats::fft_calls, true},
     {"transient_steps", &BackendCostStats::transient_steps, true},
     {"transient_power_updates", &BackendCostStats::transient_power_updates, true},
-    {"scenarios", &BackendCostStats::scenarios, false},
-    {"batched_matvecs", &BackendCostStats::batched_matvecs, true},
-    {"picard_iterations_total", &BackendCostStats::picard_iterations_total, true},
-    {"masked_iterations_saved", &BackendCostStats::masked_iterations_saved, false},
 };
 // The completeness guard: a field added to BackendCostStats without a
 // catalog entry changes the struct size and fails this build.
@@ -27,16 +23,17 @@ static_assert(sizeof(BackendCostStats) == std::size(kBackendFields) * sizeof(lon
               "BackendCostStats and the telemetry counter catalog are out of sync: "
               "name every field in kBackendFields (telemetry/counters.cpp)");
 
-/// ScenarioBatchStats mirrors four backend counters by name.
+/// ScenarioBatchStats: the batch engine's counters, guarded like the backend's.
 struct BatchCounterField {
   const char* name;
   long long core::ScenarioBatchStats::* member;
+  bool guarded;
 };
 constexpr BatchCounterField kBatchFields[] = {
-    {"scenarios", &core::ScenarioBatchStats::scenarios},
-    {"batched_matvecs", &core::ScenarioBatchStats::batched_matvecs},
-    {"picard_iterations_total", &core::ScenarioBatchStats::picard_iterations_total},
-    {"masked_iterations_saved", &core::ScenarioBatchStats::masked_iterations_saved},
+    {"scenarios", &core::ScenarioBatchStats::scenarios, false},
+    {"batched_matvecs", &core::ScenarioBatchStats::batched_matvecs, true},
+    {"picard_iterations_total", &core::ScenarioBatchStats::picard_iterations_total, true},
+    {"masked_iterations_saved", &core::ScenarioBatchStats::masked_iterations_saved, false},
 };
 static_assert(sizeof(core::ScenarioBatchStats) == std::size(kBatchFields) * sizeof(long long),
               "ScenarioBatchStats and the telemetry counter catalog are out of sync: "
@@ -95,6 +92,9 @@ void contribute(Registry& reg, const spice::SolveReport& report, std::string_vie
 std::vector<std::string> guarded_counter_names() {
   std::vector<std::string> names;
   for (const auto& field : kBackendFields) {
+    if (field.guarded) names.emplace_back(field.name);
+  }
+  for (const auto& field : kBatchFields) {
     if (field.guarded) names.emplace_back(field.name);
   }
   for (const char* name : kGuardedBenchCounters) names.emplace_back(name);

@@ -2,11 +2,10 @@
 // the telemetry registry through the descriptor tables here, under the
 // "subsystem/metric" naming scheme ("backend/cg_iterations",
 // "spice/newton_iterations"). Merging stat sets is contribute() twice into
-// one registry and reading the struct back (backend_cost_from) — the
-// hand-copied field merges this replaces lived in ScenarioBatch::cost_stats
-// and run_rtm, and each was one forgotten field away from silently dropping
-// a counter. Here, a static_assert pins each struct's size to its table, so
-// an unnamed field fails the build.
+// one registry and reading the struct back (backend_cost_from), so no merge
+// site keeps a hand-copied field list that could silently drop a counter.
+// A static_assert pins each struct's size to its table, so an unnamed field
+// fails the build.
 #pragma once
 
 #include <span>
@@ -45,9 +44,9 @@ void contribute(Registry& reg, const thermal::BackendCostStats& stats,
 [[nodiscard]] thermal::BackendCostStats backend_cost_from(
     const Registry& reg, std::string_view prefix = "backend/");
 
-/// Batch-engine counters contribute under the SAME backend/ names their
-/// BackendCostStats mirror fields carry, so merging batch stats onto backend
-/// stats is two contributes into one registry.
+/// Batch-engine counters contribute under the same backend/ prefix as the
+/// backend's own, so a batch's full cost set is two contributes into one
+/// registry.
 void contribute(Registry& reg, const core::ScenarioBatchStats& stats,
                 std::string_view prefix = "backend/");
 
@@ -56,8 +55,8 @@ void contribute(Registry& reg, const core::ScenarioBatchStats& stats,
 void contribute(Registry& reg, const spice::SolveReport& report,
                 std::string_view prefix = "spice/");
 
-/// Bare names of every guarded solver-effort counter (backend catalog fields
-/// flagged `guarded` plus the bench-level aggregates the speed benches
+/// Bare names of every guarded solver-effort counter (backend and batch
+/// catalog fields flagged `guarded` plus the bench-level aggregates the speed benches
 /// export). bench/run_bench.sh embeds this list into BENCH_<label>.json and
 /// compare_bench.py guards exactly these keys — a new guarded counter is one
 /// catalog entry, never a hand-edit of the Python tuple.

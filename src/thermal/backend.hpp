@@ -56,15 +56,6 @@ struct BackendCostStats {
   /// hold powers between control decisions, so this counts epochs — the gap
   /// to transient_steps is what the epoch caches saved.
   long long transient_power_updates = 0;
-  // Batched scenario engine (core/scenario_batch) counters, merged in by
-  // ScenarioBatch::cost_stats() on top of the backend's own fields.
-  long long scenarios = 0;            ///< scenario solves completed
-  long long batched_matvecs = 0;      ///< multi-RHS influence applies issued
-  long long picard_iterations_total = 0;  ///< sum of per-scenario iterations
-  /// Scenario-iterations the convergence masks avoided: what the blocked
-  /// sweeps would have cost had every scenario run as long as the slowest
-  /// one in its chunk, minus what they actually cost.
-  long long masked_iterations_saved = 0;
 };
 
 /// The influence-apply seam: `rises = R * powers` as an abstract operator,

@@ -121,7 +121,7 @@ SelfHeatingTrace run_self_heating(const SelfHeatingConfig& cfg) {
                          : 0.0;
     return (p - rise / cfg.rc.r_th) / cfg.rc.c_th;
   };
-  const auto sol = numerics::rk4_scalar(rhs, 0.0, 0.0, cfg.t_stop, cfg.dt);
+  const auto sol = numerics::rk4(rhs, 0.0, 0.0, cfg.t_stop, cfg.dt);
 
   SelfHeatingTrace trace;
   trace.time = sol.times;
@@ -129,7 +129,7 @@ SelfHeatingTrace run_self_heating(const SelfHeatingConfig& cfg) {
   trace.current.reserve(sol.times.size());
   trace.v_sense.reserve(sol.times.size());
   for (std::size_t i = 0; i < sol.times.size(); ++i) {
-    const double rise = sol.states[i][0];
+    const double rise = sol.states[i];
     const double temp = cfg.t_ambient + rise;
     const double on = chop_on(sol.times[i], cfg.f_chop, cfg.duty) ? 1.0 : 0.0;
     const double i_d = on * current_at(temp);

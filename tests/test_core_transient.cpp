@@ -122,13 +122,17 @@ TEST(TransientCosim, PowerStepShowsThermalLag) {
 
 TEST(TransientCosim, CoolingPhaseDecays) {
   const auto fp = small_plan(4.0);
-  auto opts = fast_opts();
-  opts.t_stop = 16e-3;
   ActivityProfile pulse = [](std::size_t, double t) { return t < 6e-3 ? 1.0 : 0.0; };
-  const auto r = solve_transient_cosim(tech(), fp, pulse, opts);
-  const double peak = r.peak_temperature();
-  const double final_t = r.block_temps.back()[0];
-  EXPECT_LT(final_t, peak - 0.5);
+  for (const auto backend : {ThermalBackend::Fdm, ThermalBackend::Spectral}) {
+    auto opts = fast_opts();
+    opts.backend = backend;
+    opts.t_stop = 16e-3;
+    const auto r = solve_transient_cosim(tech(), fp, pulse, opts);
+    const double peak = r.peak_temperature();
+    const double final_t = r.block_temps.back()[0];
+    EXPECT_GT(peak, die_1mm().t_sink + 1.0) << static_cast<int>(backend);
+    EXPECT_LT(final_t, peak - 0.5) << static_cast<int>(backend);
+  }
 }
 
 TEST(TransientCosim, RecordEveryThinsTheTrace) {

@@ -16,6 +16,7 @@
 #include "core/scenario_batch.hpp"
 #include "device/variation.hpp"
 #include "floorplan/generators.hpp"
+#include "telemetry/counters.hpp"
 
 namespace ptherm::core {
 namespace {
@@ -355,16 +356,19 @@ TEST(ScenarioBatch, CostStatsMergeBatchCountersOntoBackend) {
   CosimOptions opts;
   opts.backend = ThermalBackend::Spectral;
   auto batch = mixed_batch(opts);
-  const auto before = batch.cost_stats();
-  EXPECT_EQ(before.scenarios, 0);
+  EXPECT_EQ(batch.stats().scenarios, 0);
   (void)batch.solve_all();
-  const auto after = batch.cost_stats();
-  EXPECT_EQ(after.scenarios, 9);
-  EXPECT_GT(after.batched_matvecs, 0);
-  EXPECT_GE(after.picard_iterations_total, after.batched_matvecs);
-  EXPECT_GE(after.masked_iterations_saved, 0);
-  // Backend counters ride along in the same struct.
-  EXPECT_GT(after.modes, 0);
+  // The batch counters and the backend's own land side by side under
+  // backend/ when both contribute to one registry.
+  telemetry::Registry reg;
+  telemetry::contribute(reg, batch.backend().cost_stats());
+  telemetry::contribute(reg, batch.stats());
+  EXPECT_EQ(reg.counter("backend/scenarios"), 9);
+  EXPECT_GT(reg.counter("backend/batched_matvecs"), 0);
+  EXPECT_GE(reg.counter("backend/picard_iterations_total"),
+            reg.counter("backend/batched_matvecs"));
+  EXPECT_GE(reg.counter("backend/masked_iterations_saved"), 0);
+  EXPECT_GT(reg.counter("backend/modes"), 0);
 }
 
 TEST(ScenarioBatch, RejectsBadInput) {

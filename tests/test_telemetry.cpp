@@ -277,10 +277,6 @@ thermal::BackendCostStats distinct_stats(long long base) {
   s.fft_calls = base + 5;
   s.transient_steps = base + 6;
   s.transient_power_updates = base + 7;
-  s.scenarios = base + 8;
-  s.batched_matvecs = base + 9;
-  s.picard_iterations_total = base + 10;
-  s.masked_iterations_saved = base + 11;
   return s;
 }
 
