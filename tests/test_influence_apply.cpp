@@ -3,13 +3,17 @@
 // including a lumped package resistance), mode resolution/rejection of the
 // InfluenceMode selector, the lazy dense realization, manycore-scale
 // convergence without an n x n matrix, batch-vs-single bitwise equality of
-// apply_batch, the interned spectral tables (shared edges, unshared
+// apply_batch (at every block count and remainder of the spectral apply,
+// with zero, -0.0 and NaN vectors among finite ones), the interned spectral tables (shared edges, unshared
 // random sources, clipped and off-die sources, duplicate samples), and the
 // transient step and readback that share the factored projection's halves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -248,6 +252,76 @@ TEST(InfluenceApply, BatchApplyEqualsPerVectorAppliesBitwise) {
   }
 }
 
+std::vector<thermal::HeatSource> random_sources(const thermal::Die& die, std::size_t n, Rng& rng) {
+  std::vector<thermal::HeatSource> sources(n);
+  for (auto& s : sources) {
+    s.w = rng.uniform(50e-6, 400e-6);
+    s.l = rng.uniform(50e-6, 400e-6);
+    s.cx = rng.uniform(0.5 * s.w, die.width - 0.5 * s.w);
+    s.cy = rng.uniform(0.5 * s.l, die.height - 0.5 * s.l);
+  }
+  return sources;
+}
+
+// Every count from 1 to 9 (no, one and two full blocks of the spectral
+// apply, and every remainder) against lone count-1 applies. Vector 1 is all
+// zero, vector 2 all -0.0 and vector 5 carries one NaN power among finite
+// vectors: a finite vector's rises must match its lone apply bit for bit,
+// and the NaN must stay in its own vector with its lone apply's pattern.
+void expect_lanes_equal_lone_applies(const thermal::SpectralBackend& backend,
+                                     const std::vector<thermal::HeatSource>& sources,
+                                     const std::vector<thermal::SurfaceSample>& samples) {
+  constexpr std::size_t kMaxVectors = 9;
+  const std::size_t n = sources.size();
+  Rng rng(2718);
+  auto powers = random_powers(kMaxVectors * n, rng);
+  std::fill_n(powers.begin() + n, n, 0.0);
+  std::fill_n(powers.begin() + 2 * n, n, -0.0);
+  powers[5 * n + n / 2] = std::numeric_limits<double>::quiet_NaN();
+  const auto op = backend.make_influence_apply(sources, samples);
+  std::vector<double> lone(kMaxVectors * n);
+  for (std::size_t k = 0; k < kMaxVectors; ++k) {
+    op->apply_batch({powers.data() + k * n, n}, {lone.data() + k * n, n}, 1);
+  }
+  for (std::size_t count = 1; count <= kMaxVectors; ++count) {
+    std::vector<double> batched(count * n);
+    op->apply_batch({powers.data(), count * n}, batched, count);
+    for (std::size_t i = 0; i < count * n; ++i) {
+      if (std::isnan(lone[i])) {
+        EXPECT_TRUE(std::isnan(batched[i]))
+            << "count " << count << " vector " << i / n << " sample " << i % n;
+      } else {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[i]), std::bit_cast<std::uint64_t>(lone[i]))
+            << "count " << count << " vector " << i / n << " sample " << i % n;
+      }
+    }
+  }
+  // The fixture exercises what it claims: zero vectors read back +0.0, the
+  // NaN reaches its vector's rises and no other vector's.
+  for (std::size_t i = n; i < 3 * n; ++i) EXPECT_EQ(std::bit_cast<std::uint64_t>(lone[i]), 0u);
+  EXPECT_TRUE(std::isnan(lone[5 * n]));
+  EXPECT_FALSE(std::isnan(lone[4 * n]) || std::isnan(lone[6 * n]));
+}
+
+TEST(InfluenceApply, BlockedApplyLanesEqualLoneAppliesBitwise) {
+  {
+    const auto fp = manycore_plan(3);  // 36 blocks, shared edges
+    const thermal::SpectralBackend backend(fp.die(), {});
+    expect_lanes_equal_lone_applies(backend, fp.heat_sources(tech()), block_centre_samples(fp));
+  }
+  {
+    // Nothing shared: one table row per source and per sample (G = n).
+    const auto die = die_2mm();
+    Rng rng(13);
+    const auto sources = random_sources(die, 40, rng);
+    const auto samples = random_samples(die, sources.size(), rng);
+    const thermal::SpectralBackend backend(die, {});
+    ASSERT_EQ(backend.solver().make_influence_projection(sources, samples).source.x_intervals(),
+              sources.size());
+    expect_lanes_equal_lone_applies(backend, sources, samples);
+  }
+}
+
 TEST(InfluenceApply, GroupedApplyMatchesDenseOnManycore) {
   // Shared footprint edges and sample columns: the interned tables carry
   // many sources per row.
@@ -260,13 +334,7 @@ TEST(InfluenceApply, GroupedApplyMatchesDenseOnRandomSources) {
   // Nothing aligned: every source and sample is its own table row.
   const auto die = die_2mm();
   Rng rng(11);
-  std::vector<thermal::HeatSource> sources(40);
-  for (auto& s : sources) {
-    s.w = rng.uniform(50e-6, 400e-6);
-    s.l = rng.uniform(50e-6, 400e-6);
-    s.cx = rng.uniform(0.5 * s.w, die.width - 0.5 * s.w);
-    s.cy = rng.uniform(0.5 * s.l, die.height - 0.5 * s.l);
-  }
+  const auto sources = random_sources(die, 40, rng);
   const auto samples = random_samples(die, sources.size(), rng);
   const thermal::SpectralBackend backend(die, {});
   const auto proj = backend.solver().make_influence_projection(sources, samples);
