@@ -322,6 +322,38 @@ TEST(InfluenceApply, BlockedApplyLanesEqualLoneAppliesBitwise) {
   }
 }
 
+// The dense spectral build is the matrix-free operator entry for entry:
+// column j is bitwise a count-1 apply of the unit vector e_j.
+void expect_dense_columns_equal_unit_applies(const thermal::SpectralBackend& backend,
+                                             const std::vector<thermal::HeatSource>& sources,
+                                             const std::vector<thermal::SurfaceSample>& samples) {
+  const std::size_t n = sources.size();
+  const auto dense = backend.build_influence(sources, samples);
+  const auto op = backend.make_influence_apply(sources, samples);
+  std::vector<double> unit(n, 0.0);
+  std::vector<double> column(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    unit[j] = 1.0;
+    op->apply_batch(unit, column, 1);
+    unit[j] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dense(i, j)), std::bit_cast<std::uint64_t>(column[i]))
+          << n << " sources, entry (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(InfluenceApply, SpectralDenseColumnsEqualUnitAppliesBitwise) {
+  const auto fp = manycore_plan(3);
+  expect_dense_columns_equal_unit_applies(thermal::SpectralBackend(fp.die(), {}),
+                                          fp.heat_sources(tech()), block_centre_samples(fp));
+  const auto die = die_2mm();
+  Rng rng(19);
+  const auto sources = random_sources(die, 40, rng);
+  expect_dense_columns_equal_unit_applies(thermal::SpectralBackend(die, {}), sources,
+                                          random_samples(die, sources.size(), rng));
+}
+
 TEST(InfluenceApply, GroupedApplyMatchesDenseOnManycore) {
   // Shared footprint edges and sample columns: the interned tables carry
   // many sources per row.
