@@ -8,18 +8,24 @@
 //    batch). The PR-8 acceptance bar is <= 100 us/sample.
 //  * BM_ScenarioBatchCorners: a V/f corner screen (5 supplies x 4 relative
 //    frequencies) on the same plan, per backend influence mode.
+//  * BM_SpectralApplyBatch: the spectral multi-RHS influence apply alone on
+//    that plan at counts 1, 4 and 64 — us_per_vector shows what the
+//    4-vector register blocks save over lone applies.
 // The batch counters pin the trajectory: scenarios, batched_matvecs (blocked
 // multi-RHS applies issued), picard_iterations_total, and the
 // scenario-iterations the convergence masks saved — a regression in blocked
 // efficiency shows up in the counters, not just inside wall time.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/influence.hpp"
 #include "core/scenario_batch.hpp"
 #include "device/variation.hpp"
 #include "floorplan/generators.hpp"
+#include "thermal/backend.hpp"
 #include "telemetry_env.hpp"  // PTHERM_TELEMETRY=1 installs a span tracer
 
 namespace {
@@ -122,5 +128,32 @@ void BM_ScenarioBatchCorners(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20);
 }
 BENCHMARK(BM_ScenarioBatchCorners)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_SpectralApplyBatch(benchmark::State& state) {
+  // The multi-RHS spectral apply alone, on the plan and modes of the batch
+  // studies: count 1 is the lone apply, count 4 one register block, count
+  // 64 the batch engine's chunk. us_per_vector is the per-scenario cost.
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const auto fp = plan_36();
+  const auto sources = fp.heat_sources(device::Technology::cmos012());
+  const thermal::SpectralBackend backend(fp.die(), batch_opts().spectral);
+  const auto op = backend.make_influence_apply(sources, core::block_centre_samples(fp));
+  const std::size_t n = sources.size();
+  Rng rng(64);
+  std::vector<double> powers(count * n);
+  for (auto& p : powers) p = rng.uniform(0.0, 0.5);
+  std::vector<double> rises(count * n);
+  for (auto _ : state) {
+    op->apply_batch(powers, rises, count);
+    benchmark::DoNotOptimize(rises.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["blocks"] = static_cast<double>(n);
+  state.counters["us_per_vector"] = benchmark::Counter(
+      static_cast<double>(count) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_SpectralApplyBatch)->Arg(1)->Arg(4)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -13,9 +13,10 @@
 //    LeakageAdjust (scale + dVT0), V/f level index — so the blocked sweeps
 //    stream contiguous memory.
 //  * The Picard fixed points advance as BLOCKED matvecs: K scenarios per
-//    multi-RHS InfluenceApply::apply_batch (spectral: the mode-space
-//    accumulate/synthesis becomes a small GEMM over the scenario block;
-//    dense: Matrix::multiply_batch streams R once per row).
+//    multi-RHS InfluenceApply::apply_batch (spectral: register blocks of 4
+//    scenarios, lane-interleaved, through every mode-space pass, each
+//    scenario summed in its lone apply's order; dense:
+//    Matrix::multiply_batch streams R once per row).
 //  * Per-scenario convergence masks: a scenario that converges (or runs
 //    away) drops out of the blocked sweep immediately, so easy scenarios
 //    stop paying for the hardest one in their chunk.

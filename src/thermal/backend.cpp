@@ -39,6 +39,7 @@ void DenseInfluenceApply::apply_batch(std::span<const double> powers,
   // out-of-bounds matvec.
   PTHERM_REQUIRE(powers.size() == count * size() && rises.size() == count * size(),
                  "InfluenceApply::apply_batch: powers/rises must have count * size() elements");
+  TELEMETRY_SPAN("dense/apply_influence");
   r_.multiply_batch(powers, rises, count);
 }
 
@@ -472,18 +473,18 @@ numerics::Matrix spectral_influence_columns(const SpectralThermalSolver& solver,
                                             std::span<const HeatSource> sources,
                                             std::span<const SurfaceSample> samples,
                                             BackendCostStats* stats) {
-  // Column j is the matrix-free apply of the unit vector e_j, so the dense
-  // and matrix-free operators agree entry for entry.
+  // Column j is the matrix-free apply of the unit vector e_j, all n in one
+  // batched apply. Each vector's rises are bitwise its lone apply's, so the
+  // dense and matrix-free operators agree entry for entry.
   auto proj = solver.make_influence_projection(sources, samples);
   const std::size_t n = sources.size();
+  std::vector<double> units(n * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) units[j * n + j] = 1.0;
+  std::vector<double> columns(n * n);
+  solver.apply_influence_batch(proj, units, columns, n);
   numerics::Matrix r(n, n);
-  std::vector<double> unit(n, 0.0);
-  std::vector<double> column(n);
   for (std::size_t j = 0; j < n; ++j) {
-    unit[j] = 1.0;
-    solver.apply_influence_batch(proj, unit, column, 1);
-    unit[j] = 0.0;
-    for (std::size_t i = 0; i < n; ++i) r(i, j) = column[i];
+    for (std::size_t i = 0; i < n; ++i) r(i, j) = columns[j * n + i];
   }
   if (stats != nullptr) {
     stats->influence_columns += static_cast<int>(n);

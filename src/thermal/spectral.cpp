@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numbers>
 #include <span>
@@ -769,6 +770,187 @@ void SpectralThermalSolver::SampleSynthesis::synthesize(std::span<const double> 
   }
 }
 
+namespace {
+
+/// Vectors per register block of the batched influence apply, stored
+/// lane-interleaved (x[i * kLanes + k] is entry i of the block's vector k).
+constexpr std::size_t kLanes = 4;
+
+/// x-intervals per pass-2 sweep of the batched apply.
+constexpr std::size_t kIntervalTile = 64;
+
+/// Two lanes in one SSE2 register. A GCC/Clang vector type, because plain
+/// arrays or structs of doubles stay on the stack, and a 4-wide vector type
+/// is split through memory without AVX.
+using Pair = double __attribute__((vector_size(16)));
+
+Pair splat(double x) { return Pair{x, x}; }
+
+/// One entry of a block: its kLanes vectors' values. Loaded and stored as
+/// two pairs; one memcpy of the whole struct kept the accumulators of the
+/// passes below on the stack.
+struct Lanes {
+  Pair lo;
+  Pair hi;
+};
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+Lanes load_lanes(const double* p) { return {load_pair(p), load_pair(p + 2)}; }
+
+void store_lanes(double* p, const Lanes& v) {
+  store_pair(p, v.lo);
+  store_pair(p + 2, v.hi);
+}
+
+/// acc += x * f in every lane: one rounded product and one rounded sum, as
+/// in the scalar loops.
+void add_product(Lanes& acc, const Lanes& x, Pair f) {
+  acc.lo += x.lo * f;
+  acc.hi += x.hi * f;
+}
+
+/// Pass 2 for the R flux modes m .. m + R - 1 of one y-mode at `out`: adds
+/// the `touched` x-intervals' rows `y` (stride `y_stride`) times flux_x,
+/// in ascending interval order.
+template <std::size_t R>
+void expand_modes(const double* y, std::size_t y_stride, const double* flux_x, std::size_t mx,
+                  std::span<const std::uint32_t> touched, double* out) {
+  Lanes s[R];
+  for (std::size_t r = 0; r < R; ++r) s[r] = load_lanes(out + r * kLanes);
+  for (const std::uint32_t a : touched) {
+    const Lanes ya = load_lanes(y + a * y_stride);
+    const double* fx = flux_x + a * mx;
+    for (std::size_t r = 0; r < R; ++r) add_product(s[r], ya, splat(fx[r]));
+  }
+  for (std::size_t r = 0; r < R; ++r) store_lanes(out + r * kLanes, s[r]);
+}
+
+/// Pass 4 for the R coefficient rows at `c` (stride `c_stride`): each row's
+/// dot with one synth_x row `cx`, in ascending m from +0.0.
+template <std::size_t R>
+void synthesize_rows(const double* c, std::size_t c_stride, const double* cx, std::size_t mx,
+                     double* out) {
+  Lanes s[R] = {};
+  for (std::size_t m = 0; m < mx; ++m) {
+    const Pair xm = splat(cx[m]);
+    for (std::size_t r = 0; r < R; ++r) {
+      add_product(s[r], load_lanes(c + r * c_stride + m * kLanes), xm);
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) store_lanes(out + r * kLanes, s[r]);
+}
+
+/// Passes 1-5 of the influence apply for kLanes vectors at once. Each lane
+/// sums in exactly the order of SourceProjection::project and
+/// SampleSynthesis::synthesize, from the same +0.0 starts; where those skip
+/// a zero power or a zero flux row, a lane here adds an exact zero product,
+/// which leaves an accumulator that never holds -0.0 unchanged. So for
+/// finite tables each vector's rises are bitwise those of a count-1 apply,
+/// and a non-finite power stays in its own lane. `powers`/`rises` point at
+/// the block's first vector (stride n); `block` is the lane scratch
+/// kLanes * (max(Gx, Gs) * modes_y + modes) and `live` holds Gx entries.
+void apply_block(const SpectralThermalSolver::SourceProjection& source,
+                 const SpectralThermalSolver::SampleSynthesis& sample,
+                 std::span<const double> transfer, const double* powers, double* rises,
+                 std::size_t n, std::span<double> block, std::span<std::uint32_t> live) {
+  const std::size_t mx = source.modes_x;
+  const std::size_t my = source.modes_y;
+  const std::size_t gx = source.x_intervals();
+  const std::size_t gs = sample.sample_xs();
+  const std::size_t row = my * kLanes;  // one axis row of the scratch
+  double* axis = block.data();
+  double* coeff = axis + std::max(gx, gs) * row;
+  // (1) Powers -> per-x-interval y flux, sources in ascending j. A source is
+  // skipped only when its power is zero in every lane, so a block of unit
+  // vectors touches one row per vector; live[a] marks the touched rows.
+  std::fill(axis, axis + gx * row, 0.0);
+  std::fill(live.begin(), live.end(), 0u);
+  for (std::size_t j = 0; j < source.sources.size(); ++j) {
+    const auto& src = source.sources[j];
+    if (src.weight == 0.0) continue;
+    const Lanes pw = {{powers[j] * src.weight, powers[n + j] * src.weight},
+                      {powers[2 * n + j] * src.weight, powers[3 * n + j] * src.weight}};
+    if (pw.lo[0] == 0.0 && pw.lo[1] == 0.0 && pw.hi[0] == 0.0 && pw.hi[1] == 0.0) continue;
+    live[src.x] = 1;
+    const double* fy = source.flux_y.data() + src.y * my;
+    double* y = axis + src.x * row;
+    for (std::size_t nn = 0; nn < my; ++nn) {
+      Lanes acc = load_lanes(y + nn * kLanes);
+      add_product(acc, pw, splat(fy[nn]));
+      store_lanes(y + nn * kLanes, acc);
+    }
+  }
+  // (2) x-intervals -> flux modes, interchanged: each flux mode sums its
+  // x-intervals in registers, four modes at a time, from +0.0 in ascending
+  // order. An untouched interval is +0.0 in every lane and adds nothing, so
+  // only the touched ones (compacted in place, still ascending) are summed,
+  // kIntervalTile at a time so a tile's flux_x rows stay in cache on plans
+  // with thousands of distinct intervals.
+  std::size_t touched = 0;
+  for (std::size_t a = 0; a < gx; ++a) {
+    if (live[a] != 0) live[touched++] = static_cast<std::uint32_t>(a);
+  }
+  std::fill(coeff, coeff + mx * my * kLanes, 0.0);
+  for (std::size_t first = 0; first < touched; first += kIntervalTile) {
+    const std::span<const std::uint32_t> tile(live.data() + first,
+                                              std::min(kIntervalTile, touched - first));
+    for (std::size_t nn = 0; nn < my; ++nn) {
+      const double* y = axis + nn * kLanes;
+      double* out = coeff + nn * mx * kLanes;
+      std::size_t m = 0;
+      for (; m + 4 <= mx; m += 4) {
+        expand_modes<4>(y, row, source.flux_x.data() + m, mx, tile, out + m * kLanes);
+      }
+      for (; m < mx; ++m) {
+        expand_modes<1>(y, row, source.flux_x.data() + m, mx, tile, out + m * kLanes);
+      }
+    }
+  }
+  // (3) Per-mode surface transfer.
+  for (std::size_t mode = 0; mode < mx * my; ++mode) {
+    const Pair t = splat(transfer[mode]);
+    Lanes c = load_lanes(coeff + mode * kLanes);
+    c.lo *= t;
+    c.hi *= t;
+    store_lanes(coeff + mode * kLanes, c);
+  }
+  // (4) Synthesis along x at each distinct sample x, four coefficient rows
+  // x four lanes per synth_x row.
+  const std::size_t c_row = mx * kLanes;
+  for (std::size_t b = 0; b < gs; ++b) {
+    const double* cx = sample.synth_x.data() + b * mx;
+    double* u = axis + b * row;
+    std::size_t nn = 0;
+    for (; nn + 4 <= my; nn += 4) {
+      synthesize_rows<4>(coeff + nn * c_row, c_row, cx, mx, u + nn * kLanes);
+    }
+    for (; nn < my; ++nn) synthesize_rows<1>(coeff + nn * c_row, c_row, cx, mx, u + nn * kLanes);
+  }
+  // (5) Synthesis along y per sample, four lanes per sample.
+  for (std::size_t p = 0; p < sample.samples.size(); ++p) {
+    const auto& smp = sample.samples[p];
+    const double* u = axis + smp.x * row;
+    const double* cy = sample.synth_y.data() + smp.y * my;
+    Lanes s = {};
+    for (std::size_t nn = 0; nn < my; ++nn) {
+      add_product(s, load_lanes(u + nn * kLanes), splat(cy[nn]));
+    }
+    rises[p] = s.lo[0];
+    rises[n + p] = s.lo[1];
+    rises[2 * n + p] = s.hi[0];
+    rises[3 * n + p] = s.hi[1];
+  }
+}
+
+}  // namespace
+
 void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
                                                   std::span<const double> powers,
                                                   std::span<double> rises,
@@ -781,10 +963,20 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
                  "configuration");
   PTHERM_REQUIRE(powers.size() == count * n && rises.size() == count * n,
                  "apply_influence_batch: powers/rises must have count * proj.count entries");
-  // One vector at a time through all five passes, so the scratch holds a
-  // single vector and each vector's arithmetic (zero-skip guards included)
-  // is that of a count-1 apply: bitwise count-invariant by construction.
-  for (std::size_t k = 0; k < count; ++k) {
+  // Full blocks of kLanes vectors through the lane kernel; the remainder
+  // (and every count-1 apply) one vector at a time. Both give each vector
+  // the same bits, so the result does not depend on `count`.
+  std::size_t k = 0;
+  if (count >= kLanes) {
+    const std::size_t rows = std::max(proj.source.x_intervals(), proj.sample.sample_xs());
+    proj.block.resize(kLanes * (rows * proj.source.modes_y + modes));
+    proj.live.resize(proj.source.x_intervals());
+    for (; k + kLanes <= count; k += kLanes) {
+      apply_block(proj.source, proj.sample, transfer_, powers.data() + k * n,
+                  rises.data() + k * n, n, proj.block, proj.live);
+    }
+  }
+  for (; k < count; ++k) {
     proj.source.project(powers.subspan(k * n, n), proj.coeff);
     // (3) Per-mode surface transfer: flux modes -> surface-rise coefficients.
     for (std::size_t mode = 0; mode < modes; ++mode) proj.coeff[mode] *= transfer_[mode];

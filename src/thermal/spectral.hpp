@@ -201,15 +201,20 @@ class SpectralThermalSolver {
   [[nodiscard]] SampleSynthesis make_sample_synthesis(std::span<const SurfaceSample> samples) const;
 
   /// The matrix-free influence apply `rises = R * powers`: the source half,
-  /// the per-mode surface transfer and the sample half, over one vector's
-  /// mode-space scratch. Memory is O(n + G * modes_per_axis + modes) — the
-  /// tables plus one vector's scratch, whatever the apply's `count` — versus
-  /// the O(n^2) dense matrix whose build is also O(n^2 * modes).
+  /// the per-mode surface transfer and the sample half. Memory is
+  /// O(n + G * modes_per_axis + modes) — the tables, one vector's scratch
+  /// and one 4-vector block's, whatever the apply's `count` — versus the
+  /// O(n^2) dense matrix whose build is also O(n^2 * modes).
   struct InfluenceProjection {
     std::size_t count = 0;  ///< sources == samples count
     SourceProjection source;
     SampleSynthesis sample;
-    std::vector<double> coeff;  ///< mode-space scratch (mode_count())
+    std::vector<double> coeff;  ///< one vector's mode-space scratch (mode_count())
+    /// One 4-vector block's lane scratch, 4 * (max(Gx, Gs) * modes_y +
+    /// mode_count()) doubles with Gs = sample.sample_xs(); empty until the
+    /// first apply of count >= 4, so count-1 callers never allocate it.
+    std::vector<double> block;
+    std::vector<std::uint32_t> live;  ///< the block's touched x-intervals (Gx)
   };
 
   /// Builds the influence projection for fixed source geometry and sample
@@ -218,13 +223,20 @@ class SpectralThermalSolver {
       std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const;
 
   /// rises[k*n + i] = sum_j R[i][j] * powers[k*n + j] for `count` power
-  /// vectors (scenario-major, n = proj.count) without forming R: per vector,
-  /// the source half's passes 1-2, (3) the per-mode surface transfer, then
-  /// the sample half's passes 4-5. Cost per vector is O(n * modes_per_axis
-  /// + G * modes); with nothing shared (G = n) that is the per-source
-  /// rank-1 apply's 2 n modes plus 2 n modes_y. Vectors run one at a time
-  /// through all five passes, so vector k's rises are bitwise identical to
-  /// a count-1 apply of it alone. `proj` must come from this solver's
+  /// vectors (scenario-major, n = proj.count) without forming R: the source
+  /// half's passes 1-2, (3) the per-mode surface transfer, then the sample
+  /// half's passes 4-5. Cost per vector is O(n * modes_per_axis + G *
+  /// modes); with nothing shared (G = n) that is the per-source rank-1
+  /// apply's 2 n modes plus 2 n modes_y. Full blocks of 4 vectors run
+  /// through all five passes together, lane-interleaved in two SSE2 pairs,
+  /// so each table entry is loaded once for four vectors; the count % 4
+  /// remainder runs one vector at a time through project and synthesize.
+  /// Every lane sums in the lone apply's order from the same +0.0 starts,
+  /// and where the lone apply skips a zero power or flux row a lane adds an
+  /// exact zero, which cannot change an accumulator that never holds -0.0.
+  /// So with finite tables vector k's rises are bitwise identical to a
+  /// count-1 apply of it alone, whatever `count` is, and a non-finite power
+  /// stays in its own vector. `proj` must come from this solver's
   /// make_influence_projection.
   void apply_influence_batch(InfluenceProjection& proj, std::span<const double> powers,
                              std::span<double> rises, std::size_t count) const;

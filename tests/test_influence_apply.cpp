@@ -1,12 +1,14 @@
 // Tests for the influence-apply seam: the spectral matrix-free operator
 // against the dense build (operator-level and full-cosim equivalence,
-// including a lumped package resistance), mode resolution/rejection of the
+// including a lumped package resistance, and the dense spectral columns
+// bitwise against unit-vector applies), mode resolution/rejection of the
 // InfluenceMode selector, the lazy dense realization, manycore-scale
 // convergence without an n x n matrix, batch-vs-single bitwise equality of
 // apply_batch (at every block count and remainder of the spectral apply,
-// with zero, -0.0 and NaN vectors among finite ones), the interned spectral tables (shared edges, unshared
-// random sources, clipped and off-die sources, duplicate samples), and the
-// transient step and readback that share the factored projection's halves.
+// with zero, -0.0 and NaN vectors among finite ones), the interned spectral
+// tables (shared edges, unshared random sources, clipped and off-die
+// sources, duplicate samples), and the transient step and readback that
+// share the factored projection's halves.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -599,6 +599,11 @@ TEST(TraceAnatomy, OneTracerObservesCosimRtmAndSpice) {
   copts.trace.convergence = true;
   core::ElectroThermalSolver solver(tech(), small_plan(), copts);
   ASSERT_TRUE(solver.solve().converged);
+  // The analytic backend has no matrix-free path: its fixed point runs on
+  // the dense operator.
+  core::ElectroThermalSolver dense_solver(tech(), small_plan(), {});
+  ASSERT_FALSE(dense_solver.matrix_free());
+  ASSERT_TRUE(dense_solver.solve().converged);
 
   {
     Rng rng(99);
@@ -634,6 +639,7 @@ TEST(TraceAnatomy, OneTracerObservesCosimRtmAndSpice) {
   };
   EXPECT_TRUE(named("cosim/solve"));
   EXPECT_TRUE(named("spectral/apply_influence"));
+  EXPECT_TRUE(named("dense/apply_influence"));
   EXPECT_TRUE(named("rtm/run"));
   EXPECT_TRUE(named("rtm/epoch"));
   EXPECT_TRUE(named("transient/solve"));
