@@ -816,14 +816,17 @@ void add_product(Lanes& acc, const Lanes& x, Pair f) {
   acc.hi += x.hi * f;
 }
 
-/// Pass 2 for the R flux modes m .. m + R - 1 of one y-mode at `out`: adds
-/// the `touched` x-intervals' rows `y` (stride `y_stride`) times flux_x,
-/// in ascending interval order.
+/// Pass 2 for the R flux modes m .. m + R - 1 of one y-mode at `out`: sums
+/// the `touched` x-intervals' rows `y` (stride `y_stride`) times flux_x in
+/// ascending interval order, from +0.0, or from the sums at `out` when
+/// `resume`.
 template <std::size_t R>
 void expand_modes(const double* y, std::size_t y_stride, const double* flux_x, std::size_t mx,
-                  std::span<const std::uint32_t> touched, double* out) {
-  Lanes s[R];
-  for (std::size_t r = 0; r < R; ++r) s[r] = load_lanes(out + r * kLanes);
+                  std::span<const std::uint32_t> touched, bool resume, double* out) {
+  Lanes s[R] = {};
+  if (resume) {
+    for (std::size_t r = 0; r < R; ++r) s[r] = load_lanes(out + r * kLanes);
+  }
   for (const std::uint32_t a : touched) {
     const Lanes ya = load_lanes(y + a * y_stride);
     const double* fx = flux_x + a * mx;
@@ -892,27 +895,30 @@ void apply_block(const SpectralThermalSolver::SourceProjection& source,
   // order. An untouched interval is +0.0 in every lane and adds nothing, so
   // only the touched ones (compacted in place, still ascending) are summed,
   // kIntervalTile at a time so a tile's flux_x rows stay in cache on plans
-  // with thousands of distinct intervals.
+  // with thousands of distinct intervals. The first tile, empty when no
+  // interval is touched, starts from +0.0; later tiles resume.
   std::size_t touched = 0;
   for (std::size_t a = 0; a < gx; ++a) {
     if (live[a] != 0) live[touched++] = static_cast<std::uint32_t>(a);
   }
-  std::fill(coeff, coeff + mx * my * kLanes, 0.0);
-  for (std::size_t first = 0; first < touched; first += kIntervalTile) {
+  std::size_t first = 0;
+  do {
     const std::span<const std::uint32_t> tile(live.data() + first,
                                               std::min(kIntervalTile, touched - first));
+    const bool resume = first > 0;
     for (std::size_t nn = 0; nn < my; ++nn) {
       const double* y = axis + nn * kLanes;
       double* out = coeff + nn * mx * kLanes;
       std::size_t m = 0;
       for (; m + 4 <= mx; m += 4) {
-        expand_modes<4>(y, row, source.flux_x.data() + m, mx, tile, out + m * kLanes);
+        expand_modes<4>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * kLanes);
       }
       for (; m < mx; ++m) {
-        expand_modes<1>(y, row, source.flux_x.data() + m, mx, tile, out + m * kLanes);
+        expand_modes<1>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * kLanes);
       }
     }
-  }
+    first += kIntervalTile;
+  } while (first < touched);
   // (3) Per-mode surface transfer.
   for (std::size_t mode = 0; mode < mx * my; ++mode) {
     const Pair t = splat(transfer[mode]);

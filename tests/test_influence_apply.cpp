@@ -312,10 +312,11 @@ TEST(InfluenceApply, BlockedApplyLanesEqualLoneAppliesBitwise) {
     expect_lanes_equal_lone_applies(backend, fp.heat_sources(tech()), block_centre_samples(fp));
   }
   {
-    // Nothing shared: one table row per source and per sample (G = n).
+    // Nothing shared: one table row per source and per sample (G = n), and
+    // more x-intervals than one pass-2 tile of the block kernel.
     const auto die = die_2mm();
     Rng rng(13);
-    const auto sources = random_sources(die, 40, rng);
+    const auto sources = random_sources(die, 150, rng);
     const auto samples = random_samples(die, sources.size(), rng);
     const thermal::SpectralBackend backend(die, {});
     ASSERT_EQ(backend.solver().make_influence_projection(sources, samples).source.x_intervals(),
