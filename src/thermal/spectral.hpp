@@ -124,9 +124,9 @@ class SpectralThermalSolver {
   /// keeps only its weight and two row indices. Rows are shared exactly when
   /// their inputs are bit-identical, so interning changes no table entry.
   /// Memory is O(n + G * modes_per_axis) with G <= n the distinct-row count.
-  /// The influence apply (and the dense build, column by column) and the
-  /// transient step project through it; the one-shot solve_steady adds
-  /// each source's flux modes directly.
+  /// The influence apply (and the dense build, all unit columns in one
+  /// batched apply) and the transient step project through it; the
+  /// one-shot solve_steady adds each source's flux modes directly.
   struct SourceProjection {
     /// A source's flux modes are power * weight * flux_x[x] (x) flux_y[y].
     struct Rows {
