@@ -5,7 +5,8 @@
 // InfluenceMode selector, the lazy dense realization, manycore-scale
 // convergence without an n x n matrix, batch-vs-single bitwise equality of
 // apply_batch (at every block count and remainder of the spectral apply,
-// with zero, -0.0 and NaN vectors among finite ones), the interned spectral
+// with zero, -0.0 and NaN vectors among finite ones), the spectral passes
+// and point/map synthesis against pinned bit patterns, the interned spectral
 // tables (shared edges, unshared random sources, clipped and off-die
 // sources, duplicate samples), and the transient step and readback that
 // share the factored projection's halves.
@@ -15,7 +16,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ios>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -355,6 +358,120 @@ TEST(InfluenceApply, SpectralDenseColumnsEqualUnitAppliesBitwise) {
   const auto sources = random_sources(die, 40, rng);
   expect_dense_columns_equal_unit_applies(thermal::SpectralBackend(die, {}), sources,
                                           random_samples(die, sources.size(), rng));
+}
+
+// A fingerprint of every bit pattern of `values` plus four of them in full.
+// The expected patterns were captured from the library when the projection
+// and synthesis passes still had separate one-vector and four-vector
+// bodies, and surface_rise and the non-power-of-two surface_map still
+// summed their own cosines; they pin that the shared passes changed no bit.
+struct PinnedValues {
+  std::uint64_t hash;
+  double first, third, two_thirds, last;
+};
+
+std::uint64_t bit_hash(std::span<const double> values) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const double v : values) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 0x100000001b3u;
+  }
+  return h;
+}
+
+void expect_pinned(std::span<const double> values, const PinnedValues& pin, const char* what) {
+  ASSERT_GE(values.size(), 4u) << what;
+  const std::size_t n = values.size();
+  const std::size_t at[] = {0, n / 3, 2 * n / 3, n - 1};
+  const double want[] = {pin.first, pin.third, pin.two_thirds, pin.last};
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(values[at[k]]), std::bit_cast<std::uint64_t>(want[k]))
+        << what << "[" << at[k] << "] = " << std::hexfloat << values[at[k]];
+  }
+  EXPECT_EQ(bit_hash(values), pin.hash) << what << " hash 0x" << std::hex << bit_hash(values);
+}
+
+struct PinnedPlan {
+  PinnedValues rises, flux, synthesized, surface_rise, map;
+};
+
+// One plan's count-1 apply, project flux, synthesized values, surface_rise
+// at every sample and a 24 x 23 surface_map (the grid the radix-2 DCT cannot
+// take), each against its pin; surface_rise must also be bitwise a
+// one-point synthesize.
+void expect_plan_pinned(const thermal::Die& die, std::vector<thermal::HeatSource> sources,
+                        const std::vector<thermal::SurfaceSample>& samples,
+                        const PinnedPlan& pin) {
+  const std::size_t n = sources.size();
+  Rng rng(41);
+  const auto powers = random_powers(n, rng);
+  for (std::size_t j = 0; j < n; ++j) sources[j].power = powers[j];
+  const thermal::SpectralThermalSolver solver(die, {});
+  const std::size_t modes = static_cast<std::size_t>(solver.mode_count());
+
+  auto influence = solver.make_influence_projection(sources, samples);
+  std::vector<double> rises(n);
+  solver.apply_influence_batch(influence, powers, rises, 1);
+  expect_pinned(rises, pin.rises, "rises");
+
+  auto source = solver.make_source_projection(sources);
+  std::vector<double> flux(modes);
+  source.project(powers, flux);
+  expect_pinned(flux, pin.flux, "flux");
+
+  const auto sol = solver.solve_steady(sources);
+  auto sample = solver.make_sample_synthesis(samples);
+  std::vector<double> synthesized(samples.size());
+  sample.synthesize(sol.coeff, synthesized);
+  expect_pinned(synthesized, pin.synthesized, "synthesized");
+
+  std::vector<double> point_rises(samples.size());
+  for (std::size_t p = 0; p < samples.size(); ++p) {
+    point_rises[p] = solver.surface_rise(sol, samples[p].x, samples[p].y);
+    auto one = solver.make_sample_synthesis({&samples[p], 1});
+    double value = 0.0;
+    one.synthesize(sol.coeff, {&value, 1});
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(point_rises[p]), std::bit_cast<std::uint64_t>(value))
+        << "sample " << p;
+  }
+  expect_pinned(point_rises, pin.surface_rise, "surface_rise");
+
+  expect_pinned(solver.surface_map(sol, 24, 23), pin.map, "surface_map");
+}
+
+TEST(InfluenceApply, SpectralPassesMatchParentCapturedBits) {
+  {
+    const auto fp = manycore_plan(3);  // 36 blocks, shared edges
+    expect_plan_pinned(fp.die(), fp.heat_sources(tech()), block_centre_samples(fp),
+                       {{0xe9de7267146b8fabu, 0x1.11342a50f394p+3, 0x1.28f87181996f6p+3,
+                         0x1.c05da6152e665p+2, 0x1.c4e31374adfcp+4},
+                        {0xc05743dfc047f975u, 0x1.d1ae97648b26bp+22, -0x1.987a2fbfd66cbp+12,
+                         0x1.5918e246cfce4p+10, -0x1.3ebb5ba2fedcdp+9},
+                        {0x6adc3f7877ea58d7u, 0x1.11342a50f3942p+3, 0x1.28f87181996f7p+3,
+                         0x1.c05da6152e664p+2, 0x1.c4e31374adfcp+4},
+                        {0x6adc3f7877ea58d7u, 0x1.11342a50f3942p+3, 0x1.28f87181996f7p+3,
+                         0x1.c05da6152e664p+2, 0x1.c4e31374adfcp+4},
+                        {0xd862bbd0a1159399u, 0x1.aff32987b6576p+1, 0x1.63402e266469ap+4,
+                         0x1.18e93724efc9fp+4, 0x1.8a4867e682905p+3}});
+  }
+  {
+    // Nothing shared, and more x-intervals than one pass-2 tile.
+    const auto die = die_2mm();
+    Rng rng(29);
+    const auto sources = random_sources(die, 150, rng);
+    const auto samples = random_samples(die, sources.size(), rng);
+    expect_plan_pinned(die, sources, samples,
+                       {{0x4db73da86c3a0617u, 0x1.28470eb414001p+6, 0x1.11104f8d3cc25p+4,
+                         0x1.c19c6542c6eacp+5, 0x1.d98235493fbfap+5},
+                        {0xe07f3ad7be07fffau, 0x1.c4a844fd1bba5p+24, 0x1.994a43c6de66ep+20,
+                         0x1.5743bcdf4d044p+16, 0x1.2594644201e64p+10},
+                        {0xc9a1190426661d18u, 0x1.28470eb414003p+6, 0x1.11104f8d3cc25p+4,
+                         0x1.c19c6542c6eabp+5, 0x1.d98235493fbfap+5},
+                        {0xc9a1190426661d18u, 0x1.28470eb414003p+6, 0x1.11104f8d3cc25p+4,
+                         0x1.c19c6542c6eabp+5, 0x1.d98235493fbfap+5},
+                        {0x9a4acfdd39d10a16u, 0x1.306289b2342eap+4, 0x1.36215f6ec3e1bp+6,
+                         0x1.1c74d47f92d1bp+7, 0x1.9f0bfedd1172ap+4}});
+  }
 }
 
 TEST(InfluenceApply, GroupedApplyMatchesDenseOnManycore) {
