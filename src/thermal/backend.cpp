@@ -353,9 +353,7 @@ std::vector<double> SpectralBackend::surface_rises(
   const auto sol = solver_.solve_steady(sources);
   ++stats_.steady_solves;
   std::vector<double> rises(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    rises[p] = solver_.surface_rise(sol, points[p].x, points[p].y);
-  }
+  solver_.make_sample_synthesis(points).synthesize(sol.coeff, rises);
   return rises;
 }
 

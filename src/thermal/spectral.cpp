@@ -494,16 +494,10 @@ SpectralThermalSolver::Solution SpectralThermalSolver::solve_steady(
 double SpectralThermalSolver::surface_rise(const Solution& sol, double x, double y) const {
   PTHERM_REQUIRE(sol.coeff.size() == static_cast<std::size_t>(mode_count()),
                  "spectral: solution size mismatch");
-  std::vector<double> cosx(static_cast<std::size_t>(opts_.modes_x));
-  for (int m = 0; m < opts_.modes_x; ++m) cosx[m] = std::cos(m * kPi * x / die_.width);
-  double total = 0.0;
-  for (int n = 0; n < opts_.modes_y; ++n) {
-    const std::size_t row = static_cast<std::size_t>(n) * opts_.modes_x;
-    double inner = 0.0;
-    for (int m = 0; m < opts_.modes_x; ++m) inner += sol.coeff[row + m] * cosx[m];
-    total += inner * std::cos(n * kPi * y / die_.height);
-  }
-  return total;
+  const SurfaceSample point{x, y};
+  double rise = 0.0;
+  make_sample_synthesis({&point, 1}).synthesize(sol.coeff, {&rise, 1});
+  return rise;
 }
 
 double SpectralThermalSolver::rise_at_depth(const Solution& sol, double x, double y,
@@ -559,29 +553,16 @@ std::vector<double> SpectralThermalSolver::surface_map(const Solution& sol, int 
     }
     return map;
   }
-  // Direct separable synthesis for grids the radix-2 DCT cannot take.
-  numerics::Matrix stage(static_cast<std::size_t>(opts_.modes_y), static_cast<std::size_t>(nx));
-  for (int i = 0; i < nx; ++i) {
-    const double x = die_.width * (i + 0.5) / nx;
-    for (int n = 0; n < opts_.modes_y; ++n) {
-      const std::size_t row = static_cast<std::size_t>(n) * opts_.modes_x;
-      double inner = 0.0;
-      for (int m = 0; m < opts_.modes_x; ++m) {
-        inner += sol.coeff[row + m] * std::cos(m * kPi * x / die_.width);
-      }
-      stage(n, i) = inner;
-    }
-  }
+  // Grids the radix-2 DCT cannot take go through the sample half at the
+  // cell centres: nx + ny cosine rows, shared by every cell in a column.
+  std::vector<SurfaceSample> centres(map.size());
   for (int j = 0; j < ny; ++j) {
     const double y = die_.height * (j + 0.5) / ny;
     for (int i = 0; i < nx; ++i) {
-      double total = 0.0;
-      for (int n = 0; n < opts_.modes_y; ++n) {
-        total += stage(n, i) * std::cos(n * kPi * y / die_.height);
-      }
-      map[static_cast<std::size_t>(j) * nx + i] = total;
+      centres[static_cast<std::size_t>(j) * nx + i] = {die_.width * (i + 0.5) / nx, y};
     }
   }
+  make_sample_synthesis(centres).synthesize(sol.coeff, map);
   return map;
 }
 
@@ -627,6 +608,7 @@ SpectralThermalSolver::SourceProjection SpectralThermalSolver::make_source_proje
   proj.flux_x = flux_table(x_intervals, opts_.modes_x, die_.width);
   proj.flux_y = flux_table(y_intervals, opts_.modes_y, die_.height);
   proj.rows.resize(x_intervals.size() * proj.modes_y);
+  proj.live.resize(x_intervals.size());
   return proj;
 }
 
@@ -673,101 +655,8 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   proj.count = sources.size();
   proj.source = make_source_projection(sources);
   proj.sample = make_sample_synthesis(samples);
-  proj.coeff.resize(static_cast<std::size_t>(mode_count()));
+  proj.block.resize(static_cast<std::size_t>(mode_count()));
   return proj;
-}
-
-void SpectralThermalSolver::SourceProjection::project(std::span<const double> powers,
-                                                      std::span<double> flux) {
-  PTHERM_REQUIRE(powers.size() == sources.size() && flux.size() == modes_x * modes_y,
-                 "SourceProjection::project: need one power per source and mode_count() "
-                 "flux entries");
-  const std::size_t mx = modes_x;
-  const std::size_t my = modes_y;
-  const std::size_t gx = x_intervals();
-  double* axis = rows.data();
-  // (1) Powers -> per-x-interval y flux: Y[a] += P_j w_j flux_y[y(j)] over
-  // the sources j whose clipped x-interval is a.
-  std::fill(axis, axis + gx * my, 0.0);
-  for (std::size_t j = 0; j < sources.size(); ++j) {
-    const Rows& src = sources[j];
-    if (src.weight == 0.0) continue;
-    const double pw = powers[j] * src.weight;
-    if (pw == 0.0) continue;
-    const double* fy = flux_y.data() + src.y * my;
-    double* y = axis + src.x * my;
-    for (std::size_t nn = 0; nn < my; ++nn) y[nn] += pw * fy[nn];
-  }
-  // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
-  // rank-1 accumulate per distinct interval instead of per source.
-  std::fill(flux.begin(), flux.end(), 0.0);
-  for (std::size_t a = 0; a < gx; ++a) {
-    const double* fx = flux_x.data() + a * mx;
-    const double* y = axis + a * my;
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      const double fy = y[nn];
-      if (fy == 0.0) continue;
-      double* row = flux.data() + nn * mx;
-      for (std::size_t m = 0; m < mx; ++m) row[m] += fy * fx[m];
-    }
-  }
-}
-
-void SpectralThermalSolver::SampleSynthesis::synthesize(std::span<const double> coeff,
-                                                        std::span<double> values) {
-  PTHERM_REQUIRE(coeff.size() == modes_x * modes_y && values.size() == samples.size(),
-                 "SampleSynthesis::synthesize: need mode_count() coefficients and one value "
-                 "per sample");
-  const std::size_t mx = modes_x;
-  const std::size_t my = modes_y;
-  const std::size_t gs = sample_xs();
-  const double* c = coeff.data();
-  // (4) Synthesis along x at each distinct sample x: U[b][n] = sum_m C[n][m]
-  // synth_x[b][m], shared by every sample in that column. Four coefficient
-  // rows at a time: synth_x[b][m] is loaded once for four independent dot
-  // chains. Each row still sums in ascending m from 0.0, so every U[b][n]
-  // is bitwise what the one-row loop gives.
-  for (std::size_t b = 0; b < gs; ++b) {
-    const double* cx = synth_x.data() + b * mx;
-    double* u = rows.data() + b * my;
-    std::size_t nn = 0;
-    for (; nn + 4 <= my; nn += 4) {
-      const double* r0 = c + nn * mx;
-      const double* r1 = r0 + mx;
-      const double* r2 = r1 + mx;
-      const double* r3 = r2 + mx;
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (std::size_t m = 0; m < mx; ++m) {
-        const double xm = cx[m];
-        s0 += r0[m] * xm;
-        s1 += r1[m] * xm;
-        s2 += r2[m] * xm;
-        s3 += r3[m] * xm;
-      }
-      u[nn] = s0;
-      u[nn + 1] = s1;
-      u[nn + 2] = s2;
-      u[nn + 3] = s3;
-    }
-    for (; nn < my; ++nn) {
-      const double* row = c + nn * mx;
-      double inner = 0.0;
-      for (std::size_t m = 0; m < mx; ++m) inner += row[m] * cx[m];
-      u[nn] = inner;
-    }
-  }
-  // (5) Synthesis along y per sample: value_p = sum_n U[x(p)][n] synth_y[y(p)][n].
-  for (std::size_t p = 0; p < samples.size(); ++p) {
-    const Rows& smp = samples[p];
-    const double* u = rows.data() + smp.x * my;
-    const double* cy = synth_y.data() + smp.y * my;
-    double total = 0.0;
-    for (std::size_t nn = 0; nn < my; ++nn) total += u[nn] * cy[nn];
-    values[p] = total;
-  }
 }
 
 namespace {
@@ -776,7 +665,7 @@ namespace {
 /// lane-interleaved (x[i * kLanes + k] is entry i of the block's vector k).
 constexpr std::size_t kLanes = 4;
 
-/// x-intervals per pass-2 sweep of the batched apply.
+/// x-intervals per pass-2 sweep.
 constexpr std::size_t kIntervalTile = 64;
 
 /// Two lanes in one SSE2 register. A GCC/Clang vector type, because plain
@@ -786,14 +675,6 @@ using Pair = double __attribute__((vector_size(16)));
 
 Pair splat(double x) { return Pair{x, x}; }
 
-/// One entry of a block: its kLanes vectors' values. Loaded and stored as
-/// two pairs; one memcpy of the whole struct kept the accumulators of the
-/// passes below on the stack.
-struct Lanes {
-  Pair lo;
-  Pair hi;
-};
-
 Pair load_pair(const double* p) {
   Pair v;
   std::memcpy(&v, p, sizeof v);
@@ -802,191 +683,280 @@ Pair load_pair(const double* p) {
 
 void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
 
-Lanes load_lanes(const double* p) { return {load_pair(p), load_pair(p + 2)}; }
+/// One entry of a block: its kLanes vectors' values. Loaded and stored as
+/// two pairs; one memcpy of the whole struct kept the accumulators of the
+/// passes below on the stack.
+struct Lanes {
+  Pair lo;
+  Pair hi;
+};
 
-void store_lanes(double* p, const Lanes& v) {
+// The passes below run on one entry type T: a double holds one vector's
+// value, a Lanes a block's kLanes vectors'. Each helper does per lane what
+// the double overload does, with the same roundings.
+
+template <class T>
+constexpr std::size_t kWidth = 1;
+template <>
+constexpr std::size_t kWidth<Lanes> = kLanes;
+
+template <class T>
+T load(const double* p);
+template <>
+double load<double>(const double* p) {
+  return *p;
+}
+template <>
+Lanes load<Lanes>(const double* p) {
+  return {load_pair(p), load_pair(p + 2)};
+}
+
+void store(double* p, double v) { *p = v; }
+void store(double* p, const Lanes& v) {
   store_pair(p, v.lo);
   store_pair(p + 2, v.hi);
 }
 
-/// acc += x * f in every lane: one rounded product and one rounded sum, as
-/// in the scalar loops.
-void add_product(Lanes& acc, const Lanes& x, Pair f) {
-  acc.lo += x.lo * f;
-  acc.hi += x.hi * f;
+/// acc += x * f: one rounded product and one rounded sum.
+void add_product(double& acc, double x, double f) { acc += x * f; }
+void add_product(Lanes& acc, const Lanes& x, double f) {
+  const Pair fs = splat(f);
+  acc.lo += x.lo * fs;
+  acc.hi += x.hi * fs;
+}
+
+void scale(double& v, double f) { v *= f; }
+void scale(Lanes& v, double f) {
+  const Pair fs = splat(f);
+  v.lo *= fs;
+  v.hi *= fs;
+}
+
+/// v = x[k * stride] * w for each vector k of the entry.
+void gather(double& v, const double* x, std::size_t, double w) { v = x[0] * w; }
+void gather(Lanes& v, const double* x, std::size_t stride, double w) {
+  v = {Pair{x[0] * w, x[stride] * w}, Pair{x[2 * stride] * w, x[3 * stride] * w}};
+}
+
+bool all_zero(double v) { return v == 0.0; }
+bool all_zero(const Lanes& v) {
+  return v.lo[0] == 0.0 && v.lo[1] == 0.0 && v.hi[0] == 0.0 && v.hi[1] == 0.0;
+}
+
+/// x[k * stride] = vector k's value of the entry.
+void scatter(double* x, std::size_t, double v) { x[0] = v; }
+void scatter(double* x, std::size_t stride, const Lanes& v) {
+  x[0] = v.lo[0];
+  x[stride] = v.lo[1];
+  x[2 * stride] = v.hi[0];
+  x[3 * stride] = v.hi[1];
 }
 
 /// Pass 2 for the R flux modes m .. m + R - 1 of one y-mode at `out`: sums
 /// the `touched` x-intervals' rows `y` (stride `y_stride`) times flux_x in
 /// ascending interval order, from +0.0, or from the sums at `out` when
 /// `resume`.
-template <std::size_t R>
+template <class T, std::size_t R>
 void expand_modes(const double* y, std::size_t y_stride, const double* flux_x, std::size_t mx,
                   std::span<const std::uint32_t> touched, bool resume, double* out) {
-  Lanes s[R] = {};
+  constexpr std::size_t w = kWidth<T>;
+  T s[R] = {};
   if (resume) {
-    for (std::size_t r = 0; r < R; ++r) s[r] = load_lanes(out + r * kLanes);
+    for (std::size_t r = 0; r < R; ++r) s[r] = load<T>(out + r * w);
   }
   for (const std::uint32_t a : touched) {
-    const Lanes ya = load_lanes(y + a * y_stride);
+    const T ya = load<T>(y + a * y_stride);
     const double* fx = flux_x + a * mx;
-    for (std::size_t r = 0; r < R; ++r) add_product(s[r], ya, splat(fx[r]));
+    for (std::size_t r = 0; r < R; ++r) add_product(s[r], ya, fx[r]);
   }
-  for (std::size_t r = 0; r < R; ++r) store_lanes(out + r * kLanes, s[r]);
+  for (std::size_t r = 0; r < R; ++r) store(out + r * w, s[r]);
 }
 
-/// Pass 4 for the R coefficient rows at `c` (stride `c_stride`): each row's
-/// dot with one synth_x row `cx`, in ascending m from +0.0.
-template <std::size_t R>
-void synthesize_rows(const double* c, std::size_t c_stride, const double* cx, std::size_t mx,
-                     double* out) {
-  Lanes s[R] = {};
-  for (std::size_t m = 0; m < mx; ++m) {
-    const Pair xm = splat(cx[m]);
-    for (std::size_t r = 0; r < R; ++r) {
-      add_product(s[r], load_lanes(c + r * c_stride + m * kLanes), xm);
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) store_lanes(out + r * kLanes, s[r]);
-}
-
-/// Passes 1-5 of the influence apply for kLanes vectors at once. Each lane
-/// sums in exactly the order of SourceProjection::project and
-/// SampleSynthesis::synthesize, from the same +0.0 starts; where those skip
-/// a zero power or a zero flux row, a lane here adds an exact zero product,
-/// which leaves an accumulator that never holds -0.0 unchanged. So for
-/// finite tables each vector's rises are bitwise those of a count-1 apply,
-/// and a non-finite power stays in its own lane. `powers`/`rises` point at
-/// the block's first vector (stride n); `block` is the lane scratch
-/// kLanes * (max(Gx, Gs) * modes_y + modes) and `live` holds Gx entries.
-void apply_block(const SpectralThermalSolver::SourceProjection& source,
-                 const SpectralThermalSolver::SampleSynthesis& sample,
-                 std::span<const double> transfer, const double* powers, double* rises,
-                 std::size_t n, std::span<double> block, std::span<std::uint32_t> live) {
+/// Passes 1-2, powers -> flux modes, for the vectors of one entry type:
+/// vector k's powers at powers + k * stride, its flux mode i at flux[i * w
+/// + k]. source.rows grows to Gx * modes_y entries.
+///
+/// Every accumulator starts at +0.0 and sums in ascending order. A source
+/// is skipped only when its power is zero in every vector, and pass 2 skips
+/// only x-intervals no source touched; any other zero is added as an exact
+/// zero product, which leaves an accumulator that never holds -0.0
+/// unchanged. So with finite tables a vector's flux does not depend on the
+/// entry type or on the other vectors, and a non-finite power stays in its
+/// own vector.
+template <class T>
+void project_passes(SpectralThermalSolver::SourceProjection& source, const double* powers,
+                    std::size_t stride, double* flux) {
+  constexpr std::size_t w = kWidth<T>;
   const std::size_t mx = source.modes_x;
   const std::size_t my = source.modes_y;
   const std::size_t gx = source.x_intervals();
-  const std::size_t gs = sample.sample_xs();
-  const std::size_t row = my * kLanes;  // one axis row of the scratch
-  double* axis = block.data();
-  double* coeff = axis + std::max(gx, gs) * row;
-  // (1) Powers -> per-x-interval y flux, sources in ascending j. A source is
-  // skipped only when its power is zero in every lane, so a block of unit
-  // vectors touches one row per vector; live[a] marks the touched rows.
+  const std::size_t row = my * w;  // one axis row
+  if (source.rows.size() < gx * row) source.rows.resize(gx * row);
+  double* axis = source.rows.data();
+  std::uint32_t* live = source.live.data();
+  // (1) Powers -> per-x-interval y flux: Y[a] += P_j w_j flux_y[y(j)] over
+  // the sources j, ascending, whose clipped x-interval is a; live[a] marks
+  // the touched rows.
   std::fill(axis, axis + gx * row, 0.0);
-  std::fill(live.begin(), live.end(), 0u);
+  std::fill(live, live + gx, 0u);
   for (std::size_t j = 0; j < source.sources.size(); ++j) {
     const auto& src = source.sources[j];
     if (src.weight == 0.0) continue;
-    const Lanes pw = {{powers[j] * src.weight, powers[n + j] * src.weight},
-                      {powers[2 * n + j] * src.weight, powers[3 * n + j] * src.weight}};
-    if (pw.lo[0] == 0.0 && pw.lo[1] == 0.0 && pw.hi[0] == 0.0 && pw.hi[1] == 0.0) continue;
+    T pw;
+    gather(pw, powers + j, stride, src.weight);
+    if (all_zero(pw)) continue;
     live[src.x] = 1;
     const double* fy = source.flux_y.data() + src.y * my;
     double* y = axis + src.x * row;
     for (std::size_t nn = 0; nn < my; ++nn) {
-      Lanes acc = load_lanes(y + nn * kLanes);
-      add_product(acc, pw, splat(fy[nn]));
-      store_lanes(y + nn * kLanes, acc);
+      T acc = load<T>(y + nn * w);
+      add_product(acc, pw, fy[nn]);
+      store(y + nn * w, acc);
     }
   }
-  // (2) x-intervals -> flux modes, interchanged: each flux mode sums its
-  // x-intervals in registers, four modes at a time, from +0.0 in ascending
-  // order. An untouched interval is +0.0 in every lane and adds nothing, so
-  // only the touched ones (compacted in place, still ascending) are summed,
-  // kIntervalTile at a time so a tile's flux_x rows stay in cache on plans
-  // with thousands of distinct intervals. The first tile, empty when no
-  // interval is touched, starts from +0.0; later tiles resume.
+  // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
+  // sum per distinct interval instead of per source. Each flux mode sums
+  // the touched intervals (compacted in place, still ascending) in
+  // registers, four modes at a time, kIntervalTile intervals per sweep so a
+  // tile's flux_x rows stay in cache on plans with thousands of distinct
+  // intervals. The first tile, empty when no interval is touched, starts
+  // from +0.0; later tiles resume.
   std::size_t touched = 0;
   for (std::size_t a = 0; a < gx; ++a) {
     if (live[a] != 0) live[touched++] = static_cast<std::uint32_t>(a);
   }
   std::size_t first = 0;
   do {
-    const std::span<const std::uint32_t> tile(live.data() + first,
+    const std::span<const std::uint32_t> tile(live + first,
                                               std::min(kIntervalTile, touched - first));
     const bool resume = first > 0;
     for (std::size_t nn = 0; nn < my; ++nn) {
-      const double* y = axis + nn * kLanes;
-      double* out = coeff + nn * mx * kLanes;
+      const double* y = axis + nn * w;
+      double* out = flux + nn * mx * w;
       std::size_t m = 0;
       for (; m + 4 <= mx; m += 4) {
-        expand_modes<4>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * kLanes);
+        expand_modes<T, 4>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * w);
       }
       for (; m < mx; ++m) {
-        expand_modes<1>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * kLanes);
+        expand_modes<T, 1>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * w);
       }
     }
     first += kIntervalTile;
   } while (first < touched);
-  // (3) Per-mode surface transfer.
-  for (std::size_t mode = 0; mode < mx * my; ++mode) {
-    const Pair t = splat(transfer[mode]);
-    Lanes c = load_lanes(coeff + mode * kLanes);
-    c.lo *= t;
-    c.hi *= t;
-    store_lanes(coeff + mode * kLanes, c);
+}
+
+/// Pass 3, flux modes -> surface-rise coefficients: the per-mode transfer.
+template <class T>
+void transfer_pass(std::span<const double> transfer, double* coeff) {
+  constexpr std::size_t w = kWidth<T>;
+  for (std::size_t mode = 0; mode < transfer.size(); ++mode) {
+    T c = load<T>(coeff + mode * w);
+    scale(c, transfer[mode]);
+    store(coeff + mode * w, c);
   }
-  // (4) Synthesis along x at each distinct sample x, four coefficient rows
-  // x four lanes per synth_x row.
-  const std::size_t c_row = mx * kLanes;
-  for (std::size_t b = 0; b < gs; ++b) {
+}
+
+/// Pass 4 for the R coefficient rows at `c` (stride `c_stride`): each row's
+/// dot with one synth_x row `cx`, in ascending m from +0.0.
+template <class T, std::size_t R>
+void synthesize_rows(const double* c, std::size_t c_stride, const double* cx, std::size_t mx,
+                     double* out) {
+  constexpr std::size_t w = kWidth<T>;
+  T s[R] = {};
+  for (std::size_t m = 0; m < mx; ++m) {
+    for (std::size_t r = 0; r < R; ++r) {
+      add_product(s[r], load<T>(c + r * c_stride + m * w), cx[m]);
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) store(out + r * w, s[r]);
+}
+
+/// Passes 4-5, mode coefficients -> sample values, for the vectors of one
+/// entry type: coefficient i of vector k at coeff[i * w + k], its value at
+/// sample p into values[k * stride + p]; sample.rows grows to Gs * modes_y
+/// entries. Every sum starts at +0.0 and runs in ascending mode order.
+template <class T>
+void synthesize_passes(SpectralThermalSolver::SampleSynthesis& sample, const double* coeff,
+                       double* values, std::size_t stride) {
+  constexpr std::size_t w = kWidth<T>;
+  const std::size_t mx = sample.modes_x;
+  const std::size_t my = sample.modes_y;
+  const std::size_t row = my * w;
+  const std::size_t c_row = mx * w;
+  if (sample.rows.size() < sample.sample_xs() * row) sample.rows.resize(sample.sample_xs() * row);
+  double* axis = sample.rows.data();
+  // (4) Synthesis along x at each distinct sample x: U[b][n] = sum_m C[n][m]
+  // synth_x[b][m], shared by every sample in that column; four coefficient
+  // rows per synth_x row.
+  for (std::size_t b = 0; b < sample.sample_xs(); ++b) {
     const double* cx = sample.synth_x.data() + b * mx;
     double* u = axis + b * row;
     std::size_t nn = 0;
     for (; nn + 4 <= my; nn += 4) {
-      synthesize_rows<4>(coeff + nn * c_row, c_row, cx, mx, u + nn * kLanes);
+      synthesize_rows<T, 4>(coeff + nn * c_row, c_row, cx, mx, u + nn * w);
     }
-    for (; nn < my; ++nn) synthesize_rows<1>(coeff + nn * c_row, c_row, cx, mx, u + nn * kLanes);
+    for (; nn < my; ++nn) synthesize_rows<T, 1>(coeff + nn * c_row, c_row, cx, mx, u + nn * w);
   }
-  // (5) Synthesis along y per sample, four lanes per sample.
+  // (5) Synthesis along y per sample: value_p = sum_n U[x(p)][n] synth_y[y(p)][n].
   for (std::size_t p = 0; p < sample.samples.size(); ++p) {
     const auto& smp = sample.samples[p];
     const double* u = axis + smp.x * row;
     const double* cy = sample.synth_y.data() + smp.y * my;
-    Lanes s = {};
-    for (std::size_t nn = 0; nn < my; ++nn) {
-      add_product(s, load_lanes(u + nn * kLanes), splat(cy[nn]));
-    }
-    rises[p] = s.lo[0];
-    rises[n + p] = s.lo[1];
-    rises[2 * n + p] = s.hi[0];
-    rises[3 * n + p] = s.hi[1];
+    T s = {};
+    for (std::size_t nn = 0; nn < my; ++nn) add_product(s, load<T>(u + nn * w), cy[nn]);
+    scatter(values + p, stride, s);
   }
 }
 
+/// All five passes for the vectors of one entry type: vector k's powers at
+/// powers + k * proj.count, its rises likewise at `rises`.
+template <class T>
+void apply_entries(SpectralThermalSolver::InfluenceProjection& proj,
+                   std::span<const double> transfer, const double* powers, double* rises) {
+  const std::size_t size = kWidth<T> * transfer.size();
+  if (proj.block.size() < size) proj.block.resize(size);
+  project_passes<T>(proj.source, powers, proj.count, proj.block.data());
+  transfer_pass<T>(transfer, proj.block.data());
+  synthesize_passes<T>(proj.sample, proj.block.data(), rises, proj.count);
+}
+
 }  // namespace
+
+void SpectralThermalSolver::SourceProjection::project(std::span<const double> powers,
+                                                      std::span<double> flux) {
+  PTHERM_REQUIRE(powers.size() == sources.size() && flux.size() == modes_x * modes_y,
+                 "SourceProjection::project: need one power per source and mode_count() "
+                 "flux entries");
+  project_passes<double>(*this, powers.data(), 0, flux.data());
+}
+
+void SpectralThermalSolver::SampleSynthesis::synthesize(std::span<const double> coeff,
+                                                        std::span<double> values) {
+  PTHERM_REQUIRE(coeff.size() == modes_x * modes_y && values.size() == samples.size(),
+                 "SampleSynthesis::synthesize: need mode_count() coefficients and one value "
+                 "per sample");
+  synthesize_passes<double>(*this, coeff.data(), values.data(), 0);
+}
 
 void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
                                                   std::span<const double> powers,
                                                   std::span<double> rises,
                                                   std::size_t count) const {
   const std::size_t n = proj.count;
-  const std::size_t modes = static_cast<std::size_t>(mode_count());
   PTHERM_REQUIRE(proj.source.modes_x == static_cast<std::size_t>(opts_.modes_x) &&
                      proj.source.modes_y == static_cast<std::size_t>(opts_.modes_y),
                  "apply_influence_batch: projection belongs to a different spectral "
                  "configuration");
   PTHERM_REQUIRE(powers.size() == count * n && rises.size() == count * n,
                  "apply_influence_batch: powers/rises must have count * proj.count entries");
-  // Full blocks of kLanes vectors through the lane kernel; the remainder
-  // (and every count-1 apply) one vector at a time. Both give each vector
-  // the same bits, so the result does not depend on `count`.
+  // Full blocks of kLanes vectors lane-interleaved, the remainder (and
+  // every count-1 apply) one vector at a time, all through the same passes.
   std::size_t k = 0;
-  if (count >= kLanes) {
-    const std::size_t rows = std::max(proj.source.x_intervals(), proj.sample.sample_xs());
-    proj.block.resize(kLanes * (rows * proj.source.modes_y + modes));
-    proj.live.resize(proj.source.x_intervals());
-    for (; k + kLanes <= count; k += kLanes) {
-      apply_block(proj.source, proj.sample, transfer_, powers.data() + k * n,
-                  rises.data() + k * n, n, proj.block, proj.live);
-    }
+  for (; k + kLanes <= count; k += kLanes) {
+    apply_entries<Lanes>(proj, transfer_, powers.data() + k * n, rises.data() + k * n);
   }
   for (; k < count; ++k) {
-    proj.source.project(powers.subspan(k * n, n), proj.coeff);
-    // (3) Per-mode surface transfer: flux modes -> surface-rise coefficients.
-    for (std::size_t mode = 0; mode < modes; ++mode) proj.coeff[mode] *= transfer_[mode];
-    proj.sample.synthesize(proj.coeff, rises.subspan(k * n, n));
+    apply_entries<double>(proj, transfer_, powers.data() + k * n, rises.data() + k * n);
   }
 }
 

@@ -99,7 +99,8 @@ class SpectralThermalSolver {
   };
   [[nodiscard]] Solution solve_steady(const std::vector<HeatSource>& sources) const;
 
-  /// Surface rise at (x, y): the O(modes) cosine sum.
+  /// Surface rise at (x, y): a one-point SampleSynthesis, the O(modes)
+  /// cosine sum.
   [[nodiscard]] double surface_rise(const Solution& sol, double x, double y) const;
 
   /// Rise at depth z below surface point (x, y): per-mode depth transfer
@@ -113,7 +114,9 @@ class SpectralThermalSolver {
   /// Surface-rise map on the nx x ny cell-centre grid (row-major, y outer —
   /// the ChipThermalModel::surface_map convention, but rises, not absolute
   /// temperatures). Power-of-two grids go through the DCT synthesis
-  /// (O(M log M)); other sizes fall back to the direct mode sum.
+  /// (O(M log M)); other sizes go through a SampleSynthesis of the cell
+  /// centres (nx * modes_x + ny * modes_y cosines, O(nx * modes + nx * ny *
+  /// modes_y) sums), bitwise what surface_rise gives at each centre.
   [[nodiscard]] std::vector<double> surface_map(const Solution& sol, int nx, int ny) const;
 
   /// Source half of the factored spectral projection: powers -> flux modes,
@@ -125,7 +128,7 @@ class SpectralThermalSolver {
   /// their inputs are bit-identical, so interning changes no table entry.
   /// Memory is O(n + G * modes_per_axis) with G <= n the distinct-row count.
   /// The influence apply (and the dense build, all unit columns in one
-  /// batched apply) and the transient step project through it; the
+  /// batched apply) and the transient step project through its passes; the
   /// one-shot solve_steady adds each source's flux modes directly.
   struct SourceProjection {
     /// A source's flux modes are power * weight * flux_x[x] (x) flux_y[y].
@@ -142,8 +145,11 @@ class SpectralThermalSolver {
     std::vector<double> flux_x;
     std::vector<double> flux_y;
     std::vector<Rows> sources;
-    /// Scratch: the flux_y rows summed per x-interval, modes_y per row.
+    /// Scratch: the flux_y rows summed per x-interval, modes_y per row
+    /// (grown to four vectors' by a batched influence apply), and the
+    /// x-intervals a projection touched (one per interval).
     std::vector<double> rows;
+    std::vector<std::uint32_t> live;
 
     [[nodiscard]] std::size_t x_intervals() const noexcept {
       return modes_x == 0 ? 0 : flux_x.size() / modes_x;
@@ -151,8 +157,10 @@ class SpectralThermalSolver {
 
     /// flux[n * modes_x + m] = sum_j powers[j] * (source j's flux modes), in
     /// two passes: (1) sum each source's weighted flux_y row into its
-    /// x-interval (n * modes_y); (2) expand every x-interval against its
-    /// flux_x row (G * modes). Sources with zero power or weight are skipped.
+    /// x-interval (n * modes_y); (2) sum, per flux mode, the touched
+    /// x-intervals against their flux_x rows (G * modes). Sources with zero
+    /// power or weight are skipped. The same passes serve the influence
+    /// apply, one vector or a 4-vector block at a time.
     void project(std::span<const double> powers, std::span<double> flux);
   };
 
@@ -176,7 +184,8 @@ class SpectralThermalSolver {
     std::vector<double> synth_y;
     std::vector<Rows> samples;
     /// Scratch: the coefficients synthesized along x at each distinct
-    /// sample x, modes_y per row.
+    /// sample x, modes_y per row (grown to four vectors' by a batched
+    /// influence apply).
     std::vector<double> rows;
 
     [[nodiscard]] std::size_t sample_xs() const noexcept {
@@ -186,6 +195,9 @@ class SpectralThermalSolver {
     /// values[p] = sum_mn coeff[n * modes_x + m] cos(m pi x_p / W) cos(n pi
     /// y_p / H), in two passes: (4) synthesize along x at each distinct
     /// sample x (G * modes); (5) finish each sample along y (n * modes_y).
+    /// Every sum runs in ascending mode order from +0.0; the same passes
+    /// serve the influence apply, surface_rise and the non-power-of-two
+    /// surface_map.
     void synthesize(std::span<const double> coeff, std::span<double> values);
   };
 
@@ -202,19 +214,17 @@ class SpectralThermalSolver {
 
   /// The matrix-free influence apply `rises = R * powers`: the source half,
   /// the per-mode surface transfer and the sample half. Memory is
-  /// O(n + G * modes_per_axis + modes) — the tables, one vector's scratch
-  /// and one 4-vector block's, whatever the apply's `count` — versus the
-  /// O(n^2) dense matrix whose build is also O(n^2 * modes).
+  /// O(n + G * modes_per_axis + modes) — the tables and the halves' scratch,
+  /// sized for one 4-vector block once an apply of count >= 4 has run,
+  /// whatever the apply's `count` — versus the O(n^2) dense matrix whose
+  /// build is also O(n^2 * modes).
   struct InfluenceProjection {
     std::size_t count = 0;  ///< sources == samples count
     SourceProjection source;
     SampleSynthesis sample;
-    std::vector<double> coeff;  ///< one vector's mode-space scratch (mode_count())
-    /// One 4-vector block's lane scratch, 4 * (max(Gx, Gs) * modes_y +
-    /// mode_count()) doubles with Gs = sample.sample_xs(); empty until the
-    /// first apply of count >= 4, so count-1 callers never allocate it.
+    /// Mode-space scratch: mode_count() entries, grown to four vectors'
+    /// (lane-interleaved) by the first apply of count >= 4.
     std::vector<double> block;
-    std::vector<std::uint32_t> live;  ///< the block's touched x-intervals (Gx)
   };
 
   /// Builds the influence projection for fixed source geometry and sample
@@ -228,15 +238,16 @@ class SpectralThermalSolver {
   /// half's passes 4-5. Cost per vector is O(n * modes_per_axis + G *
   /// modes); with nothing shared (G = n) that is the per-source rank-1
   /// apply's 2 n modes plus 2 n modes_y. Full blocks of 4 vectors run
-  /// through all five passes together, lane-interleaved in two SSE2 pairs,
+  /// through the five passes together, lane-interleaved in two SSE2 pairs,
   /// so each table entry is loaded once for four vectors; the count % 4
-  /// remainder runs one vector at a time through project and synthesize.
-  /// Every lane sums in the lone apply's order from the same +0.0 starts,
-  /// and where the lone apply skips a zero power or flux row a lane adds an
-  /// exact zero, which cannot change an accumulator that never holds -0.0.
-  /// So with finite tables vector k's rises are bitwise identical to a
-  /// count-1 apply of it alone, whatever `count` is, and a non-finite power
-  /// stays in its own vector. `proj` must come from this solver's
+  /// remainder runs one vector at a time. Both go through one definition of
+  /// each pass, written over the entry type (one double or four lanes), so
+  /// every lane does the lone apply's arithmetic: a source is skipped only
+  /// when its power is zero in every lane, and any other zero is added as
+  /// an exact zero product, which cannot change an accumulator that starts
+  /// at +0.0. So with finite tables vector k's rises are bitwise identical
+  /// to a count-1 apply of it alone, whatever `count` is, and a non-finite
+  /// power stays in its own vector. `proj` must come from this solver's
   /// make_influence_projection.
   void apply_influence_batch(InfluenceProjection& proj, std::span<const double> powers,
                              std::span<double> rises, std::size_t count) const;
