@@ -219,6 +219,7 @@ double FdmThermalSolver::surface_rise(const Solution& sol, double x, double y) c
 
 int FdmThermalSolver::step_transient(std::vector<double>& rise, double dt,
                                      const std::vector<HeatSource>& sources) const {
+  TELEMETRY_SPAN("fdm/transient_step");
   PTHERM_REQUIRE(rise.size() == cell_count(), "step_transient: field size mismatch");
   PTHERM_REQUIRE(dt > 0.0, "step_transient: dt must be positive");
   // (C/dt * I + A) T^{n+1} = C/dt * T^n + q. The shifted operator depends

@@ -990,37 +990,37 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
   // geometry moved since the last step (an epoch-driven driver holding its
   // powers) the flux modes are still valid and the pass is skipped whole.
   const std::size_t n = sources.size();
-  bool flux_dirty = state.geometry_key.size() != 4 * n;
-  for (std::size_t j = 0; j < n && !flux_dirty; ++j) {
+  bool geometry_dirty = state.geometry_key.size() != 4 * n;
+  for (std::size_t j = 0; j < n && !geometry_dirty; ++j) {
     const HeatSource& s = sources[j];
     const double* key = state.geometry_key.data() + 4 * j;
-    flux_dirty = key[0] != s.cx || key[1] != s.cy || key[2] != s.w || key[3] != s.l;
+    geometry_dirty = key[0] != s.cx || key[1] != s.cy || key[2] != s.w || key[3] != s.l;
   }
-  if (flux_dirty) {
-    state.projection = make_source_projection(sources);
-    state.geometry_key.resize(4 * n);
-    for (std::size_t j = 0; j < n; ++j) {
-      double* key = state.geometry_key.data() + 4 * j;
-      key[0] = sources[j].cx;
-      key[1] = sources[j].cy;
-      key[2] = sources[j].w;
-      key[3] = sources[j].l;
-    }
-  }
-  if (state.power_key.size() != n) {
-    state.power_key.resize(n);
-    flux_dirty = true;
-  }
+  bool flux_dirty = geometry_dirty || state.power_key.size() != n;
+  state.power_key.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     if (state.power_key[j] == sources[j].power) continue;
     state.power_key[j] = sources[j].power;
     flux_dirty = true;
   }
   if (flux_dirty) {
+    TELEMETRY_SPAN("spectral/step_project");
+    if (geometry_dirty) {
+      state.projection = make_source_projection(sources);
+      state.geometry_key.resize(4 * n);
+      for (std::size_t j = 0; j < n; ++j) {
+        double* key = state.geometry_key.data() + 4 * j;
+        key[0] = sources[j].cx;
+        key[1] = sources[j].cy;
+        key[2] = sources[j].w;
+        key[3] = sources[j].l;
+      }
+    }
     state.projection.project(state.power_key, state.flux);
     ++power_updates_;
   }
 
+  TELEMETRY_SPAN("spectral/step_decay");
   // (2 + 3, layered) The modal rates live on the per-(mode, p) grid — they
   // do not separate into lateral x z factors — so the decay cache is the
   // full grid; the amplitude update and the quasi-static tail fold are the

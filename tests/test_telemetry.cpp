@@ -644,6 +644,8 @@ TEST(TraceAnatomy, OneTracerObservesCosimRtmAndSpice) {
   EXPECT_TRUE(named("rtm/epoch"));
   EXPECT_TRUE(named("transient/solve"));
   EXPECT_TRUE(named("transient/step"));
+  EXPECT_TRUE(named("spectral/step_project"));
+  EXPECT_TRUE(named("spectral/step_decay"));
   EXPECT_TRUE(named("transient/readback"));
   EXPECT_TRUE(named("spice/solve_dc"));
   EXPECT_TRUE(named("spice/gmin_ladder"));
@@ -679,6 +681,40 @@ TEST(TraceAnatomy, SteadySolvesOfTheSpectralAndFdmSolversAreSpanned) {
   };
   EXPECT_EQ(count("spectral/steady_solve"), 1);
   EXPECT_EQ(count("fdm/steady_solve"), 1);
+}
+
+TEST(TraceAnatomy, TransientStepsOfTheSpectralAndFdmSolversAreSpanned) {
+  // The spectral step re-projects the flux modes only when a power or the
+  // geometry moved; the amplitude update runs every step.
+  ScopedTracer scoped;
+  std::vector<thermal::HeatSource> sources{{0.3e-3, 0.4e-3, 0.2e-3, 0.2e-3, 1.0}};
+  thermal::SpectralOptions sopts;
+  sopts.modes_x = 16;
+  sopts.modes_y = 16;
+  const thermal::SpectralThermalSolver spectral(die_1mm(), sopts);
+  auto state = spectral.make_transient();
+  (void)spectral.step_transient(state, 1e-4, sources);
+  (void)spectral.step_transient(state, 1e-4, sources);  // held power
+  sources[0].power = 2.0;
+  (void)spectral.step_transient(state, 1e-4, sources);
+  thermal::FdmOptions fopts;
+  fopts.nx = 8;
+  fopts.ny = 8;
+  fopts.nz = 4;
+  const thermal::FdmThermalSolver fdm(die_1mm(), fopts);
+  std::vector<double> rise(fdm.cell_count(), 0.0);
+  (void)fdm.step_transient(rise, 1e-4, sources);
+
+  const auto events = scoped.tracer().events();
+  const auto count = [&](std::string_view want) {
+    return std::count_if(events.begin(), events.end(), [&](const telemetry::SpanEvent& e) {
+      return std::string_view(e.name) == want;
+    });
+  };
+  EXPECT_EQ(count("spectral/step_project"), 2);
+  EXPECT_EQ(count("spectral/step_decay"), 3);
+  EXPECT_EQ(spectral.transient_power_updates(), 2);
+  EXPECT_EQ(count("fdm/transient_step"), 1);
 }
 
 TEST(TraceAnatomy, ElectroThermalDcSpansItsInfluenceBuild) {
