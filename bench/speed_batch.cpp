@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/influence.hpp"
 #include "core/scenario_batch.hpp"
 #include "device/variation.hpp"
 #include "floorplan/generators.hpp"

@@ -10,7 +10,6 @@
 
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
-#include "core/influence.hpp"
 #include "core/transient.hpp"
 #include "floorplan/generators.hpp"
 #include "telemetry_env.hpp"  // PTHERM_TELEMETRY=1 installs a span tracer
@@ -115,8 +114,9 @@ void BM_InfluenceBuildFdm(benchmark::State& state) {
   const auto samples = core::block_centre_samples(fp);
   thermal::BackendCostStats stats;
   for (auto _ : state) {
+    stats = {};
     benchmark::DoNotOptimize(
-        core::build_influence_fdm(solver, sources, samples, true, &stats));
+        thermal::fdm_influence_columns(solver, sources, samples, true, &stats));
   }
   state.counters["cg_iterations"] = static_cast<double>(stats.cg_iterations);
   state.counters["blocks"] = static_cast<double>(sources.size());
@@ -134,8 +134,9 @@ void BM_InfluenceBuildFdmSeedPath(benchmark::State& state) {
   const auto samples = core::block_centre_samples(fp);
   thermal::BackendCostStats stats;
   for (auto _ : state) {
+    stats = {};
     benchmark::DoNotOptimize(
-        core::build_influence_fdm(solver, sources, samples, false, &stats));
+        thermal::fdm_influence_columns(solver, sources, samples, false, &stats));
   }
   state.counters["cg_iterations"] = static_cast<double>(stats.cg_iterations);
   state.counters["blocks"] = static_cast<double>(sources.size());
@@ -149,8 +150,7 @@ void BM_InfluenceBuildAnalytic(benchmark::State& state) {
   const auto sources = fp.heat_sources(tech);
   const auto samples = core::block_centre_samples(fp);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::build_influence_analytic(fp.die(), sources, samples));
+    benchmark::DoNotOptimize(thermal::analytic_influence_columns(fp.die(), sources, samples, {}));
   }
   state.counters["blocks"] = static_cast<double>(sources.size());
 }
@@ -165,8 +165,8 @@ void BM_InfluenceBuildSpectral(benchmark::State& state) {
   const auto samples = core::block_centre_samples(fp);
   thermal::BackendCostStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::build_influence_spectral(solver, sources, samples, &stats));
+    stats = {};
+    benchmark::DoNotOptimize(thermal::spectral_influence_columns(solver, sources, samples, &stats));
   }
   state.counters["blocks"] = static_cast<double>(sources.size());
   state.counters["modes"] = static_cast<double>(stats.modes);

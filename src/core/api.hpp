@@ -26,7 +26,6 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/cosim.hpp"
-#include "core/influence.hpp"
 #include "core/scenario_batch.hpp"
 #include "core/transient.hpp"
 #include "device/mosfet.hpp"

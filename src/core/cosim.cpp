@@ -39,6 +39,13 @@ std::unique_ptr<thermal::SolverBackend> make_thermal_backend(const thermal::Die&
   throw PreconditionError("make_thermal_backend: unknown backend");
 }
 
+std::vector<thermal::SurfaceSample> block_centre_samples(const floorplan::Floorplan& fp) {
+  std::vector<thermal::SurfaceSample> samples;
+  samples.reserve(fp.blocks().size());
+  for (const auto& b : fp.blocks()) samples.push_back({b.rect.cx(), b.rect.cy()});
+  return samples;
+}
+
 double boundary_fold_resistance(const CosimOptions& opts) {
   double r = opts.r_package;
   if (opts.stack) r += opts.stack->package_resistance();
@@ -98,8 +105,8 @@ void ElectroThermalSolver::build_influence() {
   influence_stats_ = backend_->cost_stats();
 }
 
-InfluenceOperator ElectroThermalSolver::build_dense_influence() const {
-  InfluenceOperator dense(
+thermal::DenseInfluenceApply ElectroThermalSolver::build_dense_influence() const {
+  thermal::DenseInfluenceApply dense(
       backend_->build_influence(fp_.heat_sources(tech_), block_centre_samples(fp_)));
   // The boundary resistance (r_package + stack RC network) couples every
   // pair uniformly: each watt anywhere raises the whole die by it.
@@ -115,7 +122,7 @@ const thermal::InfluenceApply& ElectroThermalSolver::influence_apply() const noe
                       : *influence_;
 }
 
-const InfluenceOperator& ElectroThermalSolver::influence_matrix() const {
+const thermal::DenseInfluenceApply& ElectroThermalSolver::influence_matrix() const {
   // Lazy dense realization for diagnostics/ablation consumers: same backend
   // build (and boundary-fold shift) the dense mode would have done.
   if (!influence_) influence_.emplace(build_dense_influence());

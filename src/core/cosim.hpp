@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
-#include "core/influence.hpp"
 #include "floorplan/compiled_leakage.hpp"
 #include "floorplan/floorplan.hpp"
 #include "telemetry/telemetry.hpp"
@@ -96,7 +95,7 @@ struct CosimOptions : ThermalConfig {
 /// The ONE uniform boundary resistance [K/W] a steady cosim folds on top of
 /// the conduction operator: r_package plus the stack boundary's RC-network
 /// resistance (if any). Dense influence builds add it to every matrix entry
-/// (InfluenceOperator::add_uniform); the matrix-free path folds
+/// (thermal::DenseInfluenceApply::add_uniform); the matrix-free path folds
 /// fold * sum(P) into the rises per Picard iteration. Both routes go through
 /// this helper, so the two influence modes cannot drift apart — the
 /// equivalence is pinned by tests.
@@ -108,6 +107,11 @@ struct CosimOptions : ThermalConfig {
 /// here, so a new backend is one enum value plus one case.
 [[nodiscard]] std::unique_ptr<thermal::SolverBackend> make_thermal_backend(
     const thermal::Die& die, const ThermalConfig& cfg);
+
+/// Block centres of a floorplan: the sample points the influence operator
+/// reports the rise at.
+[[nodiscard]] std::vector<thermal::SurfaceSample> block_centre_samples(
+    const floorplan::Floorplan& fp);
 
 /// Throws ptherm::PreconditionError if the Picard-iteration settings are
 /// unusable (damping outside (0, 1], tol <= 0, max_iterations <= 0,
@@ -275,7 +279,7 @@ class ElectroThermalSolver {
   /// R * dP/dT < 1) is an ablation bench.
   /// In matrix-free mode the dense matrix is realised lazily on first call —
   /// an O(n^2) diagnostic escape hatch the solve itself never pays.
-  [[nodiscard]] const InfluenceOperator& influence_matrix() const;
+  [[nodiscard]] const thermal::DenseInfluenceApply& influence_matrix() const;
 
   /// The backend's cost counters as of the influence build (columns, FDM CG
   /// iterations, spectral modes/FFTs), for the perf-trajectory benches.
@@ -298,7 +302,7 @@ class ElectroThermalSolver {
   void build_influence();
   /// The dense build plus the boundary fold, for Dense mode and the lazy
   /// influence_matrix() realization alike.
-  [[nodiscard]] InfluenceOperator build_dense_influence() const;
+  [[nodiscard]] thermal::DenseInfluenceApply build_dense_influence() const;
 
   device::Technology tech_;
   floorplan::Floorplan fp_;
@@ -313,7 +317,7 @@ class ElectroThermalSolver {
   /// Dense operator: built eagerly in dense mode, lazily by
   /// influence_matrix() in matrix-free mode (mutable: realization is a
   /// cache, not observable state).
-  mutable std::optional<InfluenceOperator> influence_;
+  mutable std::optional<thermal::DenseInfluenceApply> influence_;
   thermal::BackendCostStats influence_stats_;
 };
 

@@ -311,9 +311,8 @@ class SpectralBackend final : public SolverBackend {
     const SolverBackend& backend, std::span<const HeatSource> sources,
     std::span<const SurfaceSample> samples);
 
-// Batched column builders, shared between the backend adapters above and the
-// free-standing influence API in core/influence.hpp (which accepts
-// caller-owned solvers). Column j is the rise at every sample per watt in
+// Batched column builders behind the backend adapters above, also callable
+// on caller-owned solvers. Column j is the rise at every sample per watt in
 // source j; `stats`, when non-null, receives the cost of this build only.
 
 [[nodiscard]] numerics::Matrix analytic_influence_columns(

@@ -271,33 +271,34 @@ TEST(BackendAgreement, InfluenceOperatorsAgreePairwise) {
   const auto sources = fp.heat_sources(tech());
 
   const auto analytic =
-      build_influence_analytic(fp.die(), sources, samples, thermal::ImageOptions{});
+      thermal::analytic_influence_columns(fp.die(), sources, samples, thermal::ImageOptions{});
   thermal::FdmOptions fo;
   fo.nx = 24;
   fo.ny = 24;
   fo.nz = 12;
   const thermal::FdmThermalSolver fdm_solver(fp.die(), fo);
-  const auto fdm = build_influence_fdm(fdm_solver, sources, samples);
+  const auto fdm = thermal::fdm_influence_columns(fdm_solver, sources, samples, true);
   const thermal::SpectralThermalSolver sp_solver(fp.die(), {});
   thermal::BackendCostStats sp_stats;
-  const auto spectral = build_influence_spectral(sp_solver, sources, samples, &sp_stats);
+  const auto spectral =
+      thermal::spectral_influence_columns(sp_solver, sources, samples, &sp_stats);
 
-  ASSERT_EQ(analytic.size(), fdm.size());
-  ASSERT_EQ(analytic.size(), spectral.size());
+  ASSERT_EQ(analytic.rows(), fdm.rows());
+  ASSERT_EQ(analytic.rows(), spectral.rows());
   EXPECT_EQ(sp_stats.influence_columns, static_cast<int>(sources.size()));
   EXPECT_EQ(sp_stats.modes, sp_solver.mode_count());
-  for (std::size_t i = 0; i < analytic.size(); ++i) {
-    for (std::size_t j = 0; j < analytic.size(); ++j) {
+  for (std::size_t i = 0; i < analytic.rows(); ++i) {
+    for (std::size_t j = 0; j < analytic.rows(); ++j) {
       // Spectral vs FDM: discretization plus the top-layer cell-centre depth
       // offset (FDM reports dz/2 below the surface). That offset concentrates
       // in the sharply peaked self-coupling, so the diagonal gets a wider
       // band; the matched-depth comparison in test_thermal_spectral.cpp pins
       // the solvers themselves to 2%.
       const double band = (i == j) ? 0.15 : 0.10;
-      EXPECT_NEAR(spectral.at(i, j), fdm.at(i, j), band * fdm.at(i, j))
+      EXPECT_NEAR(spectral(i, j), fdm(i, j), band * fdm(i, j))
           << "spectral/fdm entry (" << i << ", " << j << ")";
       // Analytic carries the Eq. (20) min-estimator error on top.
-      EXPECT_NEAR(analytic.at(i, j), spectral.at(i, j), 0.25 * spectral.at(i, j))
+      EXPECT_NEAR(analytic(i, j), spectral(i, j), 0.25 * spectral(i, j))
           << "analytic/spectral entry (" << i << ", " << j << ")";
     }
   }
@@ -306,11 +307,11 @@ TEST(BackendAgreement, InfluenceOperatorsAgreePairwise) {
 TEST(BackendAgreement, SpectralInfluenceIsReciprocalOnSymmetricFloorplan) {
   const auto fp = small_plan();
   const thermal::SpectralThermalSolver solver(fp.die(), {});
-  const auto op =
-      build_influence_spectral(solver, fp.heat_sources(tech()), block_centre_samples(fp));
-  for (std::size_t i = 0; i < op.size(); ++i) {
-    for (std::size_t j = i + 1; j < op.size(); ++j) {
-      EXPECT_NEAR(op.at(i, j), op.at(j, i), 1e-9 * op.at(i, j))
+  const auto r = thermal::spectral_influence_columns(solver, fp.heat_sources(tech()),
+                                                     block_centre_samples(fp));
+  for (std::size_t i = 0; i < r.rows(); ++i) {
+    for (std::size_t j = i + 1; j < r.rows(); ++j) {
+      EXPECT_NEAR(r(i, j), r(j, i), 1e-9 * r(i, j))
           << "pair (" << i << ", " << j << ")";
     }
   }

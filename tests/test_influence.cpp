@@ -1,5 +1,5 @@
-// Tests for the thermal influence operator: dense matvec semantics, batched
-// construction equivalence against the seed per-column cold-start builds on
+// Tests for the thermal influence operator: dense matvec semantics, the
+// batched column builds against the seed per-column cold-start builds on
 // both backends, reciprocity on symmetric floorplans, and failure reporting.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/influence.hpp"
+#include "core/cosim.hpp"
 #include "floorplan/generators.hpp"
 
 namespace ptherm::core {
@@ -42,7 +42,7 @@ TEST(Influence, ApplyMatchesManualMatvec) {
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) m(i, j) = 1.0 + 3.0 * i + j;
   }
-  const InfluenceOperator op(m);
+  const thermal::DenseInfluenceApply op(m);
   const std::vector<double> p = {1.0, -2.0, 0.5};
   const auto rises = op.apply(p);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -57,7 +57,7 @@ TEST(Influence, AddUniformShiftsEveryEntry) {
   numerics::Matrix m(2, 2);
   m(0, 0) = 1.0;
   m(1, 1) = 2.0;
-  InfluenceOperator op(m);
+  thermal::DenseInfluenceApply op(m);
   op.add_uniform(0.5);
   EXPECT_DOUBLE_EQ(op.at(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(op.at(0, 1), 0.5);
@@ -66,8 +66,8 @@ TEST(Influence, AddUniformShiftsEveryEntry) {
 }
 
 TEST(Influence, RejectsBadShapesAndSizes) {
-  EXPECT_THROW(InfluenceOperator(numerics::Matrix(2, 3)), PreconditionError);
-  const InfluenceOperator op(numerics::Matrix(2, 2));
+  EXPECT_THROW(thermal::DenseInfluenceApply(numerics::Matrix(2, 3)), PreconditionError);
+  const thermal::DenseInfluenceApply op(numerics::Matrix(2, 2));
   EXPECT_THROW((void)op.at(2, 0), PreconditionError);
   // Both apply overloads enforce the documented size contract themselves
   // (mismatches used to be out-of-bounds UB waiting on the matvec).
@@ -86,19 +86,19 @@ TEST(Influence, AnalyticBatchedMatchesSeedPerColumnBuild) {
   const auto samples = block_centre_samples(fp);
   auto sources = fp.heat_sources(tech());
   const thermal::ImageOptions opts;
-  const auto batched = build_influence_analytic(fp.die(), sources, samples, opts);
+  const auto batched = thermal::analytic_influence_columns(fp.die(), sources, samples, opts);
 
   // Seed semantics: one model holding every source, powers toggled per
   // column, every image (including the zero-power ones) swept per sample.
   for (auto& s : sources) s.power = 0.0;
   thermal::ChipThermalModel model(fp.die(), sources, opts);
   const std::size_t n = sources.size();
-  ASSERT_EQ(batched.size(), n);
+  ASSERT_EQ(batched.rows(), n);
   for (std::size_t j = 0; j < n; ++j) {
     model.set_source_power(j, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
       const double seed = model.rise(samples[i].x, samples[i].y);
-      EXPECT_NEAR(batched.at(i, j), seed, 1e-12 * seed) << "entry (" << i << ", " << j << ")";
+      EXPECT_NEAR(batched(i, j), seed, 1e-12 * seed) << "entry (" << i << ", " << j << ")";
     }
     model.set_source_power(j, 0.0);
   }
@@ -115,20 +115,20 @@ TEST(Influence, FdmBatchedWarmStartMatchesSeedColdJacobiBuild) {
   fast.nz = 12;
   const thermal::FdmThermalSolver solver_ic(fp.die(), fast);
   thermal::BackendCostStats stats;
-  const auto batched = build_influence_fdm(solver_ic, sources, samples, true, &stats);
+  const auto batched = thermal::fdm_influence_columns(solver_ic, sources, samples, true, &stats);
 
   thermal::FdmOptions seed_opts = fast;
   seed_opts.cg.preconditioner = numerics::CgPreconditioner::Jacobi;
   const thermal::FdmThermalSolver solver_jacobi(fp.die(), seed_opts);
-  const auto reference = build_influence_fdm(solver_jacobi, sources, samples, false);
+  const auto reference = thermal::fdm_influence_columns(solver_jacobi, sources, samples, false);
 
   const std::size_t n = sources.size();
-  ASSERT_EQ(batched.size(), n);
+  ASSERT_EQ(batched.rows(), n);
   EXPECT_EQ(stats.influence_columns, static_cast<int>(n));
   EXPECT_GT(stats.cg_iterations, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(batched.at(i, j), reference.at(i, j), 1e-10 * reference.at(j, j))
+      EXPECT_NEAR(batched(i, j), reference(i, j), 1e-10 * reference(j, j))
           << "entry (" << i << ", " << j << ")";
     }
   }
@@ -138,11 +138,11 @@ TEST(Influence, ReciprocityOnSymmetricFloorplanAnalytic) {
   // Identical block footprints + an even kernel make R[i][j] = R[j][i] exact
   // for the analytic build (down to floating-point noise).
   const auto fp = grid_plan(3);
-  const auto op =
-      build_influence_analytic(fp.die(), fp.heat_sources(tech()), block_centre_samples(fp));
-  for (std::size_t i = 0; i < op.size(); ++i) {
-    for (std::size_t j = i + 1; j < op.size(); ++j) {
-      EXPECT_NEAR(op.at(i, j), op.at(j, i), 1e-9 * op.at(i, j))
+  const auto r = thermal::analytic_influence_columns(fp.die(), fp.heat_sources(tech()),
+                                                     block_centre_samples(fp), {});
+  for (std::size_t i = 0; i < r.rows(); ++i) {
+    for (std::size_t j = i + 1; j < r.rows(); ++j) {
+      EXPECT_NEAR(r(i, j), r(j, i), 1e-9 * r(i, j))
           << "pair (" << i << ", " << j << ")";
     }
   }
@@ -157,10 +157,11 @@ TEST(Influence, ReciprocityOnSymmetricFloorplanFdm) {
   opts.ny = 24;
   opts.nz = 12;
   const thermal::FdmThermalSolver solver(fp.die(), opts);
-  const auto op = build_influence_fdm(solver, fp.heat_sources(tech()), block_centre_samples(fp));
-  for (std::size_t i = 0; i < op.size(); ++i) {
-    for (std::size_t j = i + 1; j < op.size(); ++j) {
-      EXPECT_NEAR(op.at(i, j), op.at(j, i), 0.02 * op.at(i, j))
+  const auto r = thermal::fdm_influence_columns(solver, fp.heat_sources(tech()),
+                                                block_centre_samples(fp), true);
+  for (std::size_t i = 0; i < r.rows(); ++i) {
+    for (std::size_t j = i + 1; j < r.rows(); ++j) {
+      EXPECT_NEAR(r(i, j), r(j, i), 0.02 * r(i, j))
           << "pair (" << i << ", " << j << ")";
     }
   }
@@ -175,7 +176,8 @@ TEST(Influence, FdmBuildReportsWhyAColumnFailed) {
   opts.cg.max_iterations = 1;  // no solve can finish in one iteration
   const thermal::FdmThermalSolver solver(fp.die(), opts);
   try {
-    (void)build_influence_fdm(solver, fp.heat_sources(tech()), block_centre_samples(fp));
+    (void)thermal::fdm_influence_columns(solver, fp.heat_sources(tech()), block_centre_samples(fp),
+                                         true);
     FAIL() << "expected PreconditionError";
   } catch (const PreconditionError& e) {
     const std::string what = e.what();
@@ -188,10 +190,12 @@ TEST(Influence, FdmBuildReportsWhyAColumnFailed) {
 TEST(Influence, BuildersRejectMismatchedSamples) {
   const auto fp = grid_plan(2);
   const auto sources = fp.heat_sources(tech());
-  const std::vector<InfluenceSample> too_few = {{0.5e-3, 0.5e-3}};
-  EXPECT_THROW((void)build_influence_analytic(fp.die(), sources, too_few), PreconditionError);
+  const std::vector<thermal::SurfaceSample> too_few = {{0.5e-3, 0.5e-3}};
+  EXPECT_THROW((void)thermal::analytic_influence_columns(fp.die(), sources, too_few, {}),
+               PreconditionError);
   const thermal::FdmThermalSolver solver(fp.die(), {});
-  EXPECT_THROW((void)build_influence_fdm(solver, sources, too_few), PreconditionError);
+  EXPECT_THROW((void)thermal::fdm_influence_columns(solver, sources, too_few, true),
+               PreconditionError);
 }
 
 }  // namespace

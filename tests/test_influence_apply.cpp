@@ -24,7 +24,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
-#include "core/influence.hpp"
 #include "floorplan/generators.hpp"
 #include "thermal/backend.hpp"
 
@@ -72,7 +71,7 @@ TEST(InfluenceApply, SpectralOperatorMatchesDenseMatvec) {
   ASSERT_EQ(op->size(), sources.size());
   EXPECT_EQ(op->kind(), "spectral-mode-space");
 
-  const InfluenceOperator dense(backend.build_influence(sources, samples));
+  const thermal::DenseInfluenceApply dense(backend.build_influence(sources, samples));
   Rng rng(99);
   std::vector<double> powers(sources.size());
   for (auto& p : powers) p = rng.uniform(0.0, 2.0);
@@ -207,7 +206,7 @@ void expect_grouped_apply_matches_dense(const thermal::SpectralBackend& backend,
                                         const std::vector<thermal::HeatSource>& sources,
                                         const std::vector<thermal::SurfaceSample>& samples) {
   const auto op = backend.make_influence_apply(sources, samples);
-  const InfluenceOperator dense(backend.build_influence(sources, samples));
+  const thermal::DenseInfluenceApply dense(backend.build_influence(sources, samples));
   const std::size_t n = sources.size();
   constexpr std::size_t kVectors = 3;
   Rng rng(314);
@@ -237,7 +236,7 @@ TEST(InfluenceApply, BatchApplyEqualsPerVectorAppliesBitwise) {
   const auto samples = block_centre_samples(fp);
   const thermal::SpectralBackend backend(fp.die(), {});
   const auto spectral = backend.make_influence_apply(sources, samples);
-  const InfluenceOperator dense(backend.build_influence(sources, samples));
+  const thermal::DenseInfluenceApply dense(backend.build_influence(sources, samples));
   const std::size_t n = sources.size();
   constexpr std::size_t kVectors = 5;
   Rng rng(7);
