@@ -9,7 +9,7 @@
 //  * BM_ScenarioBatchCorners: a V/f corner screen (5 supplies x 4 relative
 //    frequencies) on the same plan, per backend influence mode.
 //  * BM_SpectralApplyBatch: the spectral multi-RHS influence apply alone on
-//    that plan at counts 1, 4 and 64 — us_per_vector shows what the
+//    that plan at counts 1, 4, 5 and 64 — us_per_vector shows what the
 //    4-vector register blocks save over lone applies.
 // The batch counters pin the trajectory: scenarios, batched_matvecs (blocked
 // multi-RHS applies issued), picard_iterations_total, and the
@@ -130,8 +130,9 @@ BENCHMARK(BM_ScenarioBatchCorners)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond
 
 void BM_SpectralApplyBatch(benchmark::State& state) {
   // The multi-RHS spectral apply alone, on the plan and modes of the batch
-  // studies: count 1 is the lone apply, count 4 one register block, count
-  // 64 the batch engine's chunk. us_per_vector is the per-scenario cost.
+  // studies: count 1 is the lone apply, count 4 one register block, count 5
+  // one block plus a lone remainder, count 64 the batch engine's chunk.
+  // us_per_vector is the per-scenario cost.
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto fp = plan_36();
   const auto sources = fp.heat_sources(device::Technology::cmos012());
@@ -153,6 +154,11 @@ void BM_SpectralApplyBatch(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(count));
 }
-BENCHMARK(BM_SpectralApplyBatch)->Arg(1)->Arg(4)->Arg(64)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SpectralApplyBatch)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
