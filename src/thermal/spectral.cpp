@@ -666,6 +666,11 @@ constexpr std::size_t kLanes = 4;
 /// x-intervals per pass-2 sweep.
 constexpr std::size_t kIntervalTile = 64;
 
+/// Sums a pass-2 sweep carries in registers: 16 flux modes of one vector or
+/// 4 of a 4-vector block, eight SSE2 registers either way, so that enough
+/// independent adds are in flight to hide their latency.
+constexpr std::size_t kSweepSums = 16;
+
 /// Two lanes in one SSE2 register. A GCC/Clang vector type, because plain
 /// arrays or structs of doubles stay on the stack, and a 4-wide vector type
 /// is split through memory without AVX.
@@ -815,10 +820,10 @@ void project_passes(SpectralThermalSolver::SourceProjection& source, const doubl
   // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
   // sum per distinct interval instead of per source. Each flux mode sums
   // the touched intervals (compacted in place, still ascending) in
-  // registers, four modes at a time, kIntervalTile intervals per sweep so a
-  // tile's flux_x rows stay in cache on plans with thousands of distinct
-  // intervals. The first tile, empty when no interval is touched, starts
-  // from +0.0; later tiles resume.
+  // registers, kSweepSums / w modes at a time, kIntervalTile intervals per
+  // sweep so a tile's flux_x rows stay in cache on plans with thousands of
+  // distinct intervals. The first tile, empty when no interval is touched,
+  // starts from +0.0; later tiles resume.
   std::size_t touched = 0;
   for (std::size_t a = 0; a < gx; ++a) {
     if (live[a] != 0) live[touched++] = static_cast<std::uint32_t>(a);
@@ -831,9 +836,10 @@ void project_passes(SpectralThermalSolver::SourceProjection& source, const doubl
     for (std::size_t nn = 0; nn < my; ++nn) {
       const double* y = axis + nn * w;
       double* out = flux + nn * mx * w;
+      constexpr std::size_t r = kSweepSums / w;
       std::size_t m = 0;
-      for (; m + 4 <= mx; m += 4) {
-        expand_modes<T, 4>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * w);
+      for (; m + r <= mx; m += r) {
+        expand_modes<T, r>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * w);
       }
       for (; m < mx; ++m) {
         expand_modes<T, 1>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * w);
