@@ -605,7 +605,6 @@ SpectralThermalSolver::SourceProjection SpectralThermalSolver::make_source_proje
   };
   proj.flux_x = flux_table(x_intervals, opts_.modes_x, die_.width);
   proj.flux_y = flux_table(y_intervals, opts_.modes_y, die_.height);
-  proj.rows.resize(x_intervals.size() * proj.modes_y);
   proj.live.resize(x_intervals.size());
   return proj;
 }
@@ -641,7 +640,6 @@ SpectralThermalSolver::SampleSynthesis SpectralThermalSolver::make_sample_synthe
   };
   synth.synth_x = cosine_table(x_values, opts_.modes_x, die_.width);
   synth.synth_y = cosine_table(y_values, opts_.modes_y, die_.height);
-  synth.rows.resize(x_values.size() * synth.modes_y);
   return synth;
 }
 
@@ -653,7 +651,6 @@ SpectralThermalSolver::InfluenceProjection SpectralThermalSolver::make_influence
   proj.count = sources.size();
   proj.source = make_source_projection(sources);
   proj.sample = make_sample_synthesis(samples);
-  proj.block.resize(static_cast<std::size_t>(mode_count()));
   return proj;
 }
 
@@ -777,7 +774,7 @@ void expand_modes(const double* y, std::size_t y_stride, const double* flux_x, s
 
 /// Passes 1-2, powers -> flux modes, for the vectors of one entry type:
 /// vector k's powers at powers + k * stride, its flux mode i at flux[i * w
-/// + k]. source.rows grows to Gx * modes_y entries.
+/// + k]. `axis` holds Gx * modes_y entries.
 ///
 /// Every accumulator starts at +0.0 and sums in ascending order. A source
 /// is skipped only when its power is zero in every vector, and pass 2 skips
@@ -787,16 +784,13 @@ void expand_modes(const double* y, std::size_t y_stride, const double* flux_x, s
 /// entry type or on the other vectors, and a non-finite power stays in its
 /// own vector.
 template <class T>
-void project_passes(SpectralThermalSolver::SourceProjection& source, const double* powers,
-                    std::size_t stride, double* flux) {
+void project_passes(const SpectralThermalSolver::SourceProjection& source, const double* powers,
+                    std::size_t stride, double* axis, std::uint32_t* live, double* flux) {
   constexpr std::size_t w = kWidth<T>;
   const std::size_t mx = source.modes_x;
   const std::size_t my = source.modes_y;
   const std::size_t gx = source.x_intervals();
   const std::size_t row = my * w;  // one axis row
-  if (source.rows.size() < gx * row) source.rows.resize(gx * row);
-  double* axis = source.rows.data();
-  std::uint32_t* live = source.live.data();
   // (1) Powers -> per-x-interval y flux: Y[a] += P_j w_j flux_y[y(j)] over
   // the sources j, ascending, whose clipped x-interval is a; live[a] marks
   // the touched rows.
@@ -877,18 +871,16 @@ void synthesize_rows(const double* c, std::size_t c_stride, const double* cx, st
 
 /// Passes 4-5, mode coefficients -> sample values, for the vectors of one
 /// entry type: coefficient i of vector k at coeff[i * w + k], its value at
-/// sample p into values[k * stride + p]; sample.rows grows to Gs * modes_y
-/// entries. Every sum starts at +0.0 and runs in ascending mode order.
+/// sample p into values[k * stride + p]. `axis` holds Gs * modes_y entries.
+/// Every sum starts at +0.0 and runs in ascending mode order.
 template <class T>
-void synthesize_passes(SpectralThermalSolver::SampleSynthesis& sample, const double* coeff,
-                       double* values, std::size_t stride) {
+void synthesize_passes(const SpectralThermalSolver::SampleSynthesis& sample, const double* coeff,
+                       double* axis, double* values, std::size_t stride) {
   constexpr std::size_t w = kWidth<T>;
   const std::size_t mx = sample.modes_x;
   const std::size_t my = sample.modes_y;
   const std::size_t row = my * w;
   const std::size_t c_row = mx * w;
-  if (sample.rows.size() < sample.sample_xs() * row) sample.rows.resize(sample.sample_xs() * row);
-  double* axis = sample.rows.data();
   // (4) Synthesis along x at each distinct sample x: U[b][n] = sum_m C[n][m]
   // synth_x[b][m], shared by every sample in that column; four coefficient
   // rows per synth_x row.
@@ -913,15 +905,23 @@ void synthesize_passes(SpectralThermalSolver::SampleSynthesis& sample, const dou
 }
 
 /// All five passes for the vectors of one entry type: vector k's powers at
-/// powers + k * proj.count, its rises likewise at `rises`.
+/// powers + k * proj.count, its rises likewise at `rises`. Passes 1-2 and
+/// 4-5 share one axis scratch ahead of the mode-space entries in
+/// proj.block.
 template <class T>
 void apply_entries(SpectralThermalSolver::InfluenceProjection& proj,
                    std::span<const double> transfer, const double* powers, double* rises) {
-  const std::size_t size = kWidth<T> * transfer.size();
-  if (proj.block.size() < size) proj.block.resize(size);
-  project_passes<T>(proj.source, powers, proj.count, proj.block.data());
-  transfer_pass<T>(transfer, proj.block.data());
-  synthesize_passes<T>(proj.sample, proj.block.data(), rises, proj.count);
+  constexpr std::size_t w = kWidth<T>;
+  const std::size_t axis_size =
+      w * std::max(proj.source.x_intervals(), proj.sample.sample_xs()) * proj.source.modes_y;
+  if (proj.block.size() < axis_size + w * transfer.size()) {
+    proj.block.resize(axis_size + w * transfer.size());
+  }
+  double* axis = proj.block.data();
+  double* coeff = axis + axis_size;
+  project_passes<T>(proj.source, powers, proj.count, axis, proj.source.live.data(), coeff);
+  transfer_pass<T>(transfer, coeff);
+  synthesize_passes<T>(proj.sample, coeff, axis, rises, proj.count);
 }
 
 }  // namespace
@@ -931,7 +931,8 @@ void SpectralThermalSolver::SourceProjection::project(std::span<const double> po
   PTHERM_REQUIRE(powers.size() == sources.size() && flux.size() == modes_x * modes_y,
                  "SourceProjection::project: need one power per source and mode_count() "
                  "flux entries");
-  project_passes<double>(*this, powers.data(), 0, flux.data());
+  rows.resize(x_intervals() * modes_y);
+  project_passes<double>(*this, powers.data(), 0, rows.data(), live.data(), flux.data());
 }
 
 void SpectralThermalSolver::SampleSynthesis::synthesize(std::span<const double> coeff,
@@ -939,7 +940,8 @@ void SpectralThermalSolver::SampleSynthesis::synthesize(std::span<const double> 
   PTHERM_REQUIRE(coeff.size() == modes_x * modes_y && values.size() == samples.size(),
                  "SampleSynthesis::synthesize: need mode_count() coefficients and one value "
                  "per sample");
-  synthesize_passes<double>(*this, coeff.data(), values.data(), 0);
+  rows.resize(sample_xs() * modes_y);
+  synthesize_passes<double>(*this, coeff.data(), rows.data(), values.data(), 0);
 }
 
 void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,

@@ -145,9 +145,9 @@ class SpectralThermalSolver {
     std::vector<double> flux_x;
     std::vector<double> flux_y;
     std::vector<Rows> sources;
-    /// Scratch: the flux_y rows summed per x-interval, modes_y per row
-    /// (grown to four vectors' by a batched influence apply), and the
-    /// x-intervals a projection touched (one per interval).
+    /// project()'s scratch: the flux_y rows summed per x-interval, modes_y
+    /// per row, sized on first use. The x-intervals a projection touched
+    /// (one per interval), for project() and the influence apply alike.
     std::vector<double> rows;
     std::vector<std::uint32_t> live;
 
@@ -183,9 +183,8 @@ class SpectralThermalSolver {
     std::vector<double> synth_x;
     std::vector<double> synth_y;
     std::vector<Rows> samples;
-    /// Scratch: the coefficients synthesized along x at each distinct
-    /// sample x, modes_y per row (grown to four vectors' by a batched
-    /// influence apply).
+    /// synthesize()'s scratch: the coefficients synthesized along x at each
+    /// distinct sample x, modes_y per row, sized on first use.
     std::vector<double> rows;
 
     [[nodiscard]] std::size_t sample_xs() const noexcept {
@@ -214,16 +213,18 @@ class SpectralThermalSolver {
 
   /// The matrix-free influence apply `rises = R * powers`: the source half,
   /// the per-mode surface transfer and the sample half. Memory is
-  /// O(n + G * modes_per_axis + modes) — the tables and the halves' scratch,
-  /// sized for one 4-vector block once an apply of count >= 4 has run,
-  /// whatever the apply's `count` — versus the O(n^2) dense matrix whose
-  /// build is also O(n^2 * modes).
+  /// O(n + G * modes_per_axis + modes) — the tables and one scratch, sized
+  /// for one 4-vector block once an apply of count >= 4 has run, whatever
+  /// the apply's `count` — versus the O(n^2) dense matrix whose build is
+  /// also O(n^2 * modes).
   struct InfluenceProjection {
     std::size_t count = 0;  ///< sources == samples count
     SourceProjection source;
     SampleSynthesis sample;
-    /// Mode-space scratch: mode_count() entries, grown to four vectors'
-    /// (lane-interleaved) by the first apply of count >= 4.
+    /// The apply's scratch: max(Gx, Gs) * modes_y axis entries, then
+    /// mode_count() mode-space entries, with Gs = sample.sample_xs(); one
+    /// vector's until the first apply of count >= 4 grows it to four
+    /// vectors' (lane-interleaved). The halves' own `rows` stay empty.
     std::vector<double> block;
   };
 
