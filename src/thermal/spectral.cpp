@@ -799,7 +799,7 @@ void project_passes(const SpectralThermalSolver::SourceProjection& source, const
   for (std::size_t j = 0; j < source.sources.size(); ++j) {
     const auto& src = source.sources[j];
     if (src.weight == 0.0) continue;
-    T pw;
+    T pw = {};
     gather(pw, powers + j, stride, src.weight);
     if (all_zero(pw)) continue;
     live[src.x] = 1;
