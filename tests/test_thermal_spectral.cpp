@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <numeric>
 #include <vector>
 
@@ -386,6 +389,127 @@ TEST(SpectralTransient, FdmTrajectoryConvergesTowardSpectralUnderDtRefinement) {
   // O(dt) error should shrink roughly linearly; allow generous slack for the
   // dt-independent spatial floor underneath.
   EXPECT_LT(fine, 0.75 * coarse);
+}
+
+// ------------------------------------------------ transient bit pins
+
+// Amplitude (lateral mode, z-mode p) of a transient field.
+double amplitude(const SpectralThermalSolver::TransientSolution& state, std::size_t mode,
+                 std::size_t p, std::size_t mz) {
+  return state.amps[mode * mz + p];
+}
+
+// FNV-1a over bit patterns, one value at a time.
+void hash_bits(std::uint64_t& h, double v) {
+  h ^= std::bit_cast<std::uint64_t>(v);
+  h *= 0x100000001b3u;
+}
+
+// Bits of a transient run: a running hash of every surface coefficient and
+// every amplitude after every step, plus the final first and last of each.
+struct TransientPin {
+  std::uint64_t coeff_hash, amps_hash;
+  double coeff_first, coeff_last, amp_first, amp_last;
+};
+
+// Steps a field through held and moving powers, a -0.0 power, all-zero
+// powers and h re-keys (h = 1e-4, 1e-3, 1e-6 and a 0.1 s step that drives
+// most (mode, p) entries below the fully-decayed floor), hashing the
+// surface coefficients and the amplitudes, both read in (mode, p) order,
+// after each step. The expected bits were captured from the library while
+// the amplitudes were stored lateral-mode major and the single die and the
+// layered stack advanced them in separate loops. Amplitudes are compared
+// with -0.0 folded to +0.0: a fully decayed entry may carry either sign of
+// a zero amplitude, which no sum downstream can see (every sum starts at
+// +0.0). Surface coefficients are compared with their sign bits.
+void expect_transient_pinned(const SpectralThermalSolver& solver,
+                             std::vector<HeatSource> sources, const TransientPin& pin) {
+  const std::size_t modes = static_cast<std::size_t>(solver.mode_count());
+  const std::size_t mz = static_cast<std::size_t>(solver.modes_z());
+  Rng rng(57);
+  auto state = solver.make_transient();
+  std::uint64_t coeff_hash = 0xcbf29ce484222325u;
+  std::uint64_t amps_hash = 0xcbf29ce484222325u;
+  const auto step = [&](double h) {
+    solver.step_transient(state, h, sources);
+    for (std::size_t mode = 0; mode < modes; ++mode) {
+      hash_bits(coeff_hash, state.surface.coeff[mode]);
+      for (std::size_t p = 0; p < mz; ++p) {
+        const double a = amplitude(state, mode, p, mz);
+        hash_bits(amps_hash, a == 0.0 ? 0.0 : a);
+      }
+    }
+  };
+  const auto move_powers = [&] {
+    for (auto& s : sources) s.power *= rng.uniform(0.5, 1.5);
+  };
+  for (int i = 0; i < 3; ++i) step(1e-4);  // held
+  for (int i = 0; i < 4; ++i) {
+    move_powers();
+    step(1e-4);
+  }
+  sources[0].power = -0.0;
+  step(1e-4);
+  move_powers();
+  step(1e-3);
+  step(1e-3);
+  move_powers();
+  step(1e-6);
+  step(1e-6);
+  step(0.1);
+  const auto held = sources;
+  for (auto& s : sources) s.power = 0.0;
+  step(0.1);
+  step(1e-4);
+  sources = held;
+  sources[1].power = 2.5;
+  for (int i = 0; i < 3; ++i) step(1e-4);
+
+  EXPECT_EQ(coeff_hash, pin.coeff_hash) << "coefficient hash 0x" << std::hex << coeff_hash;
+  EXPECT_EQ(amps_hash, pin.amps_hash) << "amplitude hash 0x" << std::hex << amps_hash;
+  const double got[] = {state.surface.coeff.front(), state.surface.coeff.back(),
+                        amplitude(state, 0, 0, mz), amplitude(state, modes - 1, mz - 1, mz)};
+  const double want[] = {pin.coeff_first, pin.coeff_last, pin.amp_first, pin.amp_last};
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]), std::bit_cast<std::uint64_t>(want[k]))
+        << "value " << k << " = " << std::hexfloat << got[k];
+  }
+}
+
+TEST(SpectralTransient, StepMatchesCapturedBits) {
+  {
+    // The 36-block plan at 32 x 32 x 8 modes (the RTM trace's size).
+    SpectralOptions opts;
+    opts.modes_x = 32;
+    opts.modes_y = 32;
+    expect_transient_pinned(SpectralThermalSolver(die_1mm(), opts), grid_sources(6, 16.0),
+                            {0x8cf0b0a33720e22bu, 0x5e05b7abbbf10618u, 0x1.68ad8c93ef711p+4,
+                             0x1.bcc3e0fb50572p-11, 0x1.d0da309a5036fp+3, 0x1.dc9ff09ed61f5p-16});
+  }
+  {
+    // 132 lateral modes, not a multiple of any register tile.
+    SpectralOptions opts;
+    opts.modes_x = 12;
+    opts.modes_y = 11;
+    opts.modes_z = 5;
+    expect_transient_pinned(SpectralThermalSolver(die_1mm(), opts), grid_sources(3, 2.0),
+                            {0x159a2bd57e3bad71u, 0xfe86ad47504423f4u, 0x1.38618ae06dca7p+2,
+                             0x1.2746c4837a442p-8, 0x1.929b185028f93p+1, 0x1.4ab17c2c21f5p-12});
+  }
+  {
+    // Layered: die + TIM + copper spreader, layer diffusivities differ.
+    const Die die = die_1mm();
+    const DieStack stack({{"die", die.thickness, die.k_si, die.cv_si},
+                          {"tim", 25e-6, 4.0, 2.2e6},
+                          {"spreader", 500e-6, 390.0, 3.4e6}});
+    SpectralOptions opts;
+    opts.modes_x = 16;
+    opts.modes_y = 16;
+    const SpectralThermalSolver solver(die, stack, opts);
+    ASSERT_TRUE(solver.layered());
+    expect_transient_pinned(solver, grid_sources(3, 2.0), {0xc86ab6eeb2c44143u, 0xe058e032c0236602u, 0x1.39c7616d114bcp+2,
+                             -0x1.5a0915571937bp-11, 0x1.041123daa153ap+1, -0x1.933d008b44cd6p-37});
+  }
 }
 
 TEST(Spectral, MapSynthesisFoldsModesBeyondTheGrid) {
