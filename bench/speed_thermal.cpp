@@ -1,8 +1,10 @@
 // Speed study S1 (thermal): closed-form image-method evaluation versus the
 // FDM reference versus the spectral Green's-function solver, plus the cost
-// anatomy of the analytic model (kernel, z-series, full map).
+// anatomy of the analytic model (kernel, z-series, full map) and the
+// spectral transient step.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
 #include "floorplan/generators.hpp"
 #include "thermal/fdm.hpp"
 #include "thermal/images.hpp"
@@ -145,5 +147,41 @@ BENCHMARK(BM_SpectralSurfaceMap)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
+
+void BM_SpectralTransientStep(benchmark::State& state) {
+  // One folded epoch step (h = 1 ms) of the rtm_trace_100k plant: 36 blocks
+  // of a 6 x 6 grid on a 1 mm die, 32 x 32 x 8 modes. Arg 0 holds the
+  // powers, so the step is the mode-space update alone; arg 1 alternates two
+  // power vectors, so every step re-projects the sources first.
+  const auto tech = device::Technology::cmos012();
+  Rng rng(1);
+  floorplan::GeneratorConfig cfg;
+  cfg.total_dynamic_power = 16.0;
+  cfg.gates_per_mm2 = 1e5;
+  const auto held = floorplan::make_uniform_grid(tech, die_1mm(), 6, 6, cfg, rng)
+                        .heat_sources(tech);
+  auto moved = held;
+  for (auto& s : moved) s.power *= 0.5;
+  thermal::SpectralOptions opts;
+  opts.modes_x = 32;
+  opts.modes_y = 32;
+  const thermal::SpectralThermalSolver solver(die_1mm(), opts);
+  auto field = solver.make_transient();
+  solver.step_transient(field, 1e-3, held);
+  const bool moving = state.range(0) != 0;
+  const long long updates_before = solver.transient_power_updates();
+  bool flip = false;
+  for (auto _ : state) {
+    flip = moving && !flip;
+    solver.step_transient(field, 1e-3, flip ? moved : held);
+    benchmark::DoNotOptimize(field.surface.coeff.data());
+  }
+  // Re-projections per step: 0 held, 1 moving.
+  state.counters["power_updates"] =
+      static_cast<double>(solver.transient_power_updates() - updates_before) /
+      static_cast<double>(state.iterations());
+  state.counters["modes"] = static_cast<double>(solver.mode_count());
+}
+BENCHMARK(BM_SpectralTransientStep)->Arg(0)->Arg(1);
 
 }  // namespace

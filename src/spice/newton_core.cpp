@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ptherm::spice::detail {
 
@@ -136,6 +137,7 @@ bool NewtonCore::newton(std::vector<double>& x, double gmin, const TransientCont
   numerics::Matrix jac(static_cast<std::size_t>(size_), static_cast<std::size_t>(size_));
   const int nn = node_unknowns();
   for (int it = 0; it < opts_.max_iterations; ++it) {
+    TELEMETRY_SPAN("spice/newton_iteration");
     assemble(x, gmin, tr, f, scale, &jac);
     ++iterations_used;
     if (residual_trace) {

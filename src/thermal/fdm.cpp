@@ -258,6 +258,13 @@ int FdmThermalSolver::step_transient(std::vector<double>& rise, double dt,
     return false;
   }();
   if (sources_changed) {
+    // A non-finite power or footprint would turn the whole field into NaN
+    // for good; held sources were checked when they last changed.
+    for (const HeatSource& s : sources) {
+      PTHERM_REQUIRE(std::isfinite(s.cx) && std::isfinite(s.cy) && std::isfinite(s.w) &&
+                         std::isfinite(s.l) && std::isfinite(s.power),
+                     "step_transient: non-finite source power or footprint");
+    }
     transient_rhs_ = rhs_for(sources);
     transient_rhs_key_ = sources;
     ++power_updates_;

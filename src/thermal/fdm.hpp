@@ -109,7 +109,9 @@ class FdmThermalSolver {
   /// One backward-Euler transient step: advances `rise` (full field) by dt
   /// under the given sources. Returns CG iterations; throws
   /// ptherm::ConvergenceError (leaving `rise` untouched) if the implicit
-  /// solve fails, so drivers never integrate a garbage field.
+  /// solve fails, so drivers never integrate a garbage field, and
+  /// ptherm::PreconditionError (likewise) on a non-finite source power or
+  /// footprint.
   int step_transient(std::vector<double>& rise, double dt,
                      const std::vector<HeatSource>& sources) const;
 

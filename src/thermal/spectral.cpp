@@ -252,7 +252,7 @@ void SpectralThermalSolver::init_single_die() {
     double carried = 0.0;
     for (std::size_t p = 0; p < mz; ++p) {
       const double gain = 2.0 / (die_.k_si * t * (g2_[mode] + gamma2_[p]));
-      gain_[mode * mz + p] = gain;
+      gain_[p * modes + mode] = gain;
       carried += gain;
     }
     tail_[mode] = transfer_[mode] - carried;
@@ -382,9 +382,9 @@ void SpectralThermalSolver::ensure_transient_modes() const {
       for (std::size_t p = 0; p < mz; ++p) {
         const double lam = lam0[p] + alpha0 * g2_[mode];
         PTHERM_REQUIRE(lam > 0.0, "spectral layered: z-operator is not dissipative");
-        lambda_[mode * mz + p] = lam;
+        lambda_[p * modes + mode] = lam;
         const double gain = u0c2[p] / lam;
-        gain_[mode * mz + p] = gain;
+        gain_[p * modes + mode] = gain;
         carried += gain;
       }
       tail_[mode] = transfer_[mode] - carried;
@@ -449,12 +449,12 @@ void SpectralThermalSolver::ensure_transient_modes() const {
         const std::size_t col = order[p];
         const double lam = ritz[col * kr + col];
         PTHERM_REQUIRE(lam > 0.0, "spectral layered: z-operator is not dissipative");
-        lambda_[mode * mz + p] = lam;
+        lambda_[p * modes + mode] = lam;
         double u0 = 0.0;
         for (std::size_t k = 0; k < kr; ++k) u0 += top[k] * vecs[k * kr + col];
         const double u0c = u0 * inv_sqrt_c0;
         const double gain = u0c * u0c / lam;
-        gain_[mode * mz + p] = gain;
+        gain_[p * modes + mode] = gain;
         carried += gain;
       }
       tail_[mode] = transfer_[mode] - carried;
@@ -504,22 +504,19 @@ double SpectralThermalSolver::rise_at_depth(const Solution& sol, double x, doubl
                  "spectral: solution size mismatch");
   const double t = layered_ ? stack_->total_thickness() : die_.thickness;
   PTHERM_REQUIRE(z >= 0.0 && z <= t, "spectral: depth outside the die");
-  std::vector<double> cosx(static_cast<std::size_t>(opts_.modes_x));
-  for (int m = 0; m < opts_.modes_x; ++m) cosx[m] = std::cos(m * kPi * x / die_.width);
-  double total = 0.0;
+  // Each coefficient at its depth profile, then the surface synthesis.
+  Solution at_depth{std::vector<double>(sol.coeff.size())};
   for (int n = 0; n < opts_.modes_y; ++n) {
     const double gy = n * kPi / die_.height;
     const std::size_t row = static_cast<std::size_t>(n) * opts_.modes_x;
-    double inner = 0.0;
     for (int m = 0; m < opts_.modes_x; ++m) {
       const double g = std::hypot(m * kPi / die_.width, gy);
       const double profile =
           layered_ ? layered_depth_ratio(g, z) : steady_depth_profile(g, t, z);
-      inner += sol.coeff[row + m] * profile * cosx[m];
+      at_depth.coeff[row + m] = sol.coeff[row + m] * profile;
     }
-    total += inner * std::cos(gy * y);
   }
-  return total;
+  return surface_rise(at_depth, x, y);
 }
 
 std::vector<double> SpectralThermalSolver::surface_map(const Solution& sol, int nx,
@@ -698,6 +695,8 @@ struct Lanes {
 template <class T>
 constexpr std::size_t kWidth = 1;
 template <>
+constexpr std::size_t kWidth<Pair> = 2;
+template <>
 constexpr std::size_t kWidth<Lanes> = kLanes;
 
 template <class T>
@@ -707,11 +706,16 @@ double load<double>(const double* p) {
   return *p;
 }
 template <>
+Pair load<Pair>(const double* p) {
+  return load_pair(p);
+}
+template <>
 Lanes load<Lanes>(const double* p) {
   return {load_pair(p), load_pair(p + 2)};
 }
 
 void store(double* p, double v) { *p = v; }
+void store(double* p, Pair v) { store_pair(p, v); }
 void store(double* p, const Lanes& v) {
   store_pair(p, v.lo);
   store_pair(p + 2, v.hi);
@@ -924,6 +928,37 @@ void apply_entries(SpectralThermalSolver::InfluenceProjection& proj,
   synthesize_passes<T>(proj.sample, coeff, axis, rises, proj.count);
 }
 
+/// Lateral modes per tile of the transient amplitude update.
+constexpr std::size_t kModeTile = 8;
+
+/// The transient update of the R * w lateral modes from `mode` on, over the
+/// p-major (mode, p) grids amps, gain and decay: amp <- amp d + q g (1 - d)
+/// for each z-mode p, ascending, summed from +0.0 in registers; then coeff
+/// = sum + tail q. A fully decayed entry (d = 0) gives amp = q g, up to the
+/// sign of a zero amplitude, which a sum from +0.0 cannot see.
+template <class T, std::size_t R>
+void advance_modes(std::size_t mode, std::size_t modes, std::size_t mz, const double* flux,
+                   const double* gain, const double* decay, const double* tail, double* amps,
+                   double* coeff) {
+  constexpr std::size_t w = kWidth<T>;
+  T q[R];
+  T sum[R] = {};
+  for (std::size_t r = 0; r < R; ++r) q[r] = load<T>(flux + mode + r * w);
+  for (std::size_t p = 0; p < mz; ++p) {
+    const std::size_t row = p * modes + mode;
+    for (std::size_t r = 0; r < R; ++r) {
+      const std::size_t i = row + r * w;
+      const T d = load<T>(decay + i);
+      const T amp = load<T>(amps + i) * d + q[r] * load<T>(gain + i) * (1.0 - d);
+      store(amps + i, amp);
+      sum[r] += amp;
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    store(coeff + mode + r * w, sum[r] + load<T>(tail + mode + r * w) * q[r]);
+  }
+}
+
 }  // namespace
 
 void SpectralThermalSolver::SourceProjection::project(std::span<const double> powers,
@@ -990,11 +1025,15 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
   const std::size_t mz = static_cast<std::size_t>(opts_.modes_z);
   PTHERM_REQUIRE(state.amps.size() == modes * mz && state.surface.coeff.size() == modes,
                  "step_transient: state belongs to a different spectral configuration");
+  if (layered_) ensure_transient_modes();
 
   // (1) Project the step's powers onto the flux modes through the source
   // half, rebuilt only when some footprint moved. When neither powers nor
   // geometry moved since the last step (an epoch-driven driver holding its
   // powers) the flux modes are still valid and the pass is skipped whole.
+  // A moved footprint or power must be finite (a NaN would stay in the
+  // amplitudes for good); held ones were checked when they last moved.
+  // Every check runs before the state changes.
   const std::size_t n = sources.size();
   bool geometry_dirty = state.geometry_key.size() != 4 * n;
   for (std::size_t j = 0; j < n && !geometry_dirty; ++j) {
@@ -1002,11 +1041,17 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
     const double* key = state.geometry_key.data() + 4 * j;
     geometry_dirty = key[0] != s.cx || key[1] != s.cy || key[2] != s.w || key[3] != s.l;
   }
+  if (geometry_dirty) {
+    for (const HeatSource& s : sources) {
+      PTHERM_REQUIRE(std::isfinite(s.cx) && std::isfinite(s.cy) && std::isfinite(s.w) &&
+                         std::isfinite(s.l),
+                     "step_transient: non-finite source footprint");
+    }
+  }
   bool flux_dirty = geometry_dirty || state.power_key.size() != n;
-  state.power_key.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
-    if (state.power_key[j] == sources[j].power) continue;
-    state.power_key[j] = sources[j].power;
+    if (!flux_dirty && state.power_key[j] == sources[j].power) continue;
+    PTHERM_REQUIRE(std::isfinite(sources[j].power), "step_transient: non-finite source power");
     flux_dirty = true;
   }
   if (flux_dirty) {
@@ -1022,85 +1067,56 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
         key[3] = sources[j].l;
       }
     }
+    state.power_key.resize(n);
+    for (std::size_t j = 0; j < n; ++j) state.power_key[j] = sources[j].power;
     state.projection.project(state.power_key, state.flux);
     ++power_updates_;
   }
 
   TELEMETRY_SPAN("spectral/step_decay");
-  // (2 + 3, layered) The modal rates live on the per-(mode, p) grid — they
-  // do not separate into lateral x z factors — so the decay cache is the
-  // full grid; the amplitude update and the quasi-static tail fold are the
-  // same exact exponential machinery as the closed-form path below.
-  if (layered_) {
-    ensure_transient_modes();
-    if (state.decay_h != h || state.decay.size() != modes * mz) {
-      state.decay.resize(modes * mz);
+  // (2) Decay factors e^{-lambda h} on the p-major (mode, p) grid, keyed by
+  // h; a factor below kDecayFloor is stored as 0 (fully decayed).
+  if (state.decay_h != h || state.decay.size() != modes * mz) {
+    state.decay.resize(modes * mz);
+    if (layered_) {
+      // Layered modal rates do not separate into lateral x z factors.
       for (std::size_t i = 0; i < modes * mz; ++i) {
         const double d = std::exp(-lambda_[i] * h);
-        state.decay[i] = d < kDecayFloor ? 0.0 : d;  // fully decayed
+        state.decay[i] = d < kDecayFloor ? 0.0 : d;
       }
-      state.decay_h = h;
-    }
-    for (std::size_t mode = 0; mode < modes; ++mode) {
-      const double q = state.flux[mode];
-      double* amp = state.amps.data() + mode * mz;
-      const double* gain = gain_.data() + mode * mz;
-      const double* decay = state.decay.data() + mode * mz;
-      double sum = 0.0;
-      for (std::size_t p = 0; p < mz; ++p) {
-        const double d = decay[p];
-        amp[p] = amp[p] * d + q * gain[p] * (1.0 - d);
-        sum += amp[p];
+    } else {
+      // The single-die rate alpha (g^2 + gamma_p^2) separates, so the exact
+      // decay is the product of modes + modes_z exponentials. Decided on
+      // the exponent, so the product is never formed for a dead entry.
+      const double alpha = die_.k_si / die_.cv_si;
+      const double max_rate = -std::log(kDecayFloor);
+      std::vector<double> decay_z(mz);
+      for (std::size_t p = 0; p < mz; ++p) decay_z[p] = std::exp(-alpha * gamma2_[p] * h);
+      for (std::size_t mode = 0; mode < modes; ++mode) {
+        const double dl = std::exp(-alpha * g2_[mode] * h);
+        for (std::size_t p = 0; p < mz; ++p) {
+          const bool live = alpha * (g2_[mode] + gamma2_[p]) * h < max_rate;
+          state.decay[p * modes + mode] = live ? dl * decay_z[p] : 0.0;
+        }
       }
-      state.surface.coeff[mode] = sum + tail_[mode] * q;
-    }
-    return 1;
-  }
-
-  // (2) Decay factors keyed by h, in separable lateral x z form: the exact
-  // per-mode decay e^{-alpha (g^2 + gamma_p^2) h} is their product.
-  const double alpha = die_.k_si / die_.cv_si;
-  if (state.decay_h != h || state.decay_lat.size() != modes) {
-    state.decay_lat.resize(modes);
-    state.decay_z.resize(mz);
-    state.decay_live.resize(modes);
-    for (std::size_t mode = 0; mode < modes; ++mode) {
-      state.decay_lat[mode] = std::exp(-alpha * g2_[mode] * h);
-    }
-    for (std::size_t p = 0; p < mz; ++p) state.decay_z[p] = std::exp(-alpha * gamma2_[p] * h);
-    // Each lateral mode updates only its leading z-modes (gamma_p^2 ascends
-    // in p) whose decay factor stays above kDecayFloor; the rest are fully
-    // decayed (d = 0: amp = q g). Decided on the exponent, so the product
-    // dl * dz is never formed for them.
-    const double max_rate = -std::log(kDecayFloor);
-    for (std::size_t mode = 0; mode < modes; ++mode) {
-      std::size_t live = 0;
-      while (live < mz && alpha * (g2_[mode] + gamma2_[live]) * h < max_rate) ++live;
-      state.decay_live[mode] = live;
     }
     state.decay_h = h;
   }
 
   // (3) Advance every z-eigenmode amplitude exactly and synthesize the
-  // surface coefficients: the carried modes' sum plus the quasi-static tail.
-  for (std::size_t mode = 0; mode < modes; ++mode) {
-    const double dl = state.decay_lat[mode];
-    const double q = state.flux[mode];
-    double* amp = state.amps.data() + mode * mz;
-    const double* gain = gain_.data() + mode * mz;
-    const std::size_t live = state.decay_live[mode];
-    double sum = 0.0;
-    std::size_t p = 0;
-    for (; p < live; ++p) {
-      const double d = dl * state.decay_z[p];
-      amp[p] = amp[p] * d + q * gain[p] * (1.0 - d);
-      sum += amp[p];
-    }
-    for (; p < mz; ++p) {
-      amp[p] = q * gain[p];
-      sum += amp[p];
-    }
-    state.surface.coeff[mode] = sum + tail_[mode] * q;
+  // surface coefficients: the carried modes' sum plus the quasi-static
+  // tail. Eight lateral modes per tile in four SSE2 pairs, the rest one at
+  // a time.
+  double* amps = state.amps.data();
+  double* coeff = state.surface.coeff.data();
+  std::size_t mode = 0;
+  for (; mode + kModeTile <= modes; mode += kModeTile) {
+    advance_modes<Pair, kModeTile / 2>(mode, modes, mz, state.flux.data(), gain_.data(),
+                                       state.decay.data(), tail_.data(), amps, coeff);
+  }
+  for (; mode < modes; ++mode) {
+    advance_modes<double, 1>(mode, modes, mz, state.flux.data(), gain_.data(),
+                             state.decay.data(), tail_.data(), amps, coeff);
   }
   return 1;
 }
@@ -1118,34 +1134,23 @@ double SpectralThermalSolver::rise_at_depth(const TransientSolution& state, doub
   PTHERM_REQUIRE(z >= 0.0 && z <= t, "spectral: depth outside the die");
   std::vector<double> cosz(mz);
   for (std::size_t p = 0; p < mz; ++p) cosz[p] = std::cos(std::sqrt(gamma2_[p]) * z);
-  std::vector<double> cosx(static_cast<std::size_t>(opts_.modes_x));
-  for (int m = 0; m < opts_.modes_x; ++m) cosx[m] = std::cos(m * kPi * x / die_.width);
-  double total = 0.0;
-  for (int n = 0; n < opts_.modes_y; ++n) {
-    const double gy = n * kPi / die_.height;
-    const std::size_t row = static_cast<std::size_t>(n) * opts_.modes_x;
-    double inner = 0.0;
-    for (int m = 0; m < opts_.modes_x; ++m) {
-      const std::size_t mode = row + m;
-      const double g = std::sqrt(g2_[mode]);
-      const double* amp = state.amps.data() + mode * mz;
-      const double* gain = gain_.data() + mode * mz;
-      // Carried z-modes at their eigenfunction values; the quasi-static
-      // remainder is the steady depth profile minus the carried modes'
-      // steady share, scaled by the current flux.
-      double carried = 0.0;
-      double carried_steady = 0.0;
-      for (std::size_t p = 0; p < mz; ++p) {
-        carried += amp[p] * cosz[p];
-        carried_steady += gain[p] * cosz[p];
-      }
-      const double tail = state.flux[mode] *
-                          (transfer_[mode] * steady_depth_profile(g, t, z) - carried_steady);
-      inner += (carried + tail) * cosx[m];
+  // Fold each lateral mode's depth value, then the surface synthesis: the
+  // carried z-modes at their eigenfunction values, plus the quasi-static
+  // remainder — the steady depth profile minus the carried modes' steady
+  // share, scaled by the current flux.
+  Solution at_depth{std::vector<double>(modes)};
+  for (std::size_t mode = 0; mode < modes; ++mode) {
+    double carried = 0.0;
+    double carried_steady = 0.0;
+    for (std::size_t p = 0; p < mz; ++p) {
+      carried += state.amps[p * modes + mode] * cosz[p];
+      carried_steady += gain_[p * modes + mode] * cosz[p];
     }
-    total += inner * std::cos(gy * y);
+    const double profile = steady_depth_profile(std::sqrt(g2_[mode]), t, z);
+    const double tail = state.flux[mode] * (transfer_[mode] * profile - carried_steady);
+    at_depth.coeff[mode] = carried + tail;
   }
-  return total;
+  return surface_rise(at_depth, x, y);
 }
 
 }  // namespace ptherm::thermal

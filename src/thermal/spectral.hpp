@@ -103,9 +103,10 @@ class SpectralThermalSolver {
   /// cosine sum.
   [[nodiscard]] double surface_rise(const Solution& sol, double x, double y) const;
 
-  /// Rise at depth z below surface point (x, y): per-mode depth transfer
-  /// sinh(g (t - z)) / sinh(g t), evaluated in overflow-safe exponential
-  /// form. Used to compare against cell-centred FDM layers without
+  /// Rise at depth z below surface point (x, y): each coefficient scaled by
+  /// its depth transfer sinh(g (t - z)) / sinh(g t), evaluated in
+  /// overflow-safe exponential form, then synthesized at (x, y) like
+  /// surface_rise. Used to compare against cell-centred FDM layers without
   /// extrapolation bias. On layered stacks z spans the whole stack and the
   /// per-mode profile is the exact slab-by-slab transmission-line ratio
   /// (two-sided decaying exponentials — no sinh overflow, no cancellation).
@@ -264,7 +265,9 @@ class SpectralThermalSolver {
     /// Solution, so surface_rise / surface_map / the influence basis all
     /// read a transient field with zero extra machinery.
     Solution surface;
-    /// z-eigenmode amplitudes, lateral-mode major (amps[mode * modes_z + p]).
+    /// z-eigenmode amplitudes, p-major: amps[p * mode_count() + mode], so
+    /// one z-mode's amplitudes of neighbouring lateral modes are adjacent
+    /// and the step advances eight lateral modes at once.
     std::vector<double> amps;
     /// Flux mode coefficients q_mn of the last-applied sources [W/m^2].
     std::vector<double> flux;
@@ -279,19 +282,14 @@ class SpectralThermalSolver {
     /// epoch collapse to the pure mode-decay update.
     std::vector<double> power_key;
 
-    // Decay cache: e^{-alpha g^2 h} and e^{-alpha gamma_p^2 h}, keyed by h
-    // (the exact decay is their product — the dt-cache trick, in separable
-    // form so a re-key costs modes + modes_z exponentials, not their product).
+    /// Decay cache: e^{-lambda h} per (mode, p), p-major like amps, keyed
+    /// by decay_h. A factor that falls below the fully-decayed floor
+    /// (2^-512) is stored as 0, so that entry's update is amp = q g. On a
+    /// single die the rate alpha (g^2 + gamma_p^2) separates and a re-key
+    /// costs modes + modes_z exponentials: the entry is the product of the
+    /// lateral and the z factor, and the floor is decided on the exponent.
+    /// On a layered stack it is exp(-lambda h) from the per-(mode, p) rates.
     double decay_h = 0.0;
-    std::vector<double> decay_lat;
-    std::vector<double> decay_z;
-    /// Per lateral mode: how many leading z-modes keep a decay factor above
-    /// the fully-decayed floor (2^-512) at decay_h; the rest have decayed.
-    /// Layered stacks store such factors as 0 in `decay` instead.
-    std::vector<std::size_t> decay_live;
-    /// Layered stacks only: per-(lateral mode, z-mode) decay factors keyed
-    /// by decay_h — layered modal rates do not separate into lateral x z
-    /// factors, so the cache is the full product grid.
     std::vector<double> decay;
   };
 
@@ -302,7 +300,9 @@ class SpectralThermalSolver {
   /// the step). The per-mode update is EXACT for piecewise-constant power —
   /// accuracy does not depend on h, and one call with h == k*h' equals k
   /// calls with h' to rounding. Returns 1: one mode-space update (the
-  /// generic "inner iteration" count transient drivers accumulate).
+  /// generic "inner iteration" count transient drivers accumulate). Throws
+  /// ptherm::PreconditionError, leaving `state` untouched, on a non-finite
+  /// power or footprint among the sources that changed since the last step.
   int step_transient(TransientSolution& state, double h,
                      const std::vector<HeatSource>& sources) const;
 
@@ -312,8 +312,9 @@ class SpectralThermalSolver {
     return surface_rise(state.surface, x, y);
   }
 
-  /// Rise at depth z of the transient field: explicit z-modes evaluated at
-  /// cos(gamma_p z), truncation tail at its quasi-static depth profile. Used
+  /// Rise at depth z of the transient field: per lateral mode, the explicit
+  /// z-modes evaluated at cos(gamma_p z) plus the truncation tail at its
+  /// quasi-static depth profile, then synthesized at (x, y). Used
   /// for matched-depth comparison against the FDM trajectory (whose top
   /// layer reports dz/2 below the surface). Single-die solvers only — a
   /// layered field's carried z-modes live on the modal grid, not a
@@ -360,8 +361,8 @@ class SpectralThermalSolver {
   std::vector<double> gamma2_;    ///< z eigenvalue gamma_p^2, p < modes_z (single-die)
   /// Steady gain of z-mode p of lateral mode mn — 2 / (k t (g^2 + gamma_p^2))
   /// closed-form on a single die, u_0p^2 / lambda_p on a layered stack —
-  /// lateral-mode major like TransientSolution::amps. Mutable: layered
-  /// solvers fill it lazily in ensure_transient_modes().
+  /// p-major like TransientSolution::amps (gain_[p * modes + mode]).
+  /// Mutable: layered solvers fill it lazily in ensure_transient_modes().
   mutable std::vector<double> gain_;
   /// transfer_ minus the carried z-modes' gains: the quasi-static tail
   /// (truncation + discretization on layered stacks, so the long-time limit
@@ -375,7 +376,8 @@ class SpectralThermalSolver {
   std::vector<double> k_z_;   ///< per-cell conductivity
   std::vector<double> cv_z_;  ///< per-cell volumetric heat capacity
   mutable bool transient_ready_ = false;
-  mutable std::vector<double> lambda_;  ///< per-(mode, p) modal rates [1/s] (layered)
+  /// Per-(mode, p) modal rates [1/s] of a layered stack, p-major like gain_.
+  mutable std::vector<double> lambda_;
 
   mutable long long fft_calls_ = 0;
   mutable long long power_updates_ = 0;

@@ -649,6 +649,7 @@ TEST(TraceAnatomy, OneTracerObservesCosimRtmAndSpice) {
   EXPECT_TRUE(named("transient/readback"));
   EXPECT_TRUE(named("spice/solve_dc"));
   EXPECT_TRUE(named("spice/gmin_ladder"));
+  EXPECT_TRUE(named("spice/newton_iteration"));
 
   // The whole run exports as one loadable Chrome trace document.
   const auto json = telemetry::chrome_trace_json(events);
@@ -715,6 +716,29 @@ TEST(TraceAnatomy, TransientStepsOfTheSpectralAndFdmSolversAreSpanned) {
   EXPECT_EQ(count("spectral/step_decay"), 3);
   EXPECT_EQ(spectral.transient_power_updates(), 2);
   EXPECT_EQ(count("fdm/transient_step"), 1);
+}
+
+TEST(TraceAnatomy, EveryNewtonIterationIsSpannedInsideItsDcSolve) {
+  // One spice/newton_iteration span per Newton iteration the report counts
+  // (every rung of every ladder stage), each inside the spice/solve_dc span.
+  ScopedTracer scoped;
+  const auto sol = spice::solve_dc(make_inverter(tech(), 0.0));
+  ASSERT_TRUE(sol.converged);
+  ASSERT_GT(sol.report.newton_iterations, 0);
+
+  const auto events = scoped.tracer().events();
+  std::vector<telemetry::SpanEvent> solves;
+  std::vector<telemetry::SpanEvent> iterations;
+  for (const auto& e : events) {
+    if (std::string_view(e.name) == "spice/solve_dc") solves.push_back(e);
+    if (std::string_view(e.name) == "spice/newton_iteration") iterations.push_back(e);
+  }
+  ASSERT_EQ(solves.size(), 1u);
+  EXPECT_EQ(iterations.size(), static_cast<std::size_t>(sol.report.newton_iterations));
+  for (const auto& it : iterations) {
+    EXPECT_GE(it.start_ns, solves[0].start_ns);
+    EXPECT_LE(it.start_ns + it.duration_ns, solves[0].start_ns + solves[0].duration_ns);
+  }
 }
 
 TEST(TraceAnatomy, ElectroThermalDcSpansItsInfluenceBuild) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -11,6 +12,8 @@
 
 namespace ptherm::thermal {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Die die_1mm() {
   Die d;
@@ -108,6 +111,37 @@ TEST(Fdm, DegenerateSourceIsRejectedAtEveryEntryPoint) {
   EXPECT_THROW((void)solver.solve_steady(zero_w), PreconditionError);
   std::vector<double> field(solver.cell_count(), 0.0);
   EXPECT_THROW((void)solver.step_transient(field, 1e-3, neg_l), PreconditionError);
+}
+
+TEST(Fdm, TransientRejectsNonFiniteSourcesAndKeepsTheField) {
+  const auto die = die_1mm();
+  FdmOptions opts;
+  opts.nx = 8;
+  opts.ny = 8;
+  opts.nz = 6;
+  FdmThermalSolver solver(die, opts);
+  const std::vector<HeatSource> sources = {{0.5e-3, 0.5e-3, 0.3e-3, 0.3e-3, 1.0}};
+  std::vector<double> field(solver.cell_count(), 0.0);
+  solver.step_transient(field, 1e-4, sources);
+  const auto before = field;
+  for (const double bad : {std::nan(""), kInf, -kInf}) {
+    auto power = sources;
+    power[0].power = bad;
+    EXPECT_THROW((void)solver.step_transient(field, 1e-4, power), PreconditionError);
+    auto footprint = sources;
+    footprint[0].cy = bad;
+    EXPECT_THROW((void)solver.step_transient(field, 1e-4, footprint), PreconditionError);
+    EXPECT_EQ(field, before);
+  }
+  // The rejected steps left nothing behind: the next finite step is the
+  // one an untouched field takes.
+  solver.step_transient(field, 1e-4, sources);
+  std::vector<double> twin = before;
+  FdmThermalSolver(die, opts).step_transient(twin, 1e-4, sources);
+  for (std::size_t c = 0; c < field.size(); ++c) {
+    ASSERT_TRUE(std::isfinite(field[c]));
+    ASSERT_NEAR(field[c], twin[c], 1e-12);
+  }
 }
 
 TEST(Fdm, TransientOperatorCacheSurvivesChangingDt) {
