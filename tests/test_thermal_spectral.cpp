@@ -11,9 +11,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <cstdint>
 #include <ios>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -544,7 +544,8 @@ TEST(SpectralTransient, StepMatchesCapturedBits) {
     opts.modes_y = 16;
     const SpectralThermalSolver solver(die, stack, opts);
     ASSERT_TRUE(solver.layered());
-    expect_transient_pinned(solver, grid_sources(3, 2.0), {0xc86ab6eeb2c44143u, 0xe058e032c0236602u, 0x1.39c7616d114bcp+2,
+    expect_transient_pinned(solver, grid_sources(3, 2.0),
+                            {0xc86ab6eeb2c44143u, 0xe058e032c0236602u, 0x1.39c7616d114bcp+2,
                              -0x1.5a0915571937bp-11, 0x1.041123daa153ap+1, -0x1.933d008b44cd6p-37});
   }
 }
