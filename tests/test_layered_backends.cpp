@@ -6,7 +6,9 @@
 // state) end to end through the transient cosim and the RTM loop.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -122,6 +124,68 @@ TEST(LayeredSpectral, TrivialStackReproducesLegacySolverBitwise) {
   for (std::size_t m = 0; m < s_legacy.surface.coeff.size(); ++m) {
     ASSERT_DOUBLE_EQ(s_routed.surface.coeff[m], s_legacy.surface.coeff[m]) << "mode " << m;
   }
+}
+
+// FNV-1a over the bit patterns of a field.
+std::uint64_t field_hash(const std::vector<double>& field) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const double v : field) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 0x100000001b3u;
+  }
+  return h;
+}
+
+/// Bits of an FDM run: the steady field, and the field after 20 backward-
+/// Euler steps from zero, each as a hash plus its first and last cells.
+struct FdmPin {
+  std::uint64_t steady_hash;
+  double steady_first, steady_last;
+  std::uint64_t transient_hash;
+  double transient_first, transient_last;
+};
+
+/// 16 x 16 x 12 grid under block_sources(): a steady solve, then 20 steps
+/// of 10 us (held powers for 10 steps, then the second block at 2 W). The
+/// expected bits were captured from the library while the single-die grid
+/// still had its own constructor body, so they pin that a single die and
+/// DieStack::single of it build one grid.
+void expect_fdm_pinned(const thermal::FdmThermalSolver& fdm, const FdmPin& pin) {
+  auto sources = block_sources();
+  const auto steady = fdm.solve_steady(sources);
+  ASSERT_TRUE(steady.converged);
+  std::vector<double> rise(fdm.cell_count(), 0.0);
+  for (int s = 0; s < 20; ++s) {
+    if (s == 10) sources[1].power = 2.0;
+    fdm.step_transient(rise, 1e-5, sources);
+  }
+  EXPECT_EQ(field_hash(steady.rise), pin.steady_hash)
+      << "steady hash 0x" << std::hex << field_hash(steady.rise);
+  EXPECT_EQ(field_hash(rise), pin.transient_hash)
+      << "transient hash 0x" << std::hex << field_hash(rise);
+  const double got[] = {steady.rise.front(), steady.rise.back(), rise.front(), rise.back()};
+  const double want[] = {pin.steady_first, pin.steady_last, pin.transient_first,
+                         pin.transient_last};
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]), std::bit_cast<std::uint64_t>(want[k]))
+        << "value " << k << " = " << std::hexfloat << got[k];
+  }
+}
+
+TEST(LayeredFdm, SingleDieGridMatchesCapturedBits) {
+  const thermal::Die die = die_1mm();
+  thermal::FdmOptions fo;
+  fo.nx = 16;
+  fo.ny = 16;
+  fo.nz = 12;
+  const FdmPin pin{0xb7fc4de8d6581787u, 0x1.962654a98f36cp+2, 0x1.1f5374b00350dp-2,
+                   0xf84a281858bf10ffu, 0x1.6284ce6ac5dc5p+1, 0x1.befa736baadfcp-5};
+  const thermal::FdmThermalSolver from_die(die, fo);
+  EXPECT_FALSE(from_die.layered());
+  expect_fdm_pinned(from_die, pin);
+  const thermal::FdmThermalSolver from_stack(die, thermal::DieStack::single(die), fo);
+  EXPECT_FALSE(from_stack.layered());
+  expect_fdm_pinned(from_stack, pin);
 }
 
 TEST(LayeredSpectral, SplitSiliconStackMatchesTheSingleLayer) {
