@@ -14,27 +14,26 @@ namespace ptherm::core {
 
 std::unique_ptr<thermal::SolverBackend> make_thermal_backend(const thermal::Die& die,
                                                              const ThermalConfig& cfg) {
-  switch (cfg.backend) {
-    case ThermalBackend::Analytic:
-      // The image method is a closed form for the single homogeneous die; a
-      // stack is only acceptable when it IS that problem.
-      PTHERM_REQUIRE(!cfg.stack || cfg.stack->reduces_to(die),
-                     "make_thermal_backend: the analytic backend needs a stack that "
-                     "reduces to the die (use Fdm or Spectral for layered stacks)");
-      return std::make_unique<thermal::AnalyticImagesBackend>(die, cfg.images);
-    case ThermalBackend::Fdm: {
-      // The one convergence knob (ThermalConfig::trace) reaches the inner CG
-      // here, so callers never have to touch FdmOptions::cg directly.
-      thermal::FdmOptions fdm = cfg.fdm;
-      if (cfg.trace.convergence) fdm.cg.trace = true;
-      if (cfg.stack) return std::make_unique<thermal::FdmBackend>(die, *cfg.stack, fdm);
-      return std::make_unique<thermal::FdmBackend>(die, fdm);
-    }
-    case ThermalBackend::Spectral:
-      if (cfg.stack) {
-        return std::make_unique<thermal::SpectralBackend>(die, *cfg.stack, cfg.spectral);
-      }
-      return std::make_unique<thermal::SpectralBackend>(die, cfg.spectral);
+  if (cfg.backend == ThermalBackend::Analytic) {
+    // The image method is a closed form for the single homogeneous die; a
+    // stack is only acceptable when it IS that problem.
+    PTHERM_REQUIRE(!cfg.stack || cfg.stack->reduces_to(die),
+                   "make_thermal_backend: the analytic backend needs a stack that "
+                   "reduces to the die (use Fdm or Spectral for layered stacks)");
+    return std::make_unique<thermal::AnalyticImagesBackend>(die, cfg.images);
+  }
+  // The conduction solvers are built from one z-description: the configured
+  // stack, or the die's own single layer.
+  thermal::DieStack stack = cfg.stack ? *cfg.stack : thermal::DieStack::single(die);
+  if (cfg.backend == ThermalBackend::Fdm) {
+    // The one convergence knob (ThermalConfig::trace) reaches the inner CG
+    // here, so callers never have to touch FdmOptions::cg directly.
+    thermal::FdmOptions fdm = cfg.fdm;
+    if (cfg.trace.convergence) fdm.cg.trace = true;
+    return std::make_unique<thermal::FdmBackend>(die, std::move(stack), fdm);
+  }
+  if (cfg.backend == ThermalBackend::Spectral) {
+    return std::make_unique<thermal::SpectralBackend>(die, std::move(stack), cfg.spectral);
   }
   throw PreconditionError("make_thermal_backend: unknown backend");
 }

@@ -265,6 +265,20 @@ DcSolution solve_dc_core(const Circuit& circuit, NewtonCore& core, const DcOptio
   return extract_solution(circuit, core, x, std::move(report));
 }
 
+std::vector<double> pack_unknowns(const Circuit& circuit, const NewtonCore& core,
+                                  const DcSolution& sol) {
+  const std::size_t nn = static_cast<std::size_t>(circuit.node_count() - 1);
+  const auto& vsrcs = circuit.vsources();
+  PTHERM_REQUIRE(static_cast<std::size_t>(core.size()) == nn + vsrcs.size(),
+                 "pack_unknowns: the core's unknown count does not match the circuit");
+  std::vector<double> x(nn + vsrcs.size());
+  for (std::size_t n = 0; n < nn; ++n) x[n] = sol.node_voltages[n + 1];
+  for (std::size_t j = 0; j < vsrcs.size(); ++j) {
+    x[nn + j] = sol.vsource_currents.at(vsrcs[j].name);
+  }
+  return x;
+}
+
 }  // namespace detail
 
 DcSolution solve_dc(const Circuit& circuit, const DcOptions& opts) {
@@ -277,7 +291,6 @@ std::vector<DcSolution> dc_sweep(Circuit& circuit, const std::string& source,
   std::vector<DcSolution> out;
   out.reserve(values.size());
   detail::NewtonCore core(circuit, opts);
-  const int nn = circuit.node_count() - 1;
   std::vector<double> warm;
   for (std::size_t k = 0; k < values.size(); ++k) {
     circuit.set_vsource_value(source, values[k]);
@@ -298,13 +311,7 @@ std::vector<DcSolution> dc_sweep(Circuit& circuit, const std::string& source,
         throw ConvergenceFailure(os.str(), e.report());
       }
     }
-    const DcSolution& sol = out.back();
-    warm.assign(static_cast<std::size_t>(core.size()), 0.0);
-    for (int n = 1; n < circuit.node_count(); ++n) warm[n - 1] = sol.node_voltages[n];
-    const auto& vsrcs = circuit.vsources();
-    for (std::size_t j = 0; j < vsrcs.size(); ++j) {
-      warm[nn + static_cast<int>(j)] = sol.vsource_currents.at(vsrcs[j].name);
-    }
+    warm = detail::pack_unknowns(circuit, core, out.back());
   }
   return out;
 }

@@ -92,6 +92,13 @@ class NewtonCore;
 /// this to reuse one core across solves.
 DcSolution solve_dc_core(const Circuit& circuit, NewtonCore& core, const DcOptions& opts,
                          const std::vector<double>* initial);
+
+/// Packs a solution back into core's unknown layout (node voltages, then
+/// voltage-source currents), the warm start of the next solve_dc_core on
+/// it. Throws ptherm::PreconditionError when the circuit's unknown count
+/// is not core.size().
+std::vector<double> pack_unknowns(const Circuit& circuit, const NewtonCore& core,
+                                  const DcSolution& sol);
 }  // namespace detail
 
 }  // namespace ptherm::spice

@@ -14,23 +14,6 @@ DeviceFootprint footprint_for(const std::string& device, const floorplan::Block&
   return {device, block.rect.cx(), block.rect.cy(), block.rect.w, block.rect.h};
 }
 
-namespace {
-
-/// Packs a DcSolution back into the unknown-vector layout, so the next outer
-/// iteration's inner solve warm-starts from the previous operating point.
-std::vector<double> pack_unknowns(const Circuit& circuit, const DcSolution& sol) {
-  const int nn = circuit.node_count() - 1;
-  std::vector<double> x(static_cast<std::size_t>(nn + circuit.vsources().size()), 0.0);
-  for (int n = 1; n < circuit.node_count(); ++n) x[n - 1] = sol.node_voltages[n];
-  const auto& vsrcs = circuit.vsources();
-  for (std::size_t j = 0; j < vsrcs.size(); ++j) {
-    x[nn + static_cast<int>(j)] = sol.vsource_currents.at(vsrcs[j].name);
-  }
-  return x;
-}
-
-}  // namespace
-
 void validate(const ElectroThermalDcOptions& opts) {
   PTHERM_REQUIRE(opts.damping > 0.0 && opts.damping <= 1.0,
                  "ElectroThermalDcOptions: damping must be in (0, 1]");
@@ -90,7 +73,7 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
     for (std::size_t k = 0; k < n; ++k) all_temps[mos_index[k]] = out.device_temperatures[k];
     core.set_device_temperatures(all_temps);
     out.dc = detail::solve_dc_core(circuit, core, opts.dc, warm.empty() ? nullptr : &warm);
-    warm = pack_unknowns(circuit, out.dc);
+    warm = detail::pack_unknowns(circuit, core, out.dc);
     const auto& mosfets = circuit.mosfets();
     for (std::size_t k = 0; k < n; ++k) {
       const auto& m = mosfets[mos_index[k]];

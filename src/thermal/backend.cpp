@@ -189,7 +189,8 @@ class FdmTransientState final : public SolverBackend::TransientState {
 
 }  // namespace
 
-FdmBackend::FdmBackend(Die die, FdmOptions opts) : solver_(die, opts) {}
+FdmBackend::FdmBackend(Die die, FdmOptions opts)
+    : FdmBackend(die, DieStack::single(die), opts) {}
 
 FdmBackend::FdmBackend(Die die, DieStack stack, FdmOptions opts)
     : solver_(die, std::move(stack), opts) {}
@@ -320,9 +321,8 @@ class SpectralInfluenceApply final : public InfluenceApply {
 
 }  // namespace
 
-SpectralBackend::SpectralBackend(Die die, SpectralOptions opts) : solver_(die, opts) {
-  stats_.modes = solver_.mode_count();
-}
+SpectralBackend::SpectralBackend(Die die, SpectralOptions opts)
+    : SpectralBackend(die, DieStack::single(die), opts) {}
 
 SpectralBackend::SpectralBackend(Die die, DieStack stack, SpectralOptions opts)
     : solver_(die, std::move(stack), opts) {

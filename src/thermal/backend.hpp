@@ -228,9 +228,10 @@ class AnalyticImagesBackend final : public SolverBackend {
 /// CG solve per step).
 class FdmBackend final : public SolverBackend {
  public:
+  /// Over DieStack::single(die).
   FdmBackend(Die die, FdmOptions opts = {});
-  /// Layered z-grid over a die stack (thermal/stack.hpp); trivial stacks
-  /// reproduce the single-die grid bitwise.
+  /// z-grid over a die stack (thermal/stack.hpp), layered unless the stack
+  /// reduces to the die.
   FdmBackend(Die die, DieStack stack, FdmOptions opts = {});
 
   [[nodiscard]] std::string_view name() const noexcept override { return "fdm"; }
@@ -260,10 +261,12 @@ class FdmBackend final : public SolverBackend {
 /// linear solve, and no dt-dependent accuracy loss.
 class SpectralBackend final : public SolverBackend {
  public:
+  /// Over DieStack::single(die).
   SpectralBackend(Die die, SpectralOptions opts = {});
-  /// Layered transfer matrices over a die stack (thermal/stack.hpp); trivial
-  /// stacks reproduce the single-die solver bitwise. The matrix-free
-  /// influence path and the transient integrator both work layered.
+  /// Transfer matrices over a die stack (thermal/stack.hpp): the single-die
+  /// closed forms when the stack reduces to the die, the layered machinery
+  /// otherwise. The matrix-free influence path and the transient integrator
+  /// both work layered.
   SpectralBackend(Die die, DieStack stack, SpectralOptions opts = {});
 
   [[nodiscard]] std::string_view name() const noexcept override { return "spectral"; }

@@ -9,66 +9,39 @@
 
 namespace ptherm::thermal {
 
-FdmThermalSolver::FdmThermalSolver(Die die, FdmOptions opts) : die_(die), opts_(opts) {
-  PTHERM_REQUIRE(opts_.nx >= 2 && opts_.ny >= 2 && opts_.nz >= 2, "FDM: grid too small");
-  PTHERM_REQUIRE(die_.width > 0.0 && die_.height > 0.0 && die_.thickness > 0.0,
-                 "FDM: degenerate die");
-  dx_ = die_.width / opts_.nx;
-  dy_ = die_.height / opts_.ny;
-  dz_ = die_.thickness / opts_.nz;
-  cell_capacitance_ = opts_.cv * dx_ * dy_ * dz_;
-  dz_z_.assign(static_cast<std::size_t>(opts_.nz), dz_);
-  k_z_.assign(static_cast<std::size_t>(opts_.nz), die_.k_si);
-  cv_z_.assign(static_cast<std::size_t>(opts_.nz), opts_.cv);
-  init_z_column();
-  assemble();
-}
+FdmThermalSolver::FdmThermalSolver(Die die, FdmOptions opts)
+    : FdmThermalSolver(die, DieStack::single(die), opts) {}
 
 FdmThermalSolver::FdmThermalSolver(Die die, DieStack stack, FdmOptions opts)
     : die_(die), opts_(opts), stack_(std::move(stack)) {
   PTHERM_REQUIRE(opts_.nx >= 2 && opts_.ny >= 2 && opts_.nz >= 2, "FDM: grid too small");
   PTHERM_REQUIRE(die_.width > 0.0 && die_.height > 0.0, "FDM: degenerate die");
-  PTHERM_REQUIRE(opts_.nz >= static_cast<int>(stack_->layer_count()),
+  PTHERM_REQUIRE(opts_.nz >= static_cast<int>(stack_.layer_count()),
                  "FDM: nz must cover every stack layer");
   dx_ = die_.width / opts_.nx;
   dy_ = die_.height / opts_.ny;
-  layered_ = !stack_->reduces_to(die_);
-  const auto cells = distribute_stack_cells(*stack_, opts_.nz);
-  for (std::size_t l = 0; l < stack_->layer_count(); ++l) {
-    const StackLayer& layer = stack_->layers()[l];
+  // The z-column follows the layers; a single layer gets nz equal cells.
+  const auto cells = distribute_stack_cells(stack_, opts_.nz);
+  double top = 0.0;
+  for (std::size_t l = 0; l < stack_.layer_count(); ++l) {
+    const StackLayer& layer = stack_.layers()[l];
     const double dz = layer.thickness / cells[l];
     for (int c = 0; c < cells[l]; ++c) {
       dz_z_.push_back(dz);
       k_z_.push_back(layer.k);
-      cv_z_.push_back(layer.cv);
+      cap_z_.push_back(layer.cv * dx_ * dy_ * dz);
+      z_centre_.push_back(top + 0.5 * dz);
+      top += dz;
     }
   }
-  // A trivial stack lands on the legacy uniform grid: one layer, nz equal
-  // cells, die materials — the same dz/k/cv column the other constructor
-  // builds, so the stamped matrix is bitwise identical.
-  dz_ = dz_z_.front();
-  cell_capacitance_ = cv_z_.front() * dx_ * dy_ * dz_z_.front();
-  init_z_column();
   assemble();
-}
-
-void FdmThermalSolver::init_z_column() {
-  cap_z_.resize(dz_z_.size());
-  z_centre_.resize(dz_z_.size());
-  double top = 0.0;
-  for (std::size_t kz = 0; kz < dz_z_.size(); ++kz) {
-    cap_z_[kz] = cv_z_[kz] * dx_ * dy_ * dz_z_[kz];
-    z_centre_[kz] = top + 0.5 * dz_z_[kz];
-    top += dz_z_[kz];
-  }
 }
 
 void FdmThermalSolver::stamp_conduction(numerics::SparseBuilder& builder) const {
   // Conductances between adjacent cell centres: G = k * A / d; half-cell
   // link (2G) to an isothermal boundary plane. Equal-material vertical
-  // neighbours keep the exact legacy expression (bitwise-identical matrices
-  // on the uniform grid); dissimilar neighbours use the harmonic series of
-  // the two half cells.
+  // neighbours keep the plain k A / dz; dissimilar neighbours use the
+  // harmonic series of the two half cells.
   const std::size_t nzc = dz_z_.size();
   std::vector<double> gz_link(nzc > 1 ? nzc - 1 : 0);
   for (std::size_t kz = 0; kz + 1 < nzc; ++kz) {
@@ -83,11 +56,10 @@ void FdmThermalSolver::stamp_conduction(numerics::SparseBuilder& builder) const 
   // unless the stack ends in a convective film, which sits in series with
   // the bottom half cell.
   const double gz_bottom_full = k_z_[nzc - 1] * dx_ * dy_ / dz_z_[nzc - 1];
-  const bool convective = stack_ && !stack_->isothermal_operator_boundary();
   const double g_bottom =
-      convective ? dx_ * dy_ / (dz_z_[nzc - 1] / (2.0 * k_z_[nzc - 1]) +
-                                1.0 / stack_->boundary().h)
-                 : 2.0 * gz_bottom_full;
+      stack_.isothermal_operator_boundary()
+          ? 2.0 * gz_bottom_full
+          : dx_ * dy_ / (dz_z_[nzc - 1] / (2.0 * k_z_[nzc - 1]) + 1.0 / stack_.boundary().h);
   const bool iso_side = opts_.lateral == LateralBoundary::Isothermal;
   for (int kz = 0; kz < opts_.nz; ++kz) {
     const std::size_t zi = static_cast<std::size_t>(kz);
@@ -136,15 +108,12 @@ std::vector<double> FdmThermalSolver::surface_power(
   std::vector<double> q(cell_count(), 0.0);
   for (const auto& s : sources) {
     PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "surface_power: degenerate source (w, l must be > 0)");
-    // Clip the footprint to the die and renormalize the density to the
-    // clipped area: the source's full power is conserved on the die (see the
-    // class policy comment). A source entirely off the die deposits nothing.
-    const double x0 = std::max(s.cx - 0.5 * s.w, 0.0);
-    const double x1 = std::min(s.cx + 0.5 * s.w, die_.width);
-    const double y0 = std::max(s.cy - 0.5 * s.l, 0.0);
-    const double y1 = std::min(s.cy + 0.5 * s.l, die_.height);
-    if (x1 <= x0 || y1 <= y0) continue;
-    const double density = s.power / ((x1 - x0) * (y1 - y0));
+    // The density is renormalized to the die-clipped area: the source's
+    // full power is conserved on the die (see the class policy comment).
+    const DieFootprint f = clip_to_die(die_, s);
+    if (!f.on_die()) continue;
+    const auto [x0, x1, y0, y1] = f;
+    const double density = s.power / f.area();
     const int i0 = std::clamp(static_cast<int>(std::floor(x0 / dx_)), 0, opts_.nx - 1);
     const int i1 = std::clamp(static_cast<int>(std::floor((x1 - 1e-15) / dx_)), 0, opts_.nx - 1);
     const int j0 = std::clamp(static_cast<int>(std::floor(y0 / dy_)), 0, opts_.ny - 1);
@@ -225,8 +194,7 @@ int FdmThermalSolver::step_transient(std::vector<double>& rise, double dt,
   // (C/dt * I + A) T^{n+1} = C/dt * T^n + q. The shifted operator depends
   // only on dt; transient drivers step with a fixed dt thousands of times,
   // so it is cached (with its IC factor) and reassembled only when dt moves.
-  // The capacitance follows the local material per z-layer (uniform — the
-  // legacy cell_capacitance_ — on a single-die grid).
+  // The capacitance follows the local material per z-layer.
   const std::size_t n = cell_count();
   const std::size_t slab = static_cast<std::size_t>(opts_.nx) * opts_.ny;
   std::vector<double> c_over_dt_z(dz_z_.size());

@@ -9,17 +9,17 @@
 // semi-infinite substrate for device-scale Rth extraction), and an
 // isothermal bottom at the sink temperature.
 //
-// DIE STACKS. The stack constructor replaces the homogeneous z-column with
-// the layers of a thermal/stack.hpp DieStack: the nz cells are split across
-// the layers proportionally to thickness, vertical links between dissimilar
-// cells use the harmonic half-cell series conductance, per-cell capacitance
-// follows the local material, and the bottom closure is the stack's
-// (isothermal plane — also what an attached RC network presents to the
-// conduction operator — or a convective film in series with the bottom
-// half-cell). A single-layer stack matching the die reproduces the legacy
-// grid bitwise: equal-material links keep the exact legacy conductance
-// expression. This layered grid is the verification reference for the
-// layered spectral backend.
+// DIE STACKS. The z-column is built from a thermal/stack.hpp DieStack — the
+// die's own single layer (DieStack::single) when only a Die is given: the
+// nz cells are split across the layers proportionally to thickness,
+// vertical links between dissimilar cells use the harmonic half-cell series
+// conductance, per-cell capacitance follows the local material, and the
+// bottom closure is the stack's (isothermal plane — also what an attached
+// RC network presents to the conduction operator — or a convective film in
+// series with the bottom half-cell). Equal-material links keep the plain
+// k A / dz expression, so one layer gives the uniform single-die grid. The
+// layered grid is the verification reference for the layered spectral
+// backend.
 #pragma once
 
 #include <optional>
@@ -46,7 +46,6 @@ struct FdmOptions {
     o.preconditioner = numerics::CgPreconditioner::IncompleteCholesky;
     return o;
   }();
-  double cv = 1.631e6;  ///< volumetric heat capacity [J/(m^3 K)] (transient)
 };
 
 /// Steady or transient conduction on a fixed grid. The matrix is assembled
@@ -60,18 +59,21 @@ struct FdmOptions {
 /// positive extents (w > 0 and l > 0) or the solve throws.
 class FdmThermalSolver {
  public:
+  /// The single-die grid: the stack constructor over DieStack::single(die),
+  /// so the die's thickness, k_si and cv_si are the z-column.
   FdmThermalSolver(Die die, FdmOptions opts);
 
-  /// Layered constructor: the stack is authoritative for everything in z
-  /// (the die supplies the lateral dimensions and the ambient temperature).
-  /// opts.nz cells are split across the layers proportionally to thickness;
-  /// opts.cv is ignored (capacitance follows the stack materials). A stack
-  /// satisfying stack.reduces_to(die) reproduces the single-die grid
-  /// bitwise.
+  /// The stack is authoritative for everything in z (the die supplies the
+  /// lateral dimensions and the ambient temperature). opts.nz cells are
+  /// split across the layers proportionally to thickness; capacitance
+  /// follows the layer materials. Throws ptherm::PreconditionError on a
+  /// grid below 2 cells per axis, a degenerate die or nz < layer count (the
+  /// stack validated its own layers).
   FdmThermalSolver(Die die, DieStack stack, FdmOptions opts);
 
-  /// Whether this solver runs on a genuinely layered z-grid.
-  [[nodiscard]] bool layered() const noexcept { return layered_; }
+  /// Whether this solver runs on a genuinely layered z-grid (false when the
+  /// stack reduces to the die).
+  [[nodiscard]] bool layered() const noexcept { return !stack_.reduces_to(die_); }
 
   /// Steady solve for the given surface sources. Returns the full 3-D rise
   /// field (kelvin above the sink), indexable via `cell_index`.
@@ -131,10 +133,10 @@ class FdmThermalSolver {
   [[nodiscard]] std::size_t cell_index(int i, int j, int k) const noexcept {
     return (static_cast<std::size_t>(k) * opts_.ny + j) * opts_.nx + i;
   }
-  /// Depth of z-layer kz's cell centre below the surface [m]. On the legacy
-  /// uniform grid this is (kz + 1/2) dz; on a layered grid the cell heights
-  /// vary, so matched-depth comparisons against the spectral solver must ask
-  /// the grid.
+  /// Depth of z-layer kz's cell centre below the surface [m]. On a single
+  /// die this is (kz + 1/2) dz; on a layered grid the cell heights vary, so
+  /// matched-depth comparisons against the spectral solver must ask the
+  /// grid.
   [[nodiscard]] double cell_depth(int kz) const noexcept { return z_centre_[kz]; }
   [[nodiscard]] const Die& die() const noexcept { return die_; }
 
@@ -144,26 +146,22 @@ class FdmThermalSolver {
   [[nodiscard]] std::vector<double> surface_power(const std::vector<HeatSource>& sources) const;
 
  private:
-  void init_z_column();  // fills cap_z_ / z_centre_ from dz_z_, k_z_, cv_z_
   void assemble();
   void stamp_conduction(numerics::SparseBuilder& builder) const;
   [[nodiscard]] std::vector<double> rhs_for(const std::vector<HeatSource>& sources) const;
 
   Die die_;
   FdmOptions opts_;
-  double dx_ = 0.0, dy_ = 0.0, dz_ = 0.0;
-  // Per-z-layer material column (uniform on the legacy grid): cell height,
-  // conductivity, volumetric and absolute capacitance, and centre depth.
+  DieStack stack_;
+  double dx_ = 0.0, dy_ = 0.0;
+  // Per-z-layer material column (uniform on a single die): cell height,
+  // conductivity, capacitance and centre depth.
   std::vector<double> dz_z_;
   std::vector<double> k_z_;
-  std::vector<double> cv_z_;
   std::vector<double> cap_z_;      // cv * cell volume per z-layer [J/K]
   std::vector<double> z_centre_;   // cell-centre depth per z-layer [m]
-  bool layered_ = false;
-  std::optional<DieStack> stack_;  // engaged by the layered constructor
   numerics::CsrMatrix laplacian_;       // steady conduction matrix (SPD)
   std::optional<numerics::IncompleteCholesky> laplacian_ic_;  // when opts ask for IC
-  double cell_capacitance_ = 0.0;       // cv * cell volume [J/K] (legacy uniform grid)
 
   // step_transient solves (C/dt I + A); the shifted operator depends only on
   // dt, so it (and its IC factor) is cached keyed by dt instead of being

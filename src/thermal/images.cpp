@@ -42,12 +42,9 @@ void ChipThermalModel::clip_sources() {
   clipped_.resize(sources_.size());
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     const HeatSource& s = sources_[i];
-    const double x0 = std::max(s.cx - 0.5 * s.w, 0.0);
-    const double x1 = std::min(s.cx + 0.5 * s.w, die_.width);
-    const double y0 = std::max(s.cy - 0.5 * s.l, 0.0);
-    const double y1 = std::min(s.cy + 0.5 * s.l, die_.height);
+    const DieFootprint f = clip_to_die(die_, s);
     HeatSource c = s;
-    if (x1 <= x0 || y1 <= y0) {
+    if (!f.on_die()) {
       c.w = 0.0;
       c.l = 0.0;
     } else {
@@ -55,13 +52,13 @@ void ChipThermalModel::clip_sources() {
       // untouched extent as x1 - x0 can perturb it by an ulp, and the
       // min-kernel's line-source orientation test (l > w) must not flip on
       // rounding noise for fully in-die sources.
-      if (x0 > s.cx - 0.5 * s.w || x1 < s.cx + 0.5 * s.w) {
-        c.cx = 0.5 * (x0 + x1);
-        c.w = x1 - x0;
+      if (f.x0 > s.cx - 0.5 * s.w || f.x1 < s.cx + 0.5 * s.w) {
+        c.cx = 0.5 * (f.x0 + f.x1);
+        c.w = f.x1 - f.x0;
       }
-      if (y0 > s.cy - 0.5 * s.l || y1 < s.cy + 0.5 * s.l) {
-        c.cy = 0.5 * (y0 + y1);
-        c.l = y1 - y0;
+      if (f.y0 > s.cy - 0.5 * s.l || f.y1 < s.cy + 0.5 * s.l) {
+        c.cy = 0.5 * (f.y0 + f.y1);
+        c.l = f.y1 - f.y0;
       }
     }
     clipped_[i] = c;

@@ -5,6 +5,7 @@
 // plane).
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,23 @@ struct Die {
   double t_sink = 300.0;      ///< heat-sink (bottom) temperature [K]
   double cv_si = 1.631e6;     ///< volumetric heat capacity [J/(m^3 K)] (transients)
 };
+
+/// A source footprint clipped to the die surface, [x0, x1] x [y0, y1]. The
+/// clipping policy every backend shares: the FULL source power deposits
+/// over the clipped rectangle, and a source entirely off the die
+/// (on_die() false) deposits nothing. Rejecting degenerate sources is each
+/// caller's job.
+struct DieFootprint {
+  double x0, x1, y0, y1;
+
+  [[nodiscard]] bool on_die() const noexcept { return x1 > x0 && y1 > y0; }
+  [[nodiscard]] double area() const noexcept { return (x1 - x0) * (y1 - y0); }
+};
+
+[[nodiscard]] inline DieFootprint clip_to_die(const Die& die, const HeatSource& s) noexcept {
+  return {std::max(s.cx - 0.5 * s.w, 0.0), std::min(s.cx + 0.5 * s.w, die.width),
+          std::max(s.cy - 0.5 * s.l, 0.0), std::min(s.cy + 0.5 * s.l, die.height)};
+}
 
 /// A surface point a thermal query reports the rise at (a block centre in
 /// the co-simulation use). Shared by the backend layer's batched queries and

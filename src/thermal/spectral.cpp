@@ -47,25 +47,18 @@ double steady_depth_profile(double g, double t, double z) {
          (1.0 - std::exp(-2.0 * g * t));
 }
 
-/// A source footprint clipped to the die. The single home of the clipping
-/// policy — full power over the die-clipped footprint, fully off-die
-/// sources inert, degenerate sources rejected — shared by the steady solve
-/// and the source half that the influence apply and the transient step
-/// project through, so the paths cannot diverge.
-struct ClippedFootprint {
-  double x0, x1, y0, y1;
-
-  [[nodiscard]] bool on_die() const noexcept { return x1 > x0 && y1 > y0; }
-  /// Per-watt flux density with the 1 / (W H) of the mode normalization.
-  [[nodiscard]] double unit_weight(const Die& die) const noexcept {
-    return 1.0 / ((x1 - x0) * (y1 - y0) * die.width * die.height);
-  }
-};
-
-ClippedFootprint clip_footprint(const Die& die, const HeatSource& s) {
+/// The shared clipping policy (thermal/images.hpp) with this solver's
+/// degenerate-source check, for the steady solve and the source half that
+/// the influence apply and the transient step project through.
+DieFootprint clip_footprint(const Die& die, const HeatSource& s) {
   PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
-  return {std::max(s.cx - 0.5 * s.w, 0.0), std::min(s.cx + 0.5 * s.w, die.width),
-          std::max(s.cy - 0.5 * s.l, 0.0), std::min(s.cy + 0.5 * s.l, die.height)};
+  return clip_to_die(die, s);
+}
+
+/// Per-watt flux density of an on-die footprint, with the 1 / (W H) of the
+/// mode normalization.
+double unit_weight(const DieFootprint& f, const Die& die) noexcept {
+  return 1.0 / (f.area() * die.width * die.height);
 }
 
 /// One axis of a footprint's flux projection: out[m] = c_m * integral of
@@ -160,16 +153,7 @@ void jacobi_eigen_small(std::vector<double>& a, std::vector<double>& v, std::siz
 }  // namespace
 
 SpectralThermalSolver::SpectralThermalSolver(Die die, SpectralOptions opts)
-    : die_(die), opts_(opts) {
-  PTHERM_REQUIRE(die_.width > 0.0 && die_.height > 0.0 && die_.thickness > 0.0,
-                 "SpectralThermalSolver: degenerate die");
-  PTHERM_REQUIRE(die_.k_si > 0.0, "SpectralThermalSolver: non-positive conductivity");
-  PTHERM_REQUIRE(opts_.modes_x >= 1 && opts_.modes_y >= 1,
-                 "SpectralThermalSolver: need at least the DC mode per axis");
-  PTHERM_REQUIRE(opts_.modes_z >= 1,
-                 "SpectralThermalSolver: need at least one z-eigenfunction");
-  init_single_die();
-}
+    : SpectralThermalSolver(die, DieStack::single(die), opts) {}
 
 SpectralThermalSolver::SpectralThermalSolver(Die die, DieStack stack, SpectralOptions opts)
     : die_(die), opts_(opts), stack_(std::move(stack)) {
@@ -179,20 +163,19 @@ SpectralThermalSolver::SpectralThermalSolver(Die die, DieStack stack, SpectralOp
                  "SpectralThermalSolver: need at least the DC mode per axis");
   PTHERM_REQUIRE(opts_.modes_z >= 1,
                  "SpectralThermalSolver: need at least one z-eigenfunction");
-  if (stack_->reduces_to(die_)) {
-    // The classic problem in stack clothing: keep the closed-form path so
-    // results stay bitwise identical to the single-die constructor.
+  if (stack_.reduces_to(die_)) {
+    // The classic single-die problem: the closed forms.
     init_single_die();
     return;
   }
   layered_ = true;
-  PTHERM_REQUIRE(opts_.layered_nz >= static_cast<int>(stack_->layer_count()),
+  PTHERM_REQUIRE(opts_.layered_nz >= static_cast<int>(stack_.layer_count()),
                  "SpectralThermalSolver: layered_nz must cover every stack layer");
   PTHERM_REQUIRE(opts_.layered_nz >= opts_.modes_z,
                  "SpectralThermalSolver: layered_nz must admit modes_z z-modes");
-  const auto cells = distribute_stack_cells(*stack_, opts_.layered_nz);
-  for (std::size_t l = 0; l < stack_->layer_count(); ++l) {
-    const StackLayer& layer = stack_->layers()[l];
+  const auto cells = distribute_stack_cells(stack_, opts_.layered_nz);
+  for (std::size_t l = 0; l < stack_.layer_count(); ++l) {
+    const StackLayer& layer = stack_.layers()[l];
     const double dz = layer.thickness / cells[l];
     for (int c = 0; c < cells[l]; ++c) {
       dz_z_.push_back(dz);
@@ -261,12 +244,12 @@ void SpectralThermalSolver::init_single_die() {
 }
 
 double SpectralThermalSolver::layered_transfer(double g) const {
-  const auto& layers = stack_->layers();
+  const auto& layers = stack_.layers();
   // Bottom-up impedance recursion, seeded at the boundary closure. All the
   // growth lives in tanh (bounded), so g t in the hundreds is safe where the
   // textbook cosh/sinh transfer-matrix product would overflow.
-  double z = (stack_->boundary().kind == BoundaryKind::Convective)
-                 ? 1.0 / stack_->boundary().h
+  double z = (stack_.boundary().kind == BoundaryKind::Convective)
+                 ? 1.0 / stack_.boundary().h
                  : 0.0;
   for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
     if (g == 0.0) {
@@ -280,12 +263,12 @@ double SpectralThermalSolver::layered_transfer(double g) const {
 }
 
 double SpectralThermalSolver::layered_depth_ratio(double g, double z) const {
-  const auto& layers = stack_->layers();
+  const auto& layers = stack_.layers();
   const std::size_t n = layers.size();
   // Load impedance below each layer (at its bottom face), bottom-up.
   std::vector<double> load(n);
-  double acc = (stack_->boundary().kind == BoundaryKind::Convective)
-                   ? 1.0 / stack_->boundary().h
+  double acc = (stack_.boundary().kind == BoundaryKind::Convective)
+                   ? 1.0 / stack_.boundary().h
                    : 0.0;
   for (std::size_t i = n; i-- > 0;) {
     load[i] = acc;
@@ -340,9 +323,9 @@ void SpectralThermalSolver::ensure_transient_modes() const {
     gv[j] = 1.0 / (dz_z_[j] / (2.0 * k_z_[j]) + dz_z_[j + 1] / (2.0 * k_z_[j + 1]));
   }
   const double half_bottom = dz_z_[nz - 1] / (2.0 * k_z_[nz - 1]);
-  const double gb = stack_->isothermal_operator_boundary()
+  const double gb = stack_.isothermal_operator_boundary()
                         ? 1.0 / half_bottom
-                        : 1.0 / (half_bottom + 1.0 / stack_->boundary().h);
+                        : 1.0 / (half_bottom + 1.0 / stack_.boundary().h);
   // Symmetrized z-operator at g = 0: S = C^{-1/2} A C^{-1/2}. The lateral
   // eigenvalue only enters the diagonal, as alpha_j g^2 with alpha_j =
   // k_j / cv_j — so if every cell shares one diffusivity, S(g) = S(0) +
@@ -476,11 +459,11 @@ SpectralThermalSolver::Solution SpectralThermalSolver::solve_steady(
   std::vector<double> fx(mx);
   std::vector<double> fy(my);
   for (const HeatSource& s : sources) {
-    const ClippedFootprint f = clip_footprint(die_, s);
+    const DieFootprint f = clip_footprint(die_, s);
     if (!f.on_die()) continue;
     cosine_axis_factors(opts_.modes_x, die_.width, f.x0, f.x1, fx.data());
     cosine_axis_factors(opts_.modes_y, die_.height, f.y0, f.y1, fy.data());
-    const double pw = s.power * f.unit_weight(die_);
+    const double pw = s.power * unit_weight(f, die_);
     for (std::size_t nn = 0; nn < my; ++nn) {
       const double q = pw * fy[nn];
       double* row = sol.coeff.data() + nn * mx;
@@ -502,7 +485,7 @@ double SpectralThermalSolver::rise_at_depth(const Solution& sol, double x, doubl
                                             double z) const {
   PTHERM_REQUIRE(sol.coeff.size() == static_cast<std::size_t>(mode_count()),
                  "spectral: solution size mismatch");
-  const double t = layered_ ? stack_->total_thickness() : die_.thickness;
+  const double t = stack_.total_thickness();
   PTHERM_REQUIRE(z >= 0.0 && z <= t, "spectral: depth outside the die");
   // Each coefficient at its depth profile, then the surface synthesis.
   Solution at_depth{std::vector<double>(sol.coeff.size())};
@@ -576,12 +559,12 @@ SpectralThermalSolver::SourceProjection SpectralThermalSolver::make_source_proje
   std::vector<std::array<double, 2>> x_keys;
   std::vector<std::array<double, 2>> y_keys;
   for (std::size_t j = 0; j < n; ++j) {
-    const ClippedFootprint f = clip_footprint(die_, sources[j]);
+    const DieFootprint f = clip_footprint(die_, sources[j]);
     if (!f.on_die()) continue;
     on_die.push_back(j);
     x_keys.push_back({f.x0, f.x1});
     y_keys.push_back({f.y0, f.y1});
-    proj.sources[j].weight = f.unit_weight(die_);
+    proj.sources[j].weight = unit_weight(f, die_);
   }
   std::vector<std::array<double, 2>> x_intervals;
   std::vector<std::array<double, 2>> y_intervals;
@@ -1004,12 +987,7 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
 // ------------------------------------------------------------------ transient
 
 SpectralThermalSolver::TransientSolution SpectralThermalSolver::make_transient() const {
-  if (layered_) {
-    ensure_transient_modes();
-  } else {
-    PTHERM_REQUIRE(die_.cv_si > 0.0,
-                   "spectral transient: non-positive volumetric heat capacity");
-  }
+  if (layered_) ensure_transient_modes();
   TransientSolution state;
   const std::size_t modes = static_cast<std::size_t>(mode_count());
   state.surface.coeff.assign(modes, 0.0);

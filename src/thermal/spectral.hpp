@@ -42,14 +42,14 @@
 // update. The truncation-plus-discretization tail is again folded in
 // quasi-statically against the EXACT (continuous) transfer, so the layered
 // transient's long-time limit reproduces solve_steady to rounding for every
-// mode. A stack that reduces_to the die routes onto the original closed
-// forms, bitwise. When every layer shares one diffusivity k/cv, the
-// z-operator's g-dependence is a scalar shift alpha g^2 I: one
-// eigendecomposition serves all lateral modes.
+// mode. A stack that reduces_to the die — DieStack::single(die), which the
+// Die-only constructor builds — takes the closed forms above. When every
+// layer shares one diffusivity k/cv, the z-operator's g-dependence is a
+// scalar shift alpha g^2 I: one eigendecomposition serves all lateral
+// modes.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -79,13 +79,19 @@ struct SpectralOptions {
 
 class SpectralThermalSolver {
  public:
+  /// The single-die solver: the stack constructor over
+  /// DieStack::single(die), which reduces to the die and so takes the
+  /// closed forms.
   SpectralThermalSolver(Die die, SpectralOptions opts = {});
 
-  /// Layered constructor: the stack is authoritative for everything in z
-  /// (the die supplies the lateral dimensions and the ambient temperature;
-  /// its thickness/k_si/cv_si are ignored unless the stack reduces to them).
-  /// A stack satisfying stack.reduces_to(die) routes onto the single-die
-  /// closed forms and reproduces the legacy solver bitwise.
+  /// The stack is authoritative for everything in z (the die supplies the
+  /// lateral dimensions and the ambient temperature; its thickness, k_si
+  /// and cv_si only matter through reduces_to). A stack satisfying
+  /// stack.reduces_to(die) takes the single-die closed forms; any other
+  /// runs the layered machinery. Throws ptherm::PreconditionError on a
+  /// degenerate die or mode counts below one (the stack validated its own
+  /// layers, so a non-positive heat capacity throws there, at
+  /// construction).
   SpectralThermalSolver(Die die, DieStack stack, SpectralOptions opts = {});
 
   /// Whether this solver runs the layered z-machinery (false: single-die
@@ -338,7 +344,7 @@ class SpectralThermalSolver {
 
  private:
   /// The single-die closed-form setup (transfer, cos(gamma_p z) eigenbasis,
-  /// gains, tail) — the legacy constructor body, shared by trivial stacks.
+  /// gains, tail), taken by every stack that reduces to the die.
   void init_single_die();
 
   /// Per-mode steady surface impedance of the layered stack: the
@@ -369,8 +375,8 @@ class SpectralThermalSolver {
   /// is the exact steady transfer either way).
   mutable std::vector<double> tail_;
 
+  DieStack stack_;
   // Layered machinery; engaged when the stack does not reduce to the die.
-  std::optional<DieStack> stack_;
   bool layered_ = false;
   std::vector<double> dz_z_;  ///< layered z-grid cell heights, surface first
   std::vector<double> k_z_;   ///< per-cell conductivity

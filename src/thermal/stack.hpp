@@ -5,10 +5,12 @@
 // the sink, convective film to ambient, or an attached compact RC package
 // network whose case temperature becomes a dynamic state of the transient
 // co-simulation. The Die struct keeps the lateral geometry and the ambient
-// temperature; the stack owns everything about z. A stack that reduces to
-// the classic single-die problem routes the solvers onto their original
-// closed-form paths, so DieStack::single(die) reproduces legacy results
-// bitwise.
+// temperature; the stack owns everything about z. The FDM and spectral
+// solvers are built from a stack only: their Die-only constructors pass
+// DieStack::single(die), so its validation is theirs and Die::cv_si is the
+// one heat capacity. A stack that reduces to the classic single-die
+// problem takes the spectral solver's closed forms and the FDM's uniform
+// grid.
 #pragma once
 
 #include <optional>
@@ -57,8 +59,9 @@ class DieStack {
   explicit DieStack(std::vector<StackLayer> layers, BoundarySpec boundary = {});
 
   /// The classic single-die stack for `die`: one silicon layer with the
-  /// die's thickness/k/cv and an isothermal bottom. Solvers detect this
-  /// (reduces_to) and keep their original closed-form paths.
+  /// die's thickness/k_si/cv_si and an isothermal bottom — what the
+  /// Die-only solver constructors build. Throws like the constructor when
+  /// any of the three is not positive.
   [[nodiscard]] static DieStack single(const Die& die);
 
   [[nodiscard]] const std::vector<StackLayer>& layers() const noexcept { return layers_; }
@@ -84,8 +87,8 @@ class DieStack {
   /// problem for `die`: one layer matching the die's thickness/k/cv and a
   /// bottom plane that is isothermal as far as the operator is concerned
   /// (Isothermal, or RcNetwork — the case plane is isothermal at each
-  /// instant; its motion is the driver's job). Solvers use this to keep the
-  /// legacy closed-form path bitwise intact.
+  /// instant; its motion is the driver's job). The spectral solver takes
+  /// its single-die closed forms exactly when this holds.
   [[nodiscard]] bool reduces_to(const Die& die) const noexcept;
 
   /// Whether the operator's bottom plane is isothermal (Isothermal or

@@ -314,6 +314,10 @@ TEST(Fdm, RejectsBadInput) {
   tiny.ny = 8;
   tiny.nz = 8;
   EXPECT_THROW(FdmThermalSolver(die_1mm(), tiny), PreconditionError);
+  // The die's single-layer stack rejects a non-positive conductivity.
+  Die no_k = die_1mm();
+  no_k.k_si = 0.0;
+  EXPECT_THROW(FdmThermalSolver(no_k, {}), PreconditionError);
   FdmThermalSolver solver(die_1mm(), {});
   std::vector<double> wrong_size(3, 0.0);
   EXPECT_THROW(solver.step_transient(wrong_size, 1e-3, {}), PreconditionError);

@@ -55,6 +55,11 @@ TEST(Spectral, RejectsBadConfiguration) {
   SpectralOptions no_modes;
   no_modes.modes_x = 0;
   EXPECT_THROW(SpectralThermalSolver(die_1mm(), no_modes), PreconditionError);
+  // The die's single-layer stack rejects a non-positive heat capacity at
+  // construction, before any transient is asked for.
+  Die no_cv = die_1mm();
+  no_cv.cv_si = 0.0;
+  EXPECT_THROW(SpectralThermalSolver(no_cv, {}), PreconditionError);
   const SpectralThermalSolver solver(die_1mm(), {});
   EXPECT_THROW((void)solver.solve_steady({{0.5e-3, 0.5e-3, 0.0, 0.1e-3, 1.0}}),
                PreconditionError);  // degenerate source
@@ -385,6 +390,34 @@ TEST(SpectralTransient, MatchedDepthAgreementWithFdmTrajectory) {
     }
     rise = std::move(fdm_view.rise);
   }
+}
+
+TEST(SpectralTransient, FdmFromTheDieHonoursItsHeatCapacity) {
+  // Both solvers take the heat capacity from Die::cv_si. At twice the
+  // silicon value the die heats more slowly; the FDM top cell must still
+  // track the spectral field read at the cell-centre depth, to the 2% of
+  // the matched-depth trajectory test.
+  Die die = die_1mm();
+  die.cv_si *= 2.0;
+  FdmOptions fo;
+  fo.nx = 16;
+  fo.ny = 16;
+  fo.nz = 16;
+  const FdmThermalSolver fdm(die, fo);
+  const SpectralThermalSolver spectral(die, {});
+  const std::vector<HeatSource> sources = {{0.5e-3, 0.5e-3, 0.25e-3, 0.25e-3, 1.0}};
+  std::vector<double> rise(fdm.cell_count(), 0.0);
+  auto state = spectral.make_transient();
+  for (int s = 0; s < 20; ++s) {
+    fdm.step_transient(rise, 1e-5, sources);
+    spectral.step_transient(state, 1e-5, sources);
+  }
+  const int i = fo.nx / 2;
+  const int j = fo.ny / 2;
+  const double ref = rise[fdm.cell_index(i, j, 0)];
+  const double got = spectral.rise_at_depth(state, die.width * (i + 0.5) / fo.nx,
+                                            die.height * (j + 0.5) / fo.ny, fdm.cell_depth(0));
+  EXPECT_NEAR(got, ref, 0.02 * ref);
 }
 
 TEST(SpectralTransient, FdmTrajectoryConvergesTowardSpectralUnderDtRefinement) {
