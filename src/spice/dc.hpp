@@ -94,8 +94,9 @@ DcSolution solve_dc_core(const Circuit& circuit, NewtonCore& core, const DcOptio
                          const std::vector<double>* initial);
 
 /// Packs a solution back into core's unknown layout (node voltages, then
-/// voltage-source currents), the warm start of the next solve_dc_core on
-/// it. Throws ptherm::PreconditionError when the circuit's unknown count
+/// voltage-source currents): the warm start of dc_sweep's and the
+/// electro-thermal loop's next solve_dc_core, and the transient's initial
+/// state. Throws ptherm::PreconditionError when the circuit's unknown count
 /// is not core.size().
 std::vector<double> pack_unknowns(const Circuit& circuit, const NewtonCore& core,
                                   const DcSolution& sol);

@@ -21,18 +21,9 @@ TransientResult solve_transient(const Circuit& circuit, const TransientOptions& 
 
   detail::NewtonCore core(circuit, opts.dc);
   const int nn = core.node_unknowns();
-  const int nv = static_cast<int>(circuit.vsources().size());
 
   // Unknown vector seeded from the operating point.
-  std::vector<double> x(static_cast<std::size_t>(core.size()), 0.0);
-  for (int n = 1; n < circuit.node_count(); ++n) x[n - 1] = op.node_voltages[n];
-  {
-    int j = 0;
-    for (const auto& v : circuit.vsources()) {
-      x[nn + j] = op.vsource_currents.at(v.name);
-      ++j;
-    }
-  }
+  std::vector<double> x = detail::pack_unknowns(circuit, core, op);
 
   TransientResult result;
   auto record = [&](double t) {
@@ -83,7 +74,6 @@ TransientResult solve_transient(const Circuit& circuit, const TransientOptions& 
     t = tr.time;
     record(t);
   }
-  (void)nv;
   return result;
 }
 
