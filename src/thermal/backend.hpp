@@ -146,7 +146,8 @@ class SolverBackend {
 
   /// Batched influence build: entry (i, j) is the rise at samples[i] per
   /// watt in sources[j] [K/W] (source powers are ignored; each column is a
-  /// unit-power solve).
+  /// unit-power solve). Throws ptherm::PreconditionError on a footprint
+  /// validate_footprint() rejects (thermal/images.hpp).
   [[nodiscard]] virtual numerics::Matrix build_influence(
       std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const = 0;
 
@@ -157,9 +158,10 @@ class SolverBackend {
   [[nodiscard]] virtual bool supports_matrix_free_influence() const noexcept { return false; }
 
   /// Matrix-free influence-apply operator over the given sources/samples
-  /// (source powers are ignored — the caller supplies powers per apply).
-  /// Only meaningful when supports_matrix_free_influence(); the default
-  /// throws ptherm::PreconditionError naming the backend.
+  /// (source powers are ignored — the caller supplies powers per apply;
+  /// footprints are checked as in build_influence). Only meaningful when
+  /// supports_matrix_free_influence(); the default throws
+  /// ptherm::PreconditionError naming the backend.
   [[nodiscard]] virtual std::unique_ptr<InfluenceApply> make_influence_apply(
       std::span<const HeatSource> sources, std::span<const SurfaceSample> samples) const;
 

@@ -107,7 +107,7 @@ std::vector<double> FdmThermalSolver::surface_power(
     const std::vector<HeatSource>& sources) const {
   std::vector<double> q(cell_count(), 0.0);
   for (const auto& s : sources) {
-    PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "surface_power: degenerate source (w, l must be > 0)");
+    validate(s);
     // The density is renormalized to the die-clipped area: the source's
     // full power is conserved on the die (see the class policy comment).
     const DieFootprint f = clip_to_die(die_, s);
@@ -226,13 +226,9 @@ int FdmThermalSolver::step_transient(std::vector<double>& rise, double dt,
     return false;
   }();
   if (sources_changed) {
-    // A non-finite power or footprint would turn the whole field into NaN
-    // for good; held sources were checked when they last changed.
-    for (const HeatSource& s : sources) {
-      PTHERM_REQUIRE(std::isfinite(s.cx) && std::isfinite(s.cy) && std::isfinite(s.w) &&
-                         std::isfinite(s.l) && std::isfinite(s.power),
-                     "step_transient: non-finite source power or footprint");
-    }
+    // rhs_for validates every source before the state changes: a non-finite
+    // power or footprint would turn the whole field into NaN for good; held
+    // sources were checked when they last changed.
     transient_rhs_ = rhs_for(sources);
     transient_rhs_key_ = sources;
     ++power_updates_;

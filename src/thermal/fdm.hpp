@@ -112,8 +112,8 @@ class FdmThermalSolver {
   /// under the given sources. Returns CG iterations; throws
   /// ptherm::ConvergenceError (leaving `rise` untouched) if the implicit
   /// solve fails, so drivers never integrate a garbage field, and
-  /// ptherm::PreconditionError (likewise) on a non-finite source power or
-  /// footprint.
+  /// ptherm::PreconditionError (likewise) on a source validate() rejects
+  /// (thermal/images.hpp).
   int step_transient(std::vector<double>& rise, double dt,
                      const std::vector<HeatSource>& sources) const;
 
@@ -142,7 +142,9 @@ class FdmThermalSolver {
 
   /// Power deposited in each top-layer cell for the given sources (area
   /// overlap weighting over the die-clipped footprint, renormalized so the
-  /// full source power lands on the die); exposed for tests.
+  /// full source power lands on the die); exposed for tests. Every FDM path
+  /// that deposits power (steady solve, influence columns, transient step)
+  /// comes through here, where each source is validate()d.
   [[nodiscard]] std::vector<double> surface_power(const std::vector<HeatSource>& sources) const;
 
  private:

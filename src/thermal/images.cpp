@@ -17,6 +17,18 @@ constexpr std::size_t kChunk = 64;
 constexpr int kTail = 8;
 }  // namespace
 
+void validate_footprint(const HeatSource& s) {
+  PTHERM_REQUIRE(std::isfinite(s.cx) && std::isfinite(s.cy),
+                 "HeatSource: non-finite centre");
+  PTHERM_REQUIRE(std::isfinite(s.w) && std::isfinite(s.l) && s.w > 0.0 && s.l > 0.0,
+                 "HeatSource: degenerate footprint (w, l must be finite and > 0)");
+}
+
+void validate(const HeatSource& s) {
+  validate_footprint(s);
+  PTHERM_REQUIRE(std::isfinite(s.power), "HeatSource: non-finite power");
+}
+
 ChipThermalModel::ChipThermalModel(Die die, std::vector<HeatSource> sources, ImageOptions opts)
     : die_(die), sources_(std::move(sources)), opts_(opts) {
   PTHERM_REQUIRE(die_.width > 0.0 && die_.height > 0.0 && die_.thickness > 0.0,
@@ -25,12 +37,7 @@ ChipThermalModel::ChipThermalModel(Die die, std::vector<HeatSource> sources, Ima
                  "ChipThermalModel: k_si must be finite and > 0");
   PTHERM_REQUIRE(opts_.lateral_order >= 0, "ChipThermalModel: negative image order");
   PTHERM_REQUIRE(opts_.z_order >= 1, "ChipThermalModel: z_order must be positive");
-  for (const auto& s : sources_) {
-    PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "ChipThermalModel: degenerate source");
-    PTHERM_REQUIRE(std::isfinite(s.cx) && std::isfinite(s.cy),
-                   "ChipThermalModel: non-finite source centre");
-    PTHERM_REQUIRE(std::isfinite(s.power), "ChipThermalModel: non-finite source power");
-  }
+  for (const auto& s : sources_) validate(s);
   clip_sources();
   rebuild_images();
 }

@@ -23,11 +23,20 @@ struct Die {
   double cv_si = 1.631e6;     ///< volumetric heat capacity [J/(m^3 K)] (transients)
 };
 
+/// Throws ptherm::PreconditionError unless `s` has a finite centre and a
+/// finite, positive width and length: the geometry every backend clips.
+/// Influence builds and projections, which ignore `power`, check this; a
+/// NaN footprint is rejected, never clipped to nothing.
+void validate_footprint(const HeatSource& s);
+
+/// validate_footprint plus a finite power: what every backend checks where
+/// a source's power enters (steady solves, transient steps).
+void validate(const HeatSource& s);
+
 /// A source footprint clipped to the die surface, [x0, x1] x [y0, y1]. The
 /// clipping policy every backend shares: the FULL source power deposits
 /// over the clipped rectangle, and a source entirely off the die
-/// (on_die() false) deposits nothing. Rejecting degenerate sources is each
-/// caller's job.
+/// (on_die() false) deposits nothing. Callers validate() the source first.
 struct DieFootprint {
   double x0, x1, y0, y1;
 
@@ -76,7 +85,7 @@ struct ImageOptions {
 /// formula, so the result does not depend on the chunking.
 ///
 /// Rejects (ptherm::PreconditionError) a non-positive or non-finite k_si, a
-/// non-finite source centre or power, and degenerate geometry.
+/// degenerate die, and any source validate() rejects.
 ///
 /// Source-clipping policy (power conservation, matching FdmThermalSolver):
 /// each source's footprint is clipped to the die surface and the FULL source

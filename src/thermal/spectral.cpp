@@ -47,14 +47,6 @@ double steady_depth_profile(double g, double t, double z) {
          (1.0 - std::exp(-2.0 * g * t));
 }
 
-/// The shared clipping policy (thermal/images.hpp) with this solver's
-/// degenerate-source check, for the steady solve and the source half that
-/// the influence apply and the transient step project through.
-DieFootprint clip_footprint(const Die& die, const HeatSource& s) {
-  PTHERM_REQUIRE(s.w > 0.0 && s.l > 0.0, "spectral: degenerate source (w, l must be > 0)");
-  return clip_to_die(die, s);
-}
-
 /// Per-watt flux density of an on-die footprint, with the 1 / (W H) of the
 /// mode normalization.
 double unit_weight(const DieFootprint& f, const Die& die) noexcept {
@@ -459,7 +451,8 @@ SpectralThermalSolver::Solution SpectralThermalSolver::solve_steady(
   std::vector<double> fx(mx);
   std::vector<double> fy(my);
   for (const HeatSource& s : sources) {
-    const DieFootprint f = clip_footprint(die_, s);
+    validate(s);
+    const DieFootprint f = clip_to_die(die_, s);
     if (!f.on_die()) continue;
     cosine_axis_factors(opts_.modes_x, die_.width, f.x0, f.x1, fx.data());
     cosine_axis_factors(opts_.modes_y, die_.height, f.y0, f.y1, fy.data());
@@ -559,7 +552,8 @@ SpectralThermalSolver::SourceProjection SpectralThermalSolver::make_source_proje
   std::vector<std::array<double, 2>> x_keys;
   std::vector<std::array<double, 2>> y_keys;
   for (std::size_t j = 0; j < n; ++j) {
-    const DieFootprint f = clip_footprint(die_, sources[j]);
+    validate_footprint(sources[j]);
+    const DieFootprint f = clip_to_die(die_, sources[j]);
     if (!f.on_die()) continue;
     on_die.push_back(j);
     x_keys.push_back({f.x0, f.x1});
@@ -1009,9 +1003,9 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
   // half, rebuilt only when some footprint moved. When neither powers nor
   // geometry moved since the last step (an epoch-driven driver holding its
   // powers) the flux modes are still valid and the pass is skipped whole.
-  // A moved footprint or power must be finite (a NaN would stay in the
-  // amplitudes for good); held ones were checked when they last moved.
-  // Every check runs before the state changes.
+  // Every source from the first moved one on is validated (a NaN would
+  // stay in the amplitudes for good); held ones were checked when they last
+  // moved. Every check runs before the state changes.
   const std::size_t n = sources.size();
   bool geometry_dirty = state.geometry_key.size() != 4 * n;
   for (std::size_t j = 0; j < n && !geometry_dirty; ++j) {
@@ -1019,17 +1013,10 @@ int SpectralThermalSolver::step_transient(TransientSolution& state, double h,
     const double* key = state.geometry_key.data() + 4 * j;
     geometry_dirty = key[0] != s.cx || key[1] != s.cy || key[2] != s.w || key[3] != s.l;
   }
-  if (geometry_dirty) {
-    for (const HeatSource& s : sources) {
-      PTHERM_REQUIRE(std::isfinite(s.cx) && std::isfinite(s.cy) && std::isfinite(s.w) &&
-                         std::isfinite(s.l),
-                     "step_transient: non-finite source footprint");
-    }
-  }
   bool flux_dirty = geometry_dirty || state.power_key.size() != n;
   for (std::size_t j = 0; j < n; ++j) {
     if (!flux_dirty && state.power_key[j] == sources[j].power) continue;
-    PTHERM_REQUIRE(std::isfinite(sources[j].power), "step_transient: non-finite source power");
+    validate(sources[j]);
     flux_dirty = true;
   }
   if (flux_dirty) {

@@ -28,7 +28,8 @@
 //
 // Source-clipping policy matches the other backends: footprints are clipped
 // to the die and the FULL source power deposits over the clipped rectangle;
-// fully off-die sources contribute nothing; degenerate sources throw.
+// fully off-die sources contribute nothing; a source validate()
+// (thermal/images.hpp) rejects — non-finite or degenerate — throws.
 //
 // DIE STACKS. The lateral eigenbasis only needs adiabatic sidewalls, so the
 // whole machinery survives an arbitrary z-stack (thermal/stack.hpp): the
@@ -209,7 +210,7 @@ class SpectralThermalSolver {
 
   /// Builds the source half for fixed source geometry (powers are ignored;
   /// the caller supplies them per projection). Off-die sources project to
-  /// zero; degenerate sources throw — the shared clipping policy. Interning
+  /// zero; footprints validate_footprint() rejects throw. Interning
   /// is sort + unique, O(n log n); the tables cost O(G * modes_per_axis)
   /// trigonometric evaluations.
   [[nodiscard]] SourceProjection make_source_projection(std::span<const HeatSource> sources) const;
@@ -307,8 +308,9 @@ class SpectralThermalSolver {
   /// accuracy does not depend on h, and one call with h == k*h' equals k
   /// calls with h' to rounding. Returns 1: one mode-space update (the
   /// generic "inner iteration" count transient drivers accumulate). Throws
-  /// ptherm::PreconditionError, leaving `state` untouched, on a non-finite
-  /// power or footprint among the sources that changed since the last step.
+  /// ptherm::PreconditionError, leaving `state` untouched, when validate()
+  /// rejects one of the sources from the first that changed since the last
+  /// step on.
   int step_transient(TransientSolution& state, double h,
                      const std::vector<HeatSource>& sources) const;
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,6 +140,58 @@ TEST_P(BackendMatrix, TransientCapabilityIsGatedNotSilentlyIgnored) {
   } else {
     EXPECT_FALSE(backend->supports_transient());
     EXPECT_THROW((void)backend->make_transient_state(), PreconditionError);
+  }
+}
+
+TEST_P(BackendMatrix, RejectsANonFiniteOrDegenerateSourceAtEveryEntry) {
+  // A NaN footprint clips to an empty rectangle that reads as off-die; every
+  // entry must throw on it (and on the other bad sources) rather than drop
+  // the source's power. Influence builds ignore powers (the cosim lets a
+  // NaN power reach its loop and names it there), so they check footprints.
+  const auto fp = small_plan();
+  const auto backend = make_thermal_backend(fp.die(), backend_opts(GetParam()));
+  const auto samples = block_centre_samples(fp);
+  const auto good = fp.heat_sources(tech());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto with = [&](auto edit) {
+    thermal::HeatSource s = good[4];
+    edit(s);
+    return s;
+  };
+  struct Bad {
+    const char* label;
+    thermal::HeatSource source;
+    bool footprint;  ///< a geometry fault; influence builds ignore powers
+  };
+  const Bad bad[] = {
+      {"NaN centre", with([&](thermal::HeatSource& s) { s.cx = nan; }), true},
+      {"infinite power", with([&](thermal::HeatSource& s) { s.power = inf; }), false},
+      {"NaN width", with([&](thermal::HeatSource& s) { s.w = nan; }), true},
+      {"negative width", with([](thermal::HeatSource& s) { s.w = -s.w; }), true},
+  };
+  for (const auto& [label, source, footprint] : bad) {
+    auto sources = good;
+    sources[4] = source;
+    EXPECT_THROW((void)backend->surface_rises(sources, samples), PreconditionError) << label;
+    EXPECT_THROW((void)backend->surface_rise_map(sources, 8, 8), PreconditionError) << label;
+    if (footprint) {
+      EXPECT_THROW((void)backend->build_influence(sources, samples), PreconditionError)
+          << label;
+      EXPECT_THROW((void)thermal::resolve_influence_apply(*backend, sources, samples),
+                   PreconditionError)
+          << label;
+    } else {
+      EXPECT_NO_THROW((void)thermal::resolve_influence_apply(*backend, sources, samples))
+          << label;
+    }
+    if (!backend->supports_transient()) continue;
+    const auto fresh = backend->make_transient_state();
+    EXPECT_THROW(backend->step_transient(*fresh, 1e-4, sources), PreconditionError) << label;
+    // Also when only this source changes after a valid step.
+    const auto held = backend->make_transient_state();
+    backend->step_transient(*held, 1e-4, good);
+    EXPECT_THROW(backend->step_transient(*held, 1e-4, sources), PreconditionError) << label;
   }
 }
 
