@@ -29,6 +29,22 @@ std::vector<double>* trace_dest(const DcOptions& opts, std::vector<double>& stor
   return opts.trace.convergence ? &storage : nullptr;
 }
 
+/// The warm attempt: one Newton at gmin = 0 from the caller's warm vector,
+/// capped at kWarmNewtonIterations. On convergence `x` holds the solution;
+/// on failure `x` is untouched, so the ladder starts from the warm vector.
+bool run_warm_newton(NewtonCore& core, const DcOptions& opts, const TransientContext& tr,
+                     std::vector<double>& x, SolveReport& report) {
+  TELEMETRY_SPAN("spice/warm_newton");
+  std::vector<double> trial = x;
+  int iters = 0;
+  std::vector<double> res;
+  const bool converged =
+      core.newton(trial, 0.0, tr, iters, trace_dest(opts, res), kWarmNewtonIterations);
+  record_rung(report, "warm", 0.0, iters, converged, std::move(res));
+  if (converged) x = std::move(trial);
+  return converged;
+}
+
 /// Stage 1: the classic descending-gmin ladder from the current iterate.
 /// Keeps the best iterate in `x`; true when at least one rung converged.
 /// When `gmin_held` is given, it receives the smallest gmin that converged —
@@ -234,25 +250,27 @@ DcSolution solve_dc_core(const Circuit& circuit, NewtonCore& core, const DcOptio
   }
 
   SolveReport report;
-  report.path = "gmin";
-  bool ok = run_gmin_ladder(core, opts, no_transient, x, report);
-  if (!ok && opts.recovery.source_stepping) {
-    report.path += ",source";
-    ok = run_source_stepping(core, opts, no_transient, x, report);
-  }
-  if (!ok && opts.recovery.temp_stepping) {
-    report.path += ",temp";
-    ok = run_temp_stepping(circuit, core, opts, no_transient, x, report);
-  }
-  if (!ok) {
-    audit_into_report(circuit, core, no_transient, x, report);
-    throw ConvergenceFailure("solve_dc: Newton failed on every gmin rung and recovery stage",
-                             std::move(report));
-  }
+  if (initial && run_warm_newton(core, opts, no_transient, x, report)) {
+    report.path = "warm";
+  } else {
+    report.path = initial ? "warm,gmin" : "gmin";
+    bool ok = run_gmin_ladder(core, opts, no_transient, x, report);
+    if (!ok && opts.recovery.source_stepping) {
+      report.path += ",source";
+      ok = run_source_stepping(core, opts, no_transient, x, report);
+    }
+    if (!ok && opts.recovery.temp_stepping) {
+      report.path += ",temp";
+      ok = run_temp_stepping(circuit, core, opts, no_transient, x, report);
+    }
+    if (!ok) {
+      audit_into_report(circuit, core, no_transient, x, report);
+      throw ConvergenceFailure("solve_dc: Newton failed on every gmin rung and recovery stage",
+                               std::move(report));
+    }
 
-  // Polish without gmin; on failure keep the smallest-gmin solution (a node
-  // with no DC path to ground legitimately needs gmin).
-  {
+    // Polish without gmin; on failure keep the smallest-gmin solution (a
+    // node with no DC path to ground legitimately needs gmin).
     std::vector<double> trial = x;
     int iters = 0;
     std::vector<double> res;

@@ -9,8 +9,17 @@
 //     is trivially solvable and each step warm-starts from the last.
 //  3. Temperature continuation — solve cold (devices nearly off, weak
 //     exponentials), then ramp the device temperatures to their targets.
-// Each stage only runs when the previous one failed, so circuits the plain
-// ladder handles see bitwise-identical arithmetic to the pre-ladder solver.
+// Each stage only runs when the previous one failed, so a cold solve of a
+// circuit the plain ladder handles sees bitwise-identical arithmetic to the
+// pre-ladder solver.
+//
+// A warm-started solve (dc_sweep's later points, the electro-thermal outer
+// loop) first tries one Newton at gmin = 0 from the warm vector, capped at
+// kWarmNewtonIterations. When it converges the solve ends there (path
+// "warm": no ladder, no polish); when it fails the ladder above runs
+// unchanged from the same warm vector (path "warm,gmin..."). A warm solve
+// therefore lands on the operating point within Newton tolerance of the
+// ladder's result, not bitwise on it.
 #pragma once
 
 #include <map>
@@ -34,6 +43,12 @@ struct DcRecoveryOptions {
   double temp_cold = 250.0;     ///< temperature-continuation start [K]
   int temp_steps = 5;           ///< ramp points from temp_cold to the target
 };
+
+/// Newton iteration budget of the warm-start attempt at gmin = 0 (further
+/// capped by DcOptions::max_iterations). A warm vector near the solution
+/// converges in a handful of iterations; one that needs more is cheaper to
+/// hand to the ladder than to grind on unregularized.
+inline constexpr int kWarmNewtonIterations = 10;
 
 struct DcOptions {
   double v_abstol = 1e-10;        ///< Newton step convergence [V]
@@ -66,15 +81,19 @@ struct DcSolution {
   [[nodiscard]] double voltage(NodeId n) const { return node_voltages.at(n); }
 };
 
-/// Solves the DC operating point at `opts.temp`. Waveform sources use their
-/// value at t = 0. Throws ConvergenceFailure (a ConvergenceError carrying
-/// the full SolveReport) when every ladder stage fails; returns converged =
-/// false only if the polish (gmin = 0) step fails after a successful
-/// continuation.
+/// Solves the DC operating point at `opts.temp` from a cold start (the plain
+/// ladder). Waveform sources use their value at t = 0. Throws
+/// ConvergenceFailure (a ConvergenceError carrying the full SolveReport)
+/// when every ladder stage fails. A failed gmin = 0 polish after a
+/// successful continuation keeps the smallest-gmin solution (a node with no
+/// DC path to ground needs gmin) and still returns converged = true.
 DcSolution solve_dc(const Circuit& circuit, const DcOptions& opts = {});
 
 /// Sweeps the named voltage source over `values`, reusing each solution as
-/// the next initial guess. A point whose warm-started solve fails is retried
+/// the next initial guess (the warm attempt described at the top of this
+/// file, so later points agree with a standalone solve_dc within Newton
+/// tolerance; the first point is a cold solve, bitwise standalone solve_dc).
+/// A point whose warm-started solve fails is retried
 /// once from a cold start (fresh recovery ladder) before the sweep fails;
 /// the error then names the sweep value that failed. Returns one solution
 /// per value.
@@ -87,7 +106,9 @@ class NewtonCore;
 
 /// The shared solve core: runs the recovery ladder on a caller-configured
 /// NewtonCore (source scale / temperatures as set), optionally warm-started
-/// from `initial` (size() unknowns; nullptr = cold start from zero). The
+/// from `initial` (size() unknowns; nullptr = cold start from zero). A warm
+/// start first tries the capped gmin = 0 Newton (path "warm") and falls back
+/// to the ladder from `initial` itself (path "warm,gmin..."). The
 /// electro-thermal outer loop (spice/electrothermal.hpp) and dc_sweep call
 /// this to reuse one core across solves.
 DcSolution solve_dc_core(const Circuit& circuit, NewtonCore& core, const DcOptions& opts,

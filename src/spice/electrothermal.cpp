@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "numerics/fixed_point.hpp"
@@ -27,56 +28,87 @@ void validate(const ElectroThermalDcOptions& opts) {
   PTHERM_REQUIRE(std::isfinite(opts.t_sink), "ElectroThermalDcOptions: t_sink must be finite");
 }
 
-ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
-                                                 const thermal::SolverBackend& backend,
-                                                 std::span<const DeviceFootprint> footprints,
-                                                 const ElectroThermalDcOptions& opts) {
+ElectroThermalDc::ElectroThermalDc(const Circuit& circuit,
+                                   const thermal::SolverBackend& backend,
+                                   std::span<const DeviceFootprint> footprints)
+    : circuit_(circuit), mos_index_(footprints.size()) {
   const std::size_t n = footprints.size();
   PTHERM_REQUIRE(n > 0, "solve_electrothermal_dc: no device footprints");
-  validate(opts);
-  TELEMETRY_SPAN("spice/electrothermal_dc");
 
   // Footprint -> MOSFET index, heat sources, and coincident sample points.
-  std::vector<std::size_t> mos_index(n);
   std::vector<thermal::HeatSource> sources(n);
   std::vector<thermal::SurfaceSample> samples(n);
   std::vector<bool> has_footprint(circuit.mosfets().size(), false);
   for (std::size_t k = 0; k < n; ++k) {
     const auto& fp = footprints[k];
-    mos_index[k] = circuit.mosfet_index(fp.device);
-    PTHERM_REQUIRE(!has_footprint[mos_index[k]],
+    mos_index_[k] = circuit.mosfet_index(fp.device);
+    PTHERM_REQUIRE(!has_footprint[mos_index_[k]],
                    "solve_electrothermal_dc: device '" + fp.device + "' has two footprints");
-    has_footprint[mos_index[k]] = true;
+    has_footprint[mos_index_[k]] = true;
     sources[k] = {fp.cx, fp.cy, fp.w, fp.l, 0.0};
     samples[k] = {fp.cx, fp.cy};
   }
-  const auto influence = [&] {
-    TELEMETRY_SPAN("spice/build_influence");
-    return thermal::resolve_influence_apply(backend, sources, samples);
-  }();
+  TELEMETRY_SPAN("spice/build_influence");
+  influence_ = thermal::resolve_influence_apply(backend, sources, samples);
+}
 
-  detail::NewtonCore core(circuit, opts.dc);
-  const std::size_t n_mos = circuit.mosfets().size();
+ElectroThermalDcSolution ElectroThermalDc::solve(const ElectroThermalDcOptions& opts) const {
+  return run(opts, {}, {});
+}
+
+std::vector<ElectroThermalDcSolution> ElectroThermalDc::sweep_sinks(
+    std::span<const double> t_sinks, const ElectroThermalDcOptions& opts) const {
+  TELEMETRY_SPAN("spice/electrothermal_sweep");
+  std::vector<ElectroThermalDcSolution> out;
+  out.reserve(t_sinks.size());
+  ElectroThermalDcOptions point = opts;
+  for (const double t_sink : t_sinks) {
+    std::vector<double> seed;
+    std::vector<double> warm;
+    if (!out.empty() && out.back().converged) {
+      // The rises carry over; only the reference moves with the sink.
+      seed = out.back().device_temperatures;
+      for (double& t : seed) t += t_sink - point.t_sink;
+      warm = detail::pack_unknowns(circuit_, detail::NewtonCore(circuit_, point.dc),
+                                   out.back().dc);
+    }
+    point.t_sink = t_sink;
+    point.dc.temp = t_sink;
+    out.push_back(run(point, seed, std::move(warm)));
+  }
+  return out;
+}
+
+ElectroThermalDcSolution ElectroThermalDc::run(const ElectroThermalDcOptions& opts,
+                                               std::span<const double> seed,
+                                               std::vector<double> warm) const {
+  validate(opts);
+  const std::size_t n = mos_index_.size();
+  detail::NewtonCore core(circuit_, opts.dc);
+  const std::size_t n_mos = circuit_.mosfets().size();
   // Full per-MOSFET temperature vector; devices without a footprint stay at
   // the nominal solve temperature.
   std::vector<double> all_temps(n_mos, opts.dc.temp);
 
   ElectroThermalDcSolution out;
-  out.device_temperatures.assign(n, opts.dc.temp);
+  if (seed.empty()) {
+    out.device_temperatures.assign(n, opts.dc.temp);
+  } else {
+    out.device_temperatures.assign(seed.begin(), seed.end());
+  }
   out.device_powers.assign(n, 0.0);
   std::vector<double> rises(n, 0.0);
-  std::vector<double> warm;
 
   // Electrical solve at the current temperatures (warm-started), then P(T):
   // each device's dissipation at its own temperature.
   const auto solve_electrical = [&] {
-    for (std::size_t k = 0; k < n; ++k) all_temps[mos_index[k]] = out.device_temperatures[k];
+    for (std::size_t k = 0; k < n; ++k) all_temps[mos_index_[k]] = out.device_temperatures[k];
     core.set_device_temperatures(all_temps);
-    out.dc = detail::solve_dc_core(circuit, core, opts.dc, warm.empty() ? nullptr : &warm);
-    warm = detail::pack_unknowns(circuit, core, out.dc);
-    const auto& mosfets = circuit.mosfets();
+    out.dc = detail::solve_dc_core(circuit_, core, opts.dc, warm.empty() ? nullptr : &warm);
+    warm = detail::pack_unknowns(circuit_, core, out.dc);
+    const auto& mosfets = circuit_.mosfets();
     for (std::size_t k = 0; k < n; ++k) {
-      const auto& m = mosfets[mos_index[k]];
+      const auto& m = mosfets[mos_index_[k]];
       out.device_powers[k] = m.model.power(
           out.dc.voltage(m.gate), out.dc.voltage(m.drain), out.dc.voltage(m.source),
           out.dc.voltage(m.bulk), out.device_temperatures[k]);
@@ -90,7 +122,7 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
     ++out.outer_iterations;
 
     // T <- t_sink + R * P, one safeguarded step (the core/cosim rule).
-    influence->apply(out.device_powers, rises);
+    influence_->apply(out.device_powers, rises);
     for (double& rise : rises) rise += opts.t_sink;  // rises -> targets
     const double residual = guard.step(out.device_temperatures, rises);
     out.contraction = guard.contraction();
@@ -118,6 +150,14 @@ ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
   // and the electrical state that matters is the last converged solve.
   if (!out.runaway) solve_electrical();
   return out;
+}
+
+ElectroThermalDcSolution solve_electrothermal_dc(const Circuit& circuit,
+                                                 const thermal::SolverBackend& backend,
+                                                 std::span<const DeviceFootprint> footprints,
+                                                 const ElectroThermalDcOptions& opts) {
+  TELEMETRY_SPAN("spice/electrothermal_dc");
+  return ElectroThermalDc(circuit, backend, footprints).solve(opts);
 }
 
 }  // namespace ptherm::spice

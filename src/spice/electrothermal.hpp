@@ -15,6 +15,7 @@
 // the same policy the cosim layer pins.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,16 +71,62 @@ struct ElectroThermalDcSolution {
   double contraction = 0.0;      ///< r_k / r_{k-1} at exit (see CosimResult)
 };
 
-/// Solves the coupled electro-thermal DC operating point. Devices without a
-/// footprint stay at opts.dc.temp; a device named by two footprints (its
-/// power would be injected twice) and invalid options (see validate) throw
-/// PreconditionError. Inner solves reuse one NewtonCore and
-/// warm-start from the previous outer iterate; inner non-convergence
-/// propagates as ConvergenceFailure carrying the full SolveReport. Outer
-/// non-convergence (including runaway, and a non-finite outer residual,
-/// which stops the loop at the last finite iterate) is flagged on the
-/// solution, not thrown — the electrical state is still the converged solve
-/// at the last iterate's temperatures.
+/// The electro-thermal DC solve prepared for one circuit, backend and
+/// footprint set: the footprint -> MOSFET map and the device-to-device
+/// influence operator R, resolved once at construction (span
+/// `spice/build_influence`). R depends on the die geometry and
+/// conductivity, not on the sink temperature, so one object serves every
+/// solve and a whole sink sweep. The circuit and the backend must outlive
+/// it (a matrix-free apply reads the backend's solver).
+///
+/// Throws PreconditionError on an empty footprint list, a footprint naming
+/// no MOSFET of the circuit, or a device named by two footprints (its power
+/// would be injected twice).
+class ElectroThermalDc {
+ public:
+  ElectroThermalDc(const Circuit& circuit, const thermal::SolverBackend& backend,
+                   std::span<const DeviceFootprint> footprints);
+
+  /// Solves the coupled operating point from a cold start: every footprint
+  /// device seeded at opts.dc.temp, the first electrical solve cold.
+  /// Devices without a footprint stay at opts.dc.temp. Invalid options (see
+  /// validate) throw PreconditionError. Inner solves reuse one NewtonCore
+  /// and warm-start from the previous outer iterate; inner non-convergence
+  /// propagates as ConvergenceFailure carrying the full SolveReport. Outer
+  /// non-convergence (including runaway, and a non-finite outer residual,
+  /// which stops the loop at the last finite iterate) is flagged on the
+  /// solution, not thrown — the electrical state is still the converged
+  /// solve at the last iterate's temperatures.
+  [[nodiscard]] ElectroThermalDcSolution solve(const ElectroThermalDcOptions& opts) const;
+
+  /// Solves at each sink temperature of `t_sinks` in order (span
+  /// `spice/electrothermal_sweep`), each point with `opts` but t_sink and
+  /// dc.temp set to that sink. A point that follows a converged one starts
+  /// from it: its electrical unknowns, and its device temperatures shifted
+  /// by the change in sink temperature. A point after a runaway or
+  /// unconverged one starts cold, as solve() does. Each point converges to
+  /// its own fixed point within temp_tol, so it agrees with solve() at that
+  /// sink up to the outer loop's tolerance, not bitwise.
+  [[nodiscard]] std::vector<ElectroThermalDcSolution> sweep_sinks(
+      std::span<const double> t_sinks, const ElectroThermalDcOptions& opts) const;
+
+ private:
+  /// The one outer loop. `seed` holds the footprint devices' starting
+  /// temperatures (empty: opts.dc.temp), `warm` the first electrical
+  /// solve's warm start in NewtonCore's unknown layout (empty: cold).
+  [[nodiscard]] ElectroThermalDcSolution run(const ElectroThermalDcOptions& opts,
+                                             std::span<const double> seed,
+                                             std::vector<double> warm) const;
+
+  const Circuit& circuit_;
+  std::vector<std::size_t> mos_index_;  ///< footprint k -> index in circuit.mosfets()
+  std::unique_ptr<thermal::InfluenceApply> influence_;
+};
+
+/// One-shot solve: ElectroThermalDc(circuit, backend, footprints).solve(opts)
+/// inside a `spice/electrothermal_dc` span. Rebuilds R on every call;
+/// repeated solves against one backend (a sink sweep) should hold an
+/// ElectroThermalDc instead.
 [[nodiscard]] ElectroThermalDcSolution solve_electrothermal_dc(
     const Circuit& circuit, const thermal::SolverBackend& backend,
     std::span<const DeviceFootprint> footprints, const ElectroThermalDcOptions& opts = {});

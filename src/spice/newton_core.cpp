@@ -132,11 +132,13 @@ void NewtonCore::assemble(const std::vector<double>& x, double gmin,
 }
 
 bool NewtonCore::newton(std::vector<double>& x, double gmin, const TransientContext& tr,
-                        int& iterations_used, std::vector<double>* residual_trace) const {
+                        int& iterations_used, std::vector<double>* residual_trace,
+                        int iteration_cap) const {
   std::vector<double> f, scale;
   numerics::Matrix jac(static_cast<std::size_t>(size_), static_cast<std::size_t>(size_));
   const int nn = node_unknowns();
-  for (int it = 0; it < opts_.max_iterations; ++it) {
+  const int max_iterations = std::min(opts_.max_iterations, iteration_cap);
+  for (int it = 0; it < max_iterations; ++it) {
     TELEMETRY_SPAN("spice/newton_iteration");
     assemble(x, gmin, tr, f, scale, &jac);
     ++iterations_used;

@@ -11,6 +11,7 @@
 // evaluated at its own temperature inside the Newton loop).
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -88,8 +89,11 @@ class NewtonCore {
   /// receives the KCL residual infinity norm max |F| [A] of each iterate as
   /// assembled at the top of its iteration — the convergence-trace hook;
   /// recording only APPENDS, the iteration arithmetic is unchanged.
+  /// `iteration_cap` tightens DcOptions::max_iterations for this run (the
+  /// warm-start attempt's budget, kWarmNewtonIterations).
   bool newton(std::vector<double>& x, double gmin, const TransientContext& tr,
-              int& iterations_used, std::vector<double>* residual_trace = nullptr) const;
+              int& iterations_used, std::vector<double>* residual_trace = nullptr,
+              int iteration_cap = std::numeric_limits<int>::max()) const;
 
   /// Worst-KCL-residual node at `x` (assembled at gmin = 0, no Jacobian) —
   /// what SolveReport names on exit. Node 0 with zero residual when the

@@ -15,12 +15,13 @@
 
 namespace ptherm::spice {
 
-/// One Newton run at fixed continuation parameters — a gmin rung, one
-/// source-stepping scale, one temperature-continuation point, or the final
-/// gmin = 0 polish.
+/// One Newton run at fixed continuation parameters — the warm-start attempt
+/// at gmin = 0, a gmin rung, one source-stepping scale, one
+/// temperature-continuation point, or the final gmin = 0 polish.
 struct RungReport {
-  std::string stage;      ///< "gmin", "source", "temp", or "polish"
-  double value = 0.0;     ///< gmin [S] / source scale [0,1] / temperature [K]
+  std::string stage;      ///< "warm", "gmin", "source", "temp", or "polish"
+  /// gmin [S] (0 for warm and polish) / source scale [0,1] / temperature [K]
+  double value = 0.0;
   int iterations = 0;     ///< Newton iterations this rung used
   bool converged = false; ///< whether this rung's Newton converged
   /// With DcOptions::trace.convergence: the KCL residual infinity norm
@@ -35,10 +36,14 @@ struct SolveReport {
   bool converged = false;
   /// Recovery stages that ran, in order, comma-joined: "gmin" when the plain
   /// ladder sufficed, "gmin,source" when source stepping rescued the solve,
-  /// "gmin,source,temp" when it took temperature continuation.
+  /// "gmin,source,temp" when it took temperature continuation. A warm-started
+  /// solve reads "warm" when the gmin = 0 Newton from the warm vector
+  /// converged (no ladder, no polish), and "warm,gmin", "warm,gmin,source",
+  /// ... when it failed and the ladder ran from that vector.
   std::string path;
   std::vector<RungReport> rungs;
-  int newton_iterations = 0;  ///< total Newton iterations over all rungs
+  /// Total Newton iterations over all rungs, a failed warm attempt included.
+  int newton_iterations = 0;
   int homotopy_steps = 0;     ///< rungs run by the recovery stages (source + temp)
   /// True when a dc_sweep point only converged after discarding the warm
   /// start and restarting cold (hysteresis sweeps stranding the iterate on a

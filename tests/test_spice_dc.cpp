@@ -116,6 +116,32 @@ TEST_F(InverterTest, TransferCurveIsMonotoneDecreasing) {
   }
 }
 
+TEST_F(InverterTest, SweepPointsMatchColdStandaloneSolves) {
+  // Every point after the first starts from the previous one and may end
+  // on the warm gmin = 0 Newton alone: it must land on the cold solve's
+  // operating point all the same.
+  auto ckt = make_inverter(0.0);
+  std::vector<double> vins;
+  for (double v = 0.0; v <= tech_.vdd + 1e-9; v += 0.1) vins.push_back(v);
+  const auto sols = dc_sweep(ckt, "VIN", vins);
+  ASSERT_EQ(sols.size(), vins.size());
+  EXPECT_EQ(sols[0].report.path, "gmin");
+  int warm_only = 0;
+  for (std::size_t k = 0; k < vins.size(); ++k) {
+    const auto cold = solve_dc(make_inverter(vins[k]));
+    ASSERT_EQ(sols[k].node_voltages.size(), cold.node_voltages.size());
+    for (std::size_t n = 0; n < cold.node_voltages.size(); ++n) {
+      EXPECT_NEAR(sols[k].node_voltages[n], cold.node_voltages[n], 1e-9)
+          << "VIN = " << vins[k] << ", node " << n << ", path " << sols[k].report.path;
+    }
+    if (k > 0) {
+      EXPECT_EQ(sols[k].report.path.rfind("warm", 0), 0u) << "point " << k;
+      if (sols[k].report.path == "warm") ++warm_only;
+    }
+  }
+  EXPECT_GT(warm_only, 0);  // the warm attempt carried at least some points
+}
+
 TEST_F(InverterTest, LeakageWithInputLowMatchesOffCurrent) {
   // Input low: nMOS blocks; supply current = nMOS OFF current (pMOS is ON
   // and drops ~nothing).

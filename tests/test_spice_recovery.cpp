@@ -215,6 +215,76 @@ TEST(SolveReportAudit, TotalFailureNamesWorstNode) {
 }
 
 // ---------------------------------------------------------------------------
+// Warm starts: one Newton at gmin = 0 first, the unchanged ladder from the
+// same warm vector when it fails.
+
+TEST(WarmStart, ConvergedWarmStartSkipsTheLadder) {
+  auto ckt = make_stack(3);
+  const DcOptions opts;
+  detail::NewtonCore core(ckt, opts);
+  const auto cold = detail::solve_dc_core(ckt, core, opts, nullptr);
+  const auto warm_vec = detail::pack_unknowns(ckt, core, cold);
+  const auto warm = detail::solve_dc_core(ckt, core, opts, &warm_vec);
+  EXPECT_EQ(warm.report.path, "warm");
+  ASSERT_EQ(warm.report.rungs.size(), 1u);
+  EXPECT_EQ(warm.report.rungs[0].stage, "warm");
+  EXPECT_EQ(warm.report.rungs[0].value, 0.0);
+  EXPECT_TRUE(warm.report.rungs[0].converged);
+  EXPECT_LE(warm.iterations, kWarmNewtonIterations);
+  EXPECT_EQ(warm.report.homotopy_steps, 0);
+  EXPECT_FALSE(warm.report.worst_node.empty());  // the exit audit still ran
+  for (std::size_t n = 0; n < cold.node_voltages.size(); ++n) {
+    EXPECT_NEAR(warm.node_voltages[n], cold.node_voltages[n], 1e-9) << "node " << n;
+  }
+}
+
+TEST(WarmStart, NodeWithoutADcPathFallsBackToTheLadder) {
+  // `f` hangs off `a` through a capacitor only: at gmin = 0 its KCL row is
+  // empty, the warm Newton's Jacobian singular, so the ladder must take over
+  // from the warm vector and land where the cold solve does.
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  const auto f = ckt.node("f");
+  ckt.add_vsource("V", a, Circuit::ground(), 1.0);
+  ckt.add_resistor("R", a, Circuit::ground(), 1000.0);
+  ckt.add_capacitor("C", a, f, 1e-12);
+  const DcOptions opts;
+  detail::NewtonCore core(ckt, opts);
+  const auto cold = detail::solve_dc_core(ckt, core, opts, nullptr);
+  auto warm_vec = detail::pack_unknowns(ckt, core, cold);
+  warm_vec[static_cast<std::size_t>(f - 1)] = 0.5;  // a stale value on the floating node
+  const auto warm = detail::solve_dc_core(ckt, core, opts, &warm_vec);
+  EXPECT_EQ(warm.report.path, "warm,gmin");
+  ASSERT_FALSE(warm.report.rungs.empty());
+  EXPECT_EQ(warm.report.rungs.front().stage, "warm");
+  EXPECT_FALSE(warm.report.rungs.front().converged);
+  EXPECT_EQ(warm.report.rungs.back().stage, "polish");
+  for (std::size_t n = 0; n < cold.node_voltages.size(); ++n) {
+    EXPECT_NEAR(warm.node_voltages[n], cold.node_voltages[n], 1e-9) << "node " << n;
+  }
+}
+
+TEST(WarmStart, PoisonedWarmStartFallsBackToTheLadder) {
+  // All nodes at +v_limit: the capped warm Newton cannot walk back at
+  // max_step per iteration, and the default-budget ladder from the same
+  // vector must reach the cold solution.
+  DcOptions opts;
+  opts.temp = 500.0;
+  auto ckt = make_stack(4);
+  detail::NewtonCore core(ckt, opts);
+  const std::vector<double> poisoned(static_cast<std::size_t>(core.size()), opts.v_limit);
+  const auto warm = detail::solve_dc_core(ckt, core, opts, &poisoned);
+  EXPECT_EQ(warm.report.path, "warm,gmin");
+  EXPECT_EQ(warm.report.rungs.front().stage, "warm");
+  EXPECT_EQ(warm.report.rungs.front().iterations, kWarmNewtonIterations);
+  EXPECT_FALSE(warm.report.rungs.front().converged);
+  const auto cold = solve_dc(ckt, opts);
+  for (std::size_t n = 0; n < cold.node_voltages.size(); ++n) {
+    EXPECT_NEAR(warm.node_voltages[n], cold.node_voltages[n], 1e-9) << "node " << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // dc_sweep: cold-restart retry and sweep-value naming.
 
 TEST(DcSweep, PoisonedWarmStartRescuedByColdRestart) {

@@ -6,7 +6,9 @@
 // non-convergence diagnostics carried by the cosim and scenario-batch paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -168,6 +170,125 @@ TEST(ElectroThermalDc, UnfootprintedDevicesStayAtAmbient) {
   ASSERT_TRUE(sol.dc.converged);
   EXPECT_DOUBLE_EQ(sol.dc.report.device_temperatures.at("MCOLD"), t_sink);
   EXPECT_GE(sol.dc.report.device_temperatures.at("MHOT"), t_sink);
+}
+
+// ---------------------------------------------------------------------------
+// Sink sweeps over a row of devices: the prepared solve (ElectroThermalDc),
+// its sweep entry, and the per-call solve_electrothermal_dc.
+
+/// A row of near-threshold NMOS in parallel branches: each drain hangs off
+/// the supply through its own ~1 ohm load, all gates share one 0.30 V bias,
+/// on a 4 x 2 grid of 10 um footprints around the centre of hot_die. Widths
+/// and loads carry a +-2 % jitter drawn from `seed`.
+struct DeviceRow {
+  Circuit circuit;
+  std::vector<DeviceFootprint> footprints;
+};
+
+DeviceRow device_row(std::uint64_t seed) {
+  Rng rng(seed);
+  const Technology t = tech();
+  DeviceRow row;
+  auto& ckt = row.circuit;
+  const auto vdd = ckt.node("vdd");
+  const auto gate = ckt.node("gate");
+  ckt.add_vsource("VDD", vdd, Circuit::ground(), t.vdd);
+  ckt.add_vsource("VG", gate, Circuit::ground(), 0.30);
+  for (int d = 0; d < 8; ++d) {
+    const std::string id = std::to_string(d);
+    const auto drain = ckt.node("d" + id);
+    ckt.add_resistor("RL" + id, vdd, drain, rng.uniform(0.98, 1.02));
+    ckt.add_mosfet("M" + id, drain, gate, Circuit::ground(), Circuit::ground(),
+                   MosModel(t, MosType::Nmos, 60e-6 * rng.uniform(0.98, 1.02), t.l_drawn));
+    row.footprints.push_back({"M" + id, 50e-6 + 20e-6 * ((d % 4) - 1.5),
+                              50e-6 + 20e-6 * ((d / 4) - 0.5), 10e-6, 10e-6});
+  }
+  return row;
+}
+
+TEST(ElectroThermalSweep, DeviceTemperaturesAreMonotoneInSinkTemperature) {
+  // Leakage power grows with temperature, so a hotter sink can only raise
+  // the fixed point: every converged device temperature is non-decreasing
+  // in the sink temperature, and once a sink runs away every hotter one
+  // does too (the loop gain crosses 1 near 302 K on this row).
+  for (const std::uint64_t seed : {1u, 7u, 2718281u}) {
+    const auto row = device_row(seed);
+    Rng rng(seed + 1);
+    std::vector<double> sinks = {320.0, 330.0};
+    for (int k = 0; k < 5; ++k) sinks.push_back(rng.uniform(260.0, 292.0));
+    std::ranges::sort(sinks);
+    const thermal::AnalyticImagesBackend backend(hot_die(300.0));
+    const ElectroThermalDc prepared(row.circuit, backend, row.footprints);
+    const ElectroThermalDcSolution* prev = nullptr;
+    std::vector<ElectroThermalDcSolution> sols;
+    sols.reserve(sinks.size());
+    for (const double t_sink : sinks) {
+      sols.push_back(prepared.solve(et_opts(t_sink)));
+      const auto& sol = sols.back();
+      EXPECT_NE(sol.converged, sol.runaway) << "seed " << seed << ", sink " << t_sink;
+      if (prev != nullptr && prev->runaway) {
+        EXPECT_TRUE(sol.runaway) << "seed " << seed << ", sink " << t_sink;
+      }
+      if (prev != nullptr && prev->converged && sol.converged) {
+        for (std::size_t d = 0; d < sol.device_temperatures.size(); ++d) {
+          EXPECT_GE(sol.device_temperatures[d], prev->device_temperatures[d])
+              << "seed " << seed << ", sink " << t_sink << ", device " << d;
+        }
+      }
+      prev = &sol;
+    }
+    EXPECT_TRUE(sols.front().converged) << "seed " << seed;
+    EXPECT_TRUE(sols.back().runaway) << "seed " << seed;
+  }
+}
+
+TEST(ElectroThermalSweep, SweepEntryAgreesWithPerCallSolves) {
+  // The sweep builds R once and warm-starts each sink from the last
+  // converged one; per-call solving rebuilds R and starts cold. Both must
+  // reach the same verdicts and, where converged, the same temperatures to
+  // the outer loop's tolerance.
+  const std::vector<double> sinks = {270.0, 280.0, 290.0, 320.0, 330.0};
+  const auto row = device_row(1);
+  const auto opts = et_opts(300.0);
+
+  const thermal::AnalyticImagesBackend per_call_backend(hot_die(300.0));
+  std::vector<ElectroThermalDcSolution> per_call;
+  for (const double t_sink : sinks) {
+    per_call.push_back(solve_electrothermal_dc(row.circuit, per_call_backend, row.footprints,
+                                               et_opts(t_sink)));
+  }
+  const thermal::AnalyticImagesBackend sweep_backend(hot_die(300.0));
+  const ElectroThermalDc prepared(row.circuit, sweep_backend, row.footprints);
+  const auto swept = prepared.sweep_sinks(sinks, opts);
+
+  // One influence build for the sweep, one per call otherwise.
+  EXPECT_EQ(sweep_backend.cost_stats().influence_columns,
+            static_cast<long long>(row.footprints.size()));
+  EXPECT_EQ(per_call_backend.cost_stats().influence_columns,
+            static_cast<long long>(sinks.size() * row.footprints.size()));
+
+  ASSERT_EQ(swept.size(), sinks.size());
+  for (std::size_t p = 0; p < sinks.size(); ++p) {
+    EXPECT_EQ(swept[p].runaway, per_call[p].runaway) << "sink " << sinks[p];
+    EXPECT_EQ(swept[p].converged, per_call[p].converged) << "sink " << sinks[p];
+    if (!per_call[p].converged) continue;
+    ASSERT_EQ(swept[p].device_temperatures.size(), per_call[p].device_temperatures.size());
+    for (std::size_t d = 0; d < swept[p].device_temperatures.size(); ++d) {
+      EXPECT_NEAR(swept[p].device_temperatures[d], per_call[p].device_temperatures[d],
+                  10.0 * opts.temp_tol)
+          << "sink " << sinks[p] << ", device " << d;
+    }
+    EXPECT_DOUBLE_EQ(swept[p].dc.report.device_temperatures.at("M0"),
+                     swept[p].device_temperatures[0]);
+  }
+  EXPECT_EQ(per_call[3].runaway, true);  // the sweep crosses the runaway threshold
+
+  // The prepared cold solve is the per-call solve: one loop body.
+  const auto cold = prepared.solve(et_opts(sinks[1]));
+  EXPECT_EQ(cold.outer_iterations, per_call[1].outer_iterations);
+  for (std::size_t d = 0; d < cold.device_temperatures.size(); ++d) {
+    EXPECT_EQ(cold.device_temperatures[d], per_call[1].device_temperatures[d]) << "device " << d;
+  }
 }
 
 // ---------------------------------------------------------------------------
