@@ -1,13 +1,14 @@
 // Speed study S7 (electro-thermal SPICE): the device-level self-heating
-// solve introduced in PR 9 — an outer T <- t_sink + R * P(T) fixed point
-// wrapped around the recovery-ladder DC Newton — plus the ladder itself on
-// circuits that exercise each rung. The counters pin the solver trajectory:
+// solve — an outer T <- t_sink + R * P(T) fixed point wrapped around the
+// recovery-ladder DC Newton, alone and as a sink sweep — plus the ladder
+// itself on circuits that exercise each rung. The counters pin the solver trajectory:
 // a future change that "speeds up" a solve by taking more Newton iterations
 // or extra homotopy rungs shows up as a counter regression, not a silent
 // convergence change.
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "device/mosfet.hpp"
 #include "spice/circuit.hpp"
@@ -65,6 +66,18 @@ spice::Circuit latch() {
   return ckt;
 }
 
+/// A small, poorly cooled die (100 um square, 300 um to a 300 K sink,
+/// k_si = 4): near-threshold devices on it self-heat by tens of kelvin.
+thermal::Die hot_die() {
+  thermal::Die die;
+  die.width = 100e-6;
+  die.height = 100e-6;
+  die.thickness = 300e-6;
+  die.k_si = 4.0;
+  die.t_sink = 300.0;
+  return die;
+}
+
 void record_report(benchmark::State& state, const spice::SolveReport& report) {
   state.counters["newton_iterations"] = static_cast<double>(report.newton_iterations);
   state.counters["homotopy_steps"] = static_cast<double>(report.homotopy_steps);
@@ -102,12 +115,7 @@ void BM_DcSelfHeating(benchmark::State& state) {
   // The PR-9 headline: per-device self-heating closed through the thermal
   // backend's influence seam, outer fixed point around the DC solve. One
   // wide near-threshold NMOS on a poorly-cooled die, ~27 K of self-heating.
-  thermal::Die die;
-  die.width = 100e-6;
-  die.height = 100e-6;
-  die.thickness = 300e-6;
-  die.k_si = 4.0;
-  die.t_sink = 300.0;
+  const thermal::Die die = hot_die();
   thermal::AnalyticImagesBackend backend(die);
 
   spice::Circuit ckt;
@@ -137,5 +145,74 @@ void BM_DcSelfHeating(benchmark::State& state) {
   state.counters["converged"] = last.converged ? 1.0 : 0.0;
 }
 BENCHMARK(BM_DcSelfHeating)->Unit(benchmark::kMillisecond);
+
+void BM_ElectroThermalSinkSweep(benchmark::State& state) {
+  // One sweep of five sinks (270/280/290 K converge, 320/330 K run away) on
+  // eight near-threshold NMOS in parallel branches, each on its own 10 um
+  // footprint of hot_die(): prepared = 0 calls
+  // solve_electrothermal_dc per sink (R rebuilt, every sink started cold),
+  // prepared = 1 runs ElectroThermalDc::sweep_sinks (R built once per
+  // sweep, each sink warm-started from the last converged one).
+  // influence_columns counts the unit-source columns built per sweep.
+  const bool prepared = state.range(0) == 1;
+  const thermal::AnalyticImagesBackend backend(hot_die());
+
+  spice::Circuit ckt;
+  const Technology t = tech();
+  const auto vdd = ckt.node("vdd");
+  const auto gate = ckt.node("gate");
+  ckt.add_vsource("VDD", vdd, spice::Circuit::ground(), t.vdd);
+  ckt.add_vsource("VG", gate, spice::Circuit::ground(), 0.30);
+  std::vector<spice::DeviceFootprint> footprints;
+  for (int d = 0; d < 8; ++d) {
+    const std::string id = std::to_string(d);
+    const auto drain = ckt.node("d" + id);
+    ckt.add_resistor("RL" + id, vdd, drain, 1.0);
+    ckt.add_mosfet("M" + id, drain, gate, spice::Circuit::ground(), spice::Circuit::ground(),
+                   MosModel(t, MosType::Nmos, 60e-6, t.l_drawn));
+    footprints.push_back({"M" + id, 50e-6 + 20e-6 * ((d % 4) - 1.5),
+                          50e-6 + 20e-6 * ((d / 4) - 0.5), 10e-6, 10e-6});
+  }
+  const std::vector<double> sinks = {270.0, 280.0, 290.0, 320.0, 330.0};
+  const auto options = [](double t_sink) {
+    spice::ElectroThermalDcOptions opts;
+    opts.t_sink = t_sink;
+    opts.dc.temp = t_sink;
+    return opts;
+  };
+
+  std::vector<spice::ElectroThermalDcSolution> last;
+  for (auto _ : state) {
+    if (prepared) {
+      const spice::ElectroThermalDc et(ckt, backend, footprints);
+      last = et.sweep_sinks(sinks, options(sinks[0]));
+    } else {
+      last.clear();
+      for (double t_sink : sinks) {
+        last.push_back(spice::solve_electrothermal_dc(ckt, backend, footprints, options(t_sink)));
+      }
+    }
+    benchmark::DoNotOptimize(last);
+  }
+  long long outer = 0;
+  long long newton = 0;
+  long long runaway = 0;
+  for (const auto& sol : last) {
+    outer += sol.outer_iterations;
+    newton += sol.dc.report.newton_iterations;
+    runaway += sol.runaway ? 1 : 0;
+  }
+  state.counters["influence_columns"] =
+      static_cast<double>(backend.cost_stats().influence_columns) /
+      static_cast<double>(state.iterations());
+  state.counters["outer_iterations"] = static_cast<double>(outer);
+  state.counters["newton_iterations"] = static_cast<double>(newton);
+  state.counters["runaway_sinks"] = static_cast<double>(runaway);
+}
+BENCHMARK(BM_ElectroThermalSinkSweep)
+    ->ArgName("prepared")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
