@@ -93,10 +93,9 @@ DcSolution solve_dc(const Circuit& circuit, const DcOptions& opts = {});
 /// the next initial guess (the warm attempt described at the top of this
 /// file, so later points agree with a standalone solve_dc within Newton
 /// tolerance; the first point is a cold solve, bitwise standalone solve_dc).
-/// A point whose warm-started solve fails is retried
-/// once from a cold start (fresh recovery ladder) before the sweep fails;
-/// the error then names the sweep value that failed. Returns one solution
-/// per value.
+/// A point whose warm-started solve fails is retried once from a cold start
+/// (fresh recovery ladder) before the sweep fails; the error then names the
+/// sweep value that failed. Returns one solution per value.
 std::vector<DcSolution> dc_sweep(Circuit& circuit, const std::string& source,
                                  const std::vector<double>& values,
                                  const DcOptions& opts = {});

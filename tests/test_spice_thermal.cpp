@@ -281,7 +281,7 @@ TEST(ElectroThermalSweep, SweepEntryAgreesWithPerCallSolves) {
     EXPECT_DOUBLE_EQ(swept[p].dc.report.device_temperatures.at("M0"),
                      swept[p].device_temperatures[0]);
   }
-  EXPECT_EQ(per_call[3].runaway, true);  // the sweep crosses the runaway threshold
+  EXPECT_TRUE(per_call[3].runaway);  // the sweep crosses the runaway threshold
 
   // The prepared cold solve is the per-call solve: one loop body.
   const auto cold = prepared.solve(et_opts(sinks[1]));
