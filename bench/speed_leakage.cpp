@@ -5,8 +5,9 @@
 //   * the exact nested-Brent stack solver,
 //   * the full MNA Newton solve of the same stack,
 //   * gate-level and netlist-level model evaluation,
-//   * one compiled-leakage sweep over a 4096-block manycore plan, per block
-//     at spread temperatures and uniform at the sink temperature.
+//   * one compiled-leakage sweep over a 4096-block manycore plan: per block
+//     and batched at spread temperatures, and uniform at the sink
+//     temperature.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -125,10 +126,11 @@ BENCHMARK(BM_NetlistLeakage)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_CompiledLeakageSweep(benchmark::State& state) {
   // One Picard sweep's leakage over the 4096-block manycore plan (32 x 32
   // tiles, 16,384 gate groups, 18 interned programs). Arg 0: every block at
-  // its own temperature, spread over 318-348 K (sweeps >= 1). Arg 1: every
-  // block at T_sink through uniform_leakage_power, each program once (the
-  // start sweep).
-  const bool uniform = state.range(0) == 1;
+  // its own temperature, spread over 318-348 K, one handle at a time. Arg 1:
+  // every block at T_sink through uniform_leakage_power, each program once
+  // (the start sweep). Arg 2: the spread temperatures through the batched
+  // entry, program-major (sweeps >= 1).
+  const auto mode = state.range(0);
   thermal::Die die;
   die.width = 12e-3;
   die.height = 12e-3;
@@ -145,10 +147,13 @@ void BM_CompiledLeakageSweep(benchmark::State& state) {
   std::vector<double> temps(n);
   for (std::size_t i = 0; i < n; ++i) temps[i] = die.t_sink + 30.0 * rng.uniform();
   std::vector<double> power(n);
+  const device::Technology* const techs[] = {&tech()};
   for (auto _ : state) {
-    if (uniform) {
+    if (mode == 1) {
       floorplan::CompiledBlockLeakage::uniform_leakage_power(handles, tech(), die.t_sink, 0.0,
                                                              power);
+    } else if (mode == 2) {
+      floorplan::CompiledBlockLeakage::leakage_power(handles, techs, temps, 0.0, power);
     } else {
       for (std::size_t i = 0; i < n; ++i) power[i] = handles[i].leakage_power(tech(), temps[i]);
     }
@@ -158,6 +163,6 @@ void BM_CompiledLeakageSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.counters["blocks"] = static_cast<double>(n);
 }
-BENCHMARK(BM_CompiledLeakageSweep)->Arg(0)->Arg(1);
+BENCHMARK(BM_CompiledLeakageSweep)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace

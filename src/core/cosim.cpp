@@ -217,9 +217,13 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
   const auto adjust = [&](std::size_t k, std::size_t j) {
     return LeakageAdjust{in.adj_scale[k * n + j], in.adj_dvt0[k * n + j]};
   };
-  const auto leakage = [&](std::size_t k, std::size_t j, double temp) {
-    return adjusted_leakage_power(*in.tech[k], compiled_leakage_[j], temp, opts_.vb,
-                                  adjust(k, j));
+  // Scenario k's base leakage at its temperatures: one batched evaluation
+  // of every block, which the callers below then adjust per block.
+  std::vector<double> swept(n);
+  const auto sweep_leakage = [&](std::size_t k, const double* temp) -> const double* {
+    floorplan::CompiledBlockLeakage::leakage_power(compiled_leakage_, in.tech.subspan(k, 1),
+                                                   {temp, n}, opts_.vb, swept);
+    return swept.data();
   };
   // Every scenario starts with every block at t_sink, so the first sweep's
   // base leakage depends only on the technology: one uniform-temperature
@@ -242,9 +246,10 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     ScenarioResult& res = results[k];
     const double* temp = temps.data() + k * n;
     res.temperatures.assign(temp, temp + n);
+    const double* base = sweep_leakage(k, temp);
     std::size_t hottest = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double p_leak = leakage(k, i, temp[i]);
+      const double p_leak = adjusted_leakage_power(*in.tech[k], base[i], temp[i], adjust(k, i));
       if (!exit_leakage.empty()) exit_leakage[k * n + i] = p_leak;
       res.total_dynamic += in.p_dynamic[k * n + i];
       res.total_leakage += p_leak;
@@ -277,13 +282,10 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
         const double* temp = temps.data() + k * n;
         const double* p_dyn = in.p_dynamic.data() + k * n;
         double* p = powers.data() + a * n;
-        if (it == 0) {
-          const double* base = start_leakage(in.tech[k]);
-          for (std::size_t j = 0; j < n; ++j) {
-            p[j] = p_dyn[j] + adjusted_leakage_power(*in.tech[k], base[j], t_sink, adjust(k, j));
-          }
-        } else {
-          for (std::size_t j = 0; j < n; ++j) p[j] = p_dyn[j] + leakage(k, j, temp[j]);
+        // The first sweep has every block at t_sink.
+        const double* base = it == 0 ? start_leakage(in.tech[k]) : sweep_leakage(k, temp);
+        for (std::size_t j = 0; j < n; ++j) {
+          p[j] = p_dyn[j] + adjusted_leakage_power(*in.tech[k], base[j], temp[j], adjust(k, j));
         }
       }
     }

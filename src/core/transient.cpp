@@ -42,12 +42,12 @@ TransientCosimResult solve_transient_cosim(const device::Technology& tech,
   // The original per-step coupling, expressed as the epoch hook: dynamic
   // power from the activity profile, leakage from each block's temperature
   // at the epoch boundary. Synchronous call — the references cannot dangle.
+  const device::Technology* const leakage_tech = &tech;
   const PowerUpdateHook hook = [&](long long, double t, std::span<const double> temps,
                                    std::span<double> p_dyn, std::span<double> p_leak) {
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      p_dyn[i] = blocks[i].p_dynamic * activity(i, t);
-      p_leak[i] = leakage[i].leakage_power(tech, temps[i], opts.vb);
-    }
+    for (std::size_t i = 0; i < blocks.size(); ++i) p_dyn[i] = blocks[i].p_dynamic * activity(i, t);
+    floorplan::CompiledBlockLeakage::leakage_power(leakage, {&leakage_tech, 1}, temps, opts.vb,
+                                                   p_leak);
   };
   return solve_transient_cosim(tech, fp, hook, opts);
 }

@@ -43,9 +43,11 @@ struct BiasPoint {
 /// 1 - exp(-VDS/VT). Callers that hoist the width-independent factors out of
 /// a loop (floorplan/compiled_leakage) evaluate this same product, so they
 /// stay bitwise equal to subthreshold_current.
-[[nodiscard]] constexpr double subthreshold_product(double i0, double w_over_l, double ratio,
-                                                    double exp_term,
-                                                    double drain_factor) noexcept {
+/// T is a double, or a vector type whose lanes each take this product.
+template <class T>
+[[nodiscard]] constexpr T subthreshold_product(const T& i0, const T& w_over_l, const T& ratio,
+                                               const T& exp_term,
+                                               const T& drain_factor) noexcept {
   return i0 * w_over_l * ratio * ratio * exp_term * drain_factor;
 }
 

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "device/mosfet.hpp"
 #include "leakage/collapse.hpp"
+#include "numerics/lanes.hpp"
 
 namespace ptherm::floorplan {
 
@@ -91,6 +92,7 @@ constexpr int kLocalStack = 32;
 
 /// The value stack of one evaluation: the local buffer, or the heap for
 /// synthetic topologies deeper than any real cell.
+template <class T>
 class ValueStack {
  public:
   explicit ValueStack(int depth) {
@@ -102,80 +104,159 @@ class ValueStack {
   ValueStack(const ValueStack&) = delete;
   ValueStack& operator=(const ValueStack&) = delete;
 
-  double* data() noexcept { return data_; }
+  T* data() noexcept { return data_; }
 
  private:
-  double local_[kLocalStack];
-  std::vector<double> heap_;
-  double* data_ = local_;
+  T local_[kLocalStack];
+  std::vector<T> heap_;
+  T* data_ = local_;
 };
 
-/// The factors one (tech, temp, vb) fixes for every gate group, computed
-/// once per call with subthreshold_current's and collapse_chain's
-/// expressions. The Eq. (13) exponential of each OFF type is computed on
-/// first use: a block of one type never pays for the other.
-class Factors {
- public:
-  // Eq. (13)'s bias: VGS = 0, VDS = VDD, VSB = -vb (gate_static's).
-  Factors(const Technology& tech, double temp, double vb)
-      : tech_(tech),
-        bias_{0.0, tech.vdd, -vb, temp},
-        vt_(thermal_voltage(temp)),
-        ratio_(temp / tech.t_ref),
-        drain_factor_(1.0 - std::exp(-bias_.vds / vt_)),
-        nvt_(tech.n_swing * vt_),
-        dibl_(tech.sigma_dibl * tech.vdd / nvt_),
-        neg_body_exp_(-(1.0 + tech.gamma_lin + tech.sigma_dibl)),
-        alpha_(leakage::collapse_alpha(tech)) {}
+// The evaluator runs on one value type T: a double holds one block's value,
+// an F64x4 four blocks' (one per lane), with the same roundings per lane.
+using numerics::F64x4;
+using numerics::splat;
+
+double exp_of(double x) { return std::exp(x); }
+PTHERM_LANES_INLINE F64x4 exp_of(const F64x4& x) {
+  return F64x4::of(std::exp(x[0]), std::exp(x[1]), std::exp(x[2]), std::exp(x[3]));
+}
+double log_of(double x) { return std::log(x); }
+PTHERM_LANES_INLINE F64x4 log_of(const F64x4& x) {
+  return F64x4::of(std::log(x[0]), std::log(x[1]), std::log(x[2]), std::log(x[3]));
+}
+double blend_of(double f, double vt, double alpha) {
+  return leakage::delta_v_blend_at(f, vt, alpha);
+}
+PTHERM_LANES_INLINE F64x4 blend_of(const F64x4& f, const F64x4& vt, const F64x4& alpha) {
+  return F64x4::of(leakage::delta_v_blend_at(f[0], vt[0], alpha[0]),
+                   leakage::delta_v_blend_at(f[1], vt[1], alpha[1]),
+                   leakage::delta_v_blend_at(f[2], vt[2], alpha[2]),
+                   leakage::delta_v_blend_at(f[3], vt[3], alpha[3]));
+}
+
+/// The technology values the factors read, one per lane.
+template <class T>
+struct TechValues {
+  T vdd, n_swing, t_ref, gamma_lin, sigma_dibl, k_t;
+  T vt0[2], i0[2];  ///< per MosType
+};
+
+TechValues<double> tech_values(const Technology& t) {
+  return {t.vdd,     t.n_swing, t.t_ref, t.gamma_lin, t.sigma_dibl, t.k_t,
+          {t.vt0_n, t.vt0_p}, {t.i0_n, t.i0_p}};
+}
+
+/// Lane k from *t[k].
+PTHERM_LANES_INLINE TechValues<F64x4> tech_values(const Technology* const t[4]) {
+  const auto lanes = [&](double Technology::*field) {
+    return F64x4::of(t[0]->*field, t[1]->*field, t[2]->*field, t[3]->*field);
+  };
+  return {lanes(&Technology::vdd),       lanes(&Technology::n_swing),
+          lanes(&Technology::t_ref),     lanes(&Technology::gamma_lin),
+          lanes(&Technology::sigma_dibl), lanes(&Technology::k_t),
+          {lanes(&Technology::vt0_n), lanes(&Technology::vt0_p)},
+          {lanes(&Technology::i0_n), lanes(&Technology::i0_p)}};
+}
+
+/// collapse_chain's factors at one (tech, temp): its n VT, sigma VDD/(n VT),
+/// alpha and body exponent, computed once instead of per pairwise step.
+template <class T>
+struct CollapseFactors {
+  T vt, nvt, dibl, neg_body_exp, alpha;
+
+  PTHERM_LANES_INLINE CollapseFactors(const TechValues<T>& t, const T& vt_)
+      : vt(vt_),
+        nvt(t.n_swing * vt_),
+        dibl(t.sigma_dibl * t.vdd / nvt),
+        neg_body_exp(-(1.0 + t.gamma_lin + t.sigma_dibl)),
+        alpha(t.n_swing / (1.0 + t.gamma_lin + 2.0 * t.sigma_dibl)) {}  // collapse_alpha
+  PTHERM_LANES_INLINE CollapseFactors(const T& vt_, const T& nvt_, const T& dibl_,
+                                      const T& neg_body_exp_, const T& alpha_)
+      : vt(vt_), nvt(nvt_), dibl(dibl_), neg_body_exp(neg_body_exp_), alpha(alpha_) {}
 
   /// collapse_chain's pairwise step (Eqs. 6-12, PaperBlend): the running
   /// equivalent width after absorbing the next device down the chain.
-  [[nodiscard]] double collapse(double w_eq, double w_lower) const noexcept {
-    const double f = std::log(w_eq / w_lower) + dibl_;  // collapse_f
-    const double dv = leakage::delta_v_blend_at(f, vt_, alpha_);
+  PTHERM_LANES_INLINE T collapse(const T& w_eq, const T& w_lower) const noexcept {
+    const T f = log_of(w_eq / w_lower) + dibl;  // collapse_f
+    const T dv = blend_of(f, vt, alpha);
     // exp(-body_exp * dv / nvt): negating first is exact, so same bits.
-    return w_eq * std::exp(neg_body_exp_ * dv / nvt_);
+    return w_eq * exp_of(neg_body_exp * dv / nvt);
   }
+};
+
+/// thermal_voltage(temp).
+template <class T>
+PTHERM_LANES_INLINE T thermal_voltage_of(const T& temp) {
+  return kBoltzmann * temp / kElementaryCharge;
+}
+
+/// subthreshold_current's drain factor 1 - exp(-VDS/VT) at Eq. (13)'s VDS = VDD.
+template <class T>
+PTHERM_LANES_INLINE T drain_factor_of(const TechValues<T>& t, const T& vt) {
+  return 1.0 - exp_of(-t.vdd / vt);
+}
+
+/// subthreshold_current's exp((VGS - VTH)/(n VT)) at Eq. (13)'s bias VGS = 0,
+/// VDS = VDD, VSB = -vb, with threshold_voltage's expression for VTH.
+template <class T>
+PTHERM_LANES_INLINE T exp_term_of(const TechValues<T>& t, int type, const T& temp, const T& vt,
+                                double vb) {
+  const T vth = t.vt0[type] + t.gamma_lin * -vb + t.k_t * (temp - t.t_ref) -
+                t.sigma_dibl * (t.vdd - t.vdd);
+  return exp_of((0.0 - vth) / (t.n_swing * vt));
+}
+
+/// The factors one (tech, temp, vb) fixes for every gate group of one block,
+/// computed once per call. The Eq. (13) exponential of each OFF type is
+/// computed on first use: a block of one type never pays for the other.
+class Factors {
+ public:
+  Factors(const Technology& tech, double temp, double vb)
+      : tech_(tech_values(tech)),
+        temp_(temp),
+        vb_(vb),
+        ratio_(temp / tech.t_ref),
+        collapse_(tech_, thermal_voltage_of(temp)),
+        drain_factor_(drain_factor_of(tech_, collapse_.vt)) {}
+
+  [[nodiscard]] const CollapseFactors<double>& collapse() const noexcept { return collapse_; }
 
   /// Eq. (13): subthreshold_current of the collapsed OFF device.
   [[nodiscard]] double off_current(MosType type, double w_over_l) noexcept {
-    double& exp_term = exp_term_[static_cast<int>(type)];
-    if (exp_term < 0.0) {
-      const double vth = device::threshold_voltage(tech_, type, bias_);
-      exp_term = std::exp((bias_.vgs - vth) / (tech_.n_swing * vt_));
-    }
-    return device::subthreshold_product(tech_.i0(type), w_over_l, ratio_, exp_term,
-                                        drain_factor_);
+    const int t = static_cast<int>(type);
+    double& exp_term = exp_term_[t];
+    if (exp_term < 0.0) exp_term = exp_term_of(tech_, t, temp_, collapse_.vt, vb_);
+    return device::subthreshold_product(tech_.i0[t], w_over_l, ratio_, exp_term, drain_factor_);
   }
 
  private:
-  const Technology& tech_;
-  device::BiasPoint bias_;
-  double vt_;
+  TechValues<double> tech_;
+  double temp_;
+  double vb_;
   double ratio_;
+  CollapseFactors<double> collapse_;
   double drain_factor_;
-  double nvt_;
-  double dibl_;
-  double neg_body_exp_;
-  double alpha_;
   double exp_term_[2] = {-1.0, -1.0};  ///< per MosType; < 0: not yet computed
 };
 
 /// Replays ops [op, end) on `stack` and returns the width they leave. A
 /// series collapse needs `factors`; the temperature-free programs the
 /// compile-time fold runs pass none.
-double replay(const CompiledBlockLeakage::Op* op, const CompiledBlockLeakage::Op* end,
-              double* stack, const Factors* factors) {
+template <class T>
+PTHERM_LANES_INLINE T replay(const CompiledBlockLeakage::Op* op,
+                             const CompiledBlockLeakage::Op* end, T* stack,
+                             const CollapseFactors<T>* factors) {
   using Kind = CompiledBlockLeakage::Op::Kind;
   int sp = 0;
   for (; op != end; ++op) {
     switch (op->kind) {
       case Kind::Push:
-        stack[sp++] = op->width;
+        stack[sp++] = splat<T>(op->width);
         break;
       case Kind::ParallelSum: {
         const int base = sp - op->count;
-        double s = 0.0;  // same left-to-right sum as off_reduction's loop
+        T s = splat<T>(0.0);  // same left-to-right sum as off_reduction's loop
         for (int i = base; i < sp; ++i) s += stack[i];
         sp = base;
         stack[sp++] = s;
@@ -186,7 +267,7 @@ double replay(const CompiledBlockLeakage::Op* op, const CompiledBlockLeakage::Op
         // in the identical order, so w_eq matches bitwise.
         PTHERM_ASSERT(factors != nullptr, "series collapse needs a temperature");
         const int base = sp - op->count;
-        double w_eq = stack[sp - 1];
+        T w_eq = stack[sp - 1];
         for (int i = sp - 2; i >= base; --i) w_eq = factors->collapse(w_eq, stack[i]);
         sp = base;
         stack[sp++] = w_eq;
@@ -199,17 +280,132 @@ double replay(const CompiledBlockLeakage::Op* op, const CompiledBlockLeakage::Op
 }
 
 /// One gate running `program`: its OFF width (folded, or replayed) through
-/// Eq. (13) — the one kernel both entry points call.
+/// Eq. (13) — the one kernel both single-temperature entry points call.
 double off_current(const CompiledBlockLeakage::Op* ops,
                    const CompiledBlockLeakage::Program& program, Factors& factors,
                    double* stack) {
   const double w_over_l =
-      program.folded()
-          ? program.length_or_wl
-          : replay(ops + program.op_begin, ops + program.op_end, stack, &factors) /
-                program.length_or_wl;
+      program.folded() ? program.length_or_wl
+                       : replay(ops + program.op_begin, ops + program.op_end, stack,
+                                &factors.collapse()) /
+                             program.length_or_wl;
   return factors.off_current(program.off_type, w_over_l);
 }
+
+/// Rows of the batched entry's per-block factor table, each n long.
+enum Row : std::size_t {
+  kVt,
+  kNvt,
+  kDibl,
+  kNegBodyExp,
+  kAlpha,
+  kRatio,
+  kDrain,
+  kExpTerm,           ///< two rows, by MosType
+  kI0 = kExpTerm + 2,  ///< two rows, by MosType
+  kRows = kI0 + 2,
+};
+
+/// Up to four blocks waiting to run one series-collapse program: their term
+/// slots and their positions in the handle span.
+struct Pending {
+  const CompiledBlockLeakage::Program* program = nullptr;
+  int count = 0;
+  std::size_t slot[4];
+  std::size_t block[4];
+};
+
+/// One batched evaluation over the handles of one program set.
+class Sweep {
+ public:
+  Sweep(std::size_t n, std::size_t programs, int max_stack)
+      : n_(n), table_(kRows * n), pending_(programs), stack_(max_stack) {}
+
+  /// Fills every block's factors, four blocks per lane group. techs holds
+  /// one technology, or one per block.
+  void factors(std::span<const Technology* const> techs, std::span<const double> temps,
+               double vb) {
+    const bool one_tech = techs.size() == 1;
+    const Technology* const first[4] = {techs[0], techs[0], techs[0], techs[0]};
+    const TechValues<F64x4> shared = tech_values(first);
+    for (std::size_t i = 0; i < n_; i += 4) {
+      std::size_t idx[4];
+      for (std::size_t k = 0; k < 4; ++k) idx[k] = std::min(i + k, n_ - 1);
+      const F64x4 temp = F64x4::of(temps[idx[0]], temps[idx[1]], temps[idx[2]], temps[idx[3]]);
+      const Technology* lane[4];
+      for (std::size_t k = 0; k < 4; ++k) lane[k] = techs[one_tech ? 0 : idx[k]];
+      const TechValues<F64x4> t = one_tech ? shared : tech_values(lane);
+      const CollapseFactors<F64x4> c(t, thermal_voltage_of(temp));
+      const F64x4 rows[kRows] = {c.vt,
+                                 c.nvt,
+                                 c.dibl,
+                                 c.neg_body_exp,
+                                 c.alpha,
+                                 temp / t.t_ref,
+                                 drain_factor_of(t, c.vt),
+                                 exp_term_of(t, 0, temp, c.vt, vb),
+                                 exp_term_of(t, 1, temp, c.vt, vb),
+                                 t.i0[0],
+                                 t.i0[1]};
+      for (std::size_t r = 0; r < kRows; ++r) {
+        for (std::size_t k = 0; k < 4 && i + k < n_; ++k) table_[r * n_ + i + k] = rows[r][k];
+      }
+    }
+  }
+
+  /// One term of block b, slot s: a folded program's OFF current now, a
+  /// collapsing program's once four blocks wait for it (or at flush).
+  void term(const CompiledBlockLeakage::Op* ops, const CompiledBlockLeakage::Program& program,
+            std::size_t s, std::size_t b, std::vector<double>& i_off) {
+    const auto type = static_cast<std::size_t>(program.off_type);
+    if (program.folded()) {
+      i_off[s] = device::subthreshold_product(at(kI0 + type, b), program.length_or_wl,
+                                              at(kRatio, b), at(kExpTerm + type, b),
+                                              at(kDrain, b));
+      return;
+    }
+    Pending& p = pending_[static_cast<std::size_t>(program.id)];
+    p.program = &program;
+    p.slot[p.count] = s;
+    p.block[p.count] = b;
+    if (++p.count == 4) run(ops, p, i_off);
+  }
+
+  /// Runs every partly filled lane group.
+  void flush(const CompiledBlockLeakage::Op* ops, std::vector<double>& i_off) {
+    for (Pending& p : pending_) {
+      if (p.count > 0) run(ops, p, i_off);
+    }
+  }
+
+ private:
+  double at(std::size_t row, std::size_t b) const { return table_[row * n_ + b]; }
+
+  /// Lane k = block p.block[k]; unfilled lanes repeat lane 0 and are dropped.
+  void run(const CompiledBlockLeakage::Op* ops, Pending& p, std::vector<double>& i_off) {
+    std::size_t b[4];
+    for (int k = 0; k < 4; ++k) b[k] = p.block[k < p.count ? k : 0];
+    const auto lanes = [&](std::size_t row) {
+      return F64x4::of(at(row, b[0]), at(row, b[1]), at(row, b[2]), at(row, b[3]));
+    };
+    const CompiledBlockLeakage::Program& program = *p.program;
+    const auto type = static_cast<std::size_t>(program.off_type);
+    const CollapseFactors<F64x4> c(lanes(kVt), lanes(kNvt), lanes(kDibl), lanes(kNegBodyExp),
+                                   lanes(kAlpha));
+    const F64x4 w_over_l =
+        replay(ops + program.op_begin, ops + program.op_end, stack_.data(), &c) /
+        program.length_or_wl;
+    const F64x4 i = device::subthreshold_product(lanes(kI0 + type), w_over_l, lanes(kRatio),
+                                                 lanes(kExpTerm + type), lanes(kDrain));
+    for (int k = 0; k < p.count; ++k) i_off[p.slot[k]] = i[k];
+    p.count = 0;
+  }
+
+  std::size_t n_;
+  std::vector<double> table_;  ///< kRows rows of n factors
+  std::vector<Pending> pending_;  ///< by program id
+  ValueStack<F64x4> stack_;
+};
 
 }  // namespace
 
@@ -247,7 +443,8 @@ std::vector<CompiledBlockLeakage> CompiledBlockLeakage::compile_all(
       double stack[kLocalStack];
       const Op* const ops = set->ops.data();
       program.length_or_wl =
-          replay(ops + program.op_begin, ops + set->ops.size(), stack, nullptr) / gate.length;
+          replay<double>(ops + program.op_begin, ops + set->ops.size(), stack, nullptr) /
+          gate.length;
       set->ops.resize(static_cast<std::size_t>(program.op_begin));
     } else {
       program.length_or_wl = gate.length;
@@ -287,7 +484,7 @@ double CompiledBlockLeakage::leakage_current(const Technology& tech, double temp
                                              double vb) const {
   if (term_begin_ == term_end_) return 0.0;
   const ProgramSet& set = *set_;
-  ValueStack stack(set.max_stack);
+  ValueStack<double> stack(set.max_stack);
   Factors factors(tech, temp, vb);
   // Locals, not members: they stay in registers across the opaque calls.
   const Op* const ops = set.ops.data();
@@ -297,6 +494,71 @@ double CompiledBlockLeakage::leakage_current(const Technology& tech, double temp
     sum += term->count * off_current(ops, term->program, factors, stack.data());
   }
   return sum;
+}
+
+void CompiledBlockLeakage::leakage_power(std::span<const CompiledBlockLeakage> handles,
+                                         std::span<const Technology* const> techs,
+                                         std::span<const double> temps, double vb,
+                                         std::span<double> out) {
+  const std::size_t n = handles.size();
+  PTHERM_REQUIRE(temps.size() == n && out.size() == n,
+                 "leakage_power: need one temperature and one output per handle");
+  PTHERM_REQUIRE(techs.size() == 1 || techs.size() == n,
+                 "leakage_power: need one technology, or one per handle");
+  if (n == 0) return;
+  const auto tech = [&](std::size_t i) -> const Technology& {
+    return *techs[techs.size() == 1 ? 0 : i];
+  };
+  const ProgramSet* shared = nullptr;
+  for (const auto& h : handles) {
+    if (h.term_begin_ != h.term_end_) {
+      shared = h.set_.get();
+      break;
+    }
+  }
+  const auto in_shared = [&](const CompiledBlockLeakage& h) {
+    return h.set_.get() == shared && h.term_begin_ != h.term_end_;
+  };
+  if (shared == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = handles[i].leakage_power(tech(i), temps[i], vb);
+    return;
+  }
+
+  // One slot per term of the shared handles, in handle then group order.
+  std::size_t slots = 0;
+  for (const auto& h : handles) {
+    if (in_shared(h)) slots += static_cast<std::size_t>(h.term_end_ - h.term_begin_);
+  }
+  std::vector<double> i_off(slots);
+  Sweep sweep(n, shared->programs, shared->max_stack);
+  sweep.factors(techs, temps, vb);
+  const Op* const ops = shared->ops.data();
+  std::size_t s = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const CompiledBlockLeakage& h = handles[i];
+    if (!in_shared(h)) continue;
+    const Term* const end = shared->terms.data() + h.term_end_;
+    for (const Term* term = shared->terms.data() + h.term_begin_; term != end; ++term) {
+      sweep.term(ops, term->program, s++, i, i_off);
+    }
+  }
+  sweep.flush(ops, i_off);
+
+  // leakage_current's sum in group order, over the same per-term values.
+  s = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const CompiledBlockLeakage& h = handles[i];
+    if (!in_shared(h)) {
+      out[i] = h.leakage_power(tech(i), temps[i], vb);
+      continue;
+    }
+    const Term* const end = shared->terms.data() + h.term_end_;
+    double sum = 0.0;
+    for (const Term* term = shared->terms.data() + h.term_begin_; term != end; ++term) {
+      sum += term->count * i_off[s++];
+    }
+    out[i] = sum * tech(i).vdd;
+  }
 }
 
 void CompiledBlockLeakage::uniform_leakage_power(std::span<const CompiledBlockLeakage> handles,
@@ -314,7 +576,7 @@ void CompiledBlockLeakage::uniform_leakage_power(std::span<const CompiledBlockLe
   // One gate's OFF current per program of the shared set, by id, each run
   // the first time a term needs it (< 0: not yet run).
   std::vector<double> i_off(shared != nullptr ? shared->programs : 0, -1.0);
-  ValueStack stack(shared != nullptr ? shared->max_stack : 0);
+  ValueStack<double> stack(shared != nullptr ? shared->max_stack : 0);
   Factors factors(tech, temp, vb);
   for (std::size_t i = 0; i < handles.size(); ++i) {
     const CompiledBlockLeakage& h = handles[i];

@@ -65,6 +65,16 @@ class CompiledBlockLeakage {
     return leakage_current(tech, temp, vb) * tech.vdd;
   }
 
+  /// out[i] = handles[i].leakage_power(tech_i, temps[i], vb), bitwise, where
+  /// tech_i is techs[0] when techs holds one technology and techs[i] when it
+  /// holds one per handle (an RTM block at its own V/f level). The handles of
+  /// the first non-empty handle's set run program-major (see the file
+  /// comment); a handle from another set falls back to its own
+  /// leakage_power. temps and out must hold one entry per handle.
+  static void leakage_power(std::span<const CompiledBlockLeakage> handles,
+                            std::span<const device::Technology* const> techs,
+                            std::span<const double> temps, double vb, std::span<double> out);
+
   /// power[i] = handles[i].leakage_power(tech, temp, vb), bitwise, with
   /// every handle at the SAME temperature. Each program of the first
   /// non-empty handle's set runs once, when a term first needs it; a handle

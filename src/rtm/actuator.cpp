@@ -117,6 +117,17 @@ double Actuator::leakage_power(std::size_t block, double temp, double vb) const 
   return leakage_[block].leakage_power(tech, temp, vb);
 }
 
+void Actuator::leakage_power(std::span<const double> temps, double vb,
+                             std::span<double> out) const {
+  PTHERM_REQUIRE(temps.size() == levels_.size() && out.size() == levels_.size(),
+                 "Actuator::leakage_power: need one temperature and one output per block");
+  std::vector<const device::Technology*> techs(levels_.size());
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    techs[i] = &level_tech_[static_cast<std::size_t>(levels_[i])];
+  }
+  floorplan::CompiledBlockLeakage::leakage_power(leakage_, techs, temps, vb, out);
+}
+
 double Actuator::throughput_scale(std::size_t block) const {
   PTHERM_REQUIRE(block < levels_.size(), "Actuator::throughput_scale: block out of range");
   return speeds_[levels_[block]];

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "floorplan/compiled_leakage.hpp"
@@ -70,6 +71,9 @@ class Actuator {
   /// Leakage power of `block` at temperature `temp` [K] and substrate bias
   /// `vb`, evaluated at the current level's supply voltage.
   [[nodiscard]] double leakage_power(std::size_t block, double temp, double vb = 0.0) const;
+  /// out[i] = leakage_power(i, temps[i], vb) for every block, each at its
+  /// own level's supply, bitwise, in one batched evaluation.
+  void leakage_power(std::span<const double> temps, double vb, std::span<double> out) const;
   /// f_level / f_0 of `block`'s current level: the fraction of requested
   /// work actually delivered per unit time.
   [[nodiscard]] double throughput_scale(std::size_t block) const;

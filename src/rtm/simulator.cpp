@@ -75,12 +75,14 @@ RtmResult run_rtm(const device::Technology& tech, const floorplan::Floorplan& fp
     for (std::size_t i = 0; i < n; ++i) {
       levels[i] = std::clamp(levels[i], 0, ctx.level_count - 1);
       if (actuator.set_level(i, levels[i])) ++m.interventions;
-      // Physics at the actual operating point: dynamic power through the
-      // V^2 f scale, leakage at the level's supply voltage and the TRUE
-      // block temperature — the electro-thermal feedback the policy is
-      // implicitly fighting.
       p_dyn[i] = actuator.dynamic_power(i, activity[i]);
-      p_leak[i] = actuator.leakage_power(i, temps[i], opts.vb);
+    }
+    // Physics at the actual operating point: dynamic power through the
+    // V^2 f scale, leakage at each level's supply voltage and the TRUE block
+    // temperature — the electro-thermal feedback the policy is implicitly
+    // fighting.
+    actuator.leakage_power(temps, opts.vb, p_leak);
+    for (std::size_t i = 0; i < n; ++i) {
       epoch_power += p_dyn[i] + p_leak[i];
       m.work_requested += activity[i] * epoch_dt;
       m.work_delivered += activity[i] * actuator.throughput_scale(i) * epoch_dt;
