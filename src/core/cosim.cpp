@@ -70,8 +70,11 @@ double adjusted_leakage_power(const device::Technology& tech,
 double adjusted_leakage_power(const device::Technology& tech, double base_power, double temp,
                               const LeakageAdjust& adj) {
   // Nominal adjustments are bitwise transparent: exp(-0/nVT) == 1.0 exactly
-  // and 1.0 * base == base, so this single expression serves both paths.
-  return adj.scale * (device::leakage_multiplier(tech, adj.delta_vt0, temp) * base_power);
+  // and 1.0 * base == base, so this single expression serves both paths, and
+  // a zero dVT0 of either sign skips the exponential without moving a bit.
+  const double multiplier =
+      adj.delta_vt0 == 0.0 ? 1.0 : device::leakage_multiplier(tech, adj.delta_vt0, temp);
+  return adj.scale * (multiplier * base_power);
 }
 
 ElectroThermalSolver::ElectroThermalSolver(device::Technology tech, floorplan::Floorplan fp,

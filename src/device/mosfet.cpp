@@ -6,6 +6,7 @@
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "numerics/explog.hpp"
 
 namespace ptherm::device {
 
@@ -20,8 +21,8 @@ double subthreshold_current(const Technology& tech, MosType type, double width, 
   const double vth = threshold_voltage(tech, type, bias);
   const double ratio = bias.temp / tech.t_ref;
   const double exponent = (bias.vgs - vth) / (tech.n_swing * vt);
-  const double drain_factor = 1.0 - std::exp(-bias.vds / vt);
-  return subthreshold_product(tech.i0(type), width / length, ratio, std::exp(exponent),
+  const double drain_factor = 1.0 - numerics::exp(-bias.vds / vt);
+  return subthreshold_product(tech.i0(type), width / length, ratio, numerics::exp(exponent),
                               drain_factor);
 }
 

@@ -4,12 +4,13 @@
 #include <numbers>
 
 #include "common/constants.hpp"
+#include "numerics/explog.hpp"
 
 namespace ptherm::device {
 
 double leakage_multiplier(const Technology& tech, double delta_vt0, double temp) noexcept {
   const double nvt = tech.n_swing * thermal_voltage(temp);
-  return std::exp(-delta_vt0 / nvt);
+  return numerics::exp(-delta_vt0 / nvt);
 }
 
 double VariationModel::sample_delta_vt0(Rng& rng) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <unordered_map>
 #include <utility>
@@ -10,6 +11,8 @@
 #include "common/error.hpp"
 #include "device/mosfet.hpp"
 #include "leakage/collapse.hpp"
+#include "numerics/explog.hpp"
+#include "numerics/explog_kernel.hpp"
 #include "numerics/lanes.hpp"
 
 namespace ptherm::floorplan {
@@ -92,7 +95,6 @@ constexpr int kLocalStack = 32;
 
 /// The value stack of one evaluation: the local buffer, or the heap for
 /// synthetic topologies deeper than any real cell.
-template <class T>
 class ValueStack {
  public:
   explicit ValueStack(int depth) {
@@ -104,35 +106,29 @@ class ValueStack {
   ValueStack(const ValueStack&) = delete;
   ValueStack& operator=(const ValueStack&) = delete;
 
-  T* data() noexcept { return data_; }
+  double* data() noexcept { return data_; }
 
  private:
-  T local_[kLocalStack];
-  std::vector<T> heap_;
-  T* data_ = local_;
+  double local_[kLocalStack];
+  std::vector<double> heap_;
+  double* data_ = local_;
 };
 
 // The evaluator runs on one value type T: a double holds one block's value,
 // an F64x4 four blocks' (one per lane), with the same roundings per lane.
+using numerics::exp_kernel;
 using numerics::F64x4;
+using numerics::log_kernel;
 using numerics::splat;
 
-double exp_of(double x) { return std::exp(x); }
-PTHERM_LANES_INLINE F64x4 exp_of(const F64x4& x) {
-  return F64x4::of(std::exp(x[0]), std::exp(x[1]), std::exp(x[2]), std::exp(x[3]));
-}
-double log_of(double x) { return std::log(x); }
-PTHERM_LANES_INLINE F64x4 log_of(const F64x4& x) {
-  return F64x4::of(std::log(x[0]), std::log(x[1]), std::log(x[2]), std::log(x[3]));
-}
-double blend_of(double f, double vt, double alpha) {
-  return leakage::delta_v_blend_at(f, vt, alpha);
-}
-PTHERM_LANES_INLINE F64x4 blend_of(const F64x4& f, const F64x4& vt, const F64x4& alpha) {
-  return F64x4::of(leakage::delta_v_blend_at(f[0], vt[0], alpha[0]),
-                   leakage::delta_v_blend_at(f[1], vt[1], alpha[1]),
-                   leakage::delta_v_blend_at(f[2], vt[2], alpha[2]),
-                   leakage::delta_v_blend_at(f[3], vt[3], alpha[3]));
+/// delta_v_blend_at's expression (Eq. 10) on the same kernel, so that each
+/// lane's drop is the walk's bit for bit.
+template <class T>
+PTHERM_LANES_INLINE T blend(const T& f, const T& vt, const T& alpha) {
+  // log1p/softplus guard against overflow for large |f|.
+  const T softplus = numerics::select(f > 30.0, f, numerics::log1p_kernel(exp_kernel(f)));
+  const T logistic = 1.0 / (1.0 + exp_kernel(-f));
+  return vt * (alpha * softplus + (1.0 - alpha) * logistic);
 }
 
 /// The technology values the factors read, one per lane.
@@ -147,10 +143,43 @@ TechValues<double> tech_values(const Technology& t) {
           {t.vt0_n, t.vt0_p}, {t.i0_n, t.i0_p}};
 }
 
+/// Lanes per value of lane type L: 1 for a double, 4 for an F64x4.
+template <class L>
+inline constexpr std::size_t kWidth = sizeof(L) / sizeof(double);
+
+/// Lane k = values[at[k]].
+template <class L>
+PTHERM_LANES_INLINE L gather(const double* values, const std::size_t* at) {
+  if constexpr (kWidth<L> == 1) {
+    return values[at[0]];
+  } else {
+    return L::of(values[at[0]], values[at[1]], values[at[2]], values[at[3]]);
+  }
+}
+
+/// out[k] = lane k of v for k < count.
+template <class L>
+PTHERM_LANES_INLINE void store(double* out, std::size_t count, const L& v) {
+  if constexpr (kWidth<L> == 1) {
+    *out = v;
+  } else if (count == kWidth<L>) {
+    std::memcpy(out, &v.v, sizeof v.v);
+  } else {
+    for (std::size_t k = 0; k < count; ++k) out[k] = v[static_cast<int>(k)];
+  }
+}
+
 /// Lane k from *t[k].
-PTHERM_LANES_INLINE TechValues<F64x4> tech_values(const Technology* const t[4]) {
+template <class L>
+PTHERM_LANES_INLINE TechValues<L> tech_values(const Technology* const* t) {
   const auto lanes = [&](double Technology::*field) {
-    return F64x4::of(t[0]->*field, t[1]->*field, t[2]->*field, t[3]->*field);
+    double values[kWidth<L>];
+    std::size_t at[kWidth<L>];
+    for (std::size_t k = 0; k < kWidth<L>; ++k) {
+      values[k] = t[k]->*field;
+      at[k] = k;
+    }
+    return gather<L>(values, at);
   };
   return {lanes(&Technology::vdd),       lanes(&Technology::n_swing),
           lanes(&Technology::t_ref),     lanes(&Technology::gamma_lin),
@@ -171,17 +200,14 @@ struct CollapseFactors {
         dibl(t.sigma_dibl * t.vdd / nvt),
         neg_body_exp(-(1.0 + t.gamma_lin + t.sigma_dibl)),
         alpha(t.n_swing / (1.0 + t.gamma_lin + 2.0 * t.sigma_dibl)) {}  // collapse_alpha
-  PTHERM_LANES_INLINE CollapseFactors(const T& vt_, const T& nvt_, const T& dibl_,
-                                      const T& neg_body_exp_, const T& alpha_)
-      : vt(vt_), nvt(nvt_), dibl(dibl_), neg_body_exp(neg_body_exp_), alpha(alpha_) {}
 
   /// collapse_chain's pairwise step (Eqs. 6-12, PaperBlend): the running
   /// equivalent width after absorbing the next device down the chain.
   PTHERM_LANES_INLINE T collapse(const T& w_eq, const T& w_lower) const noexcept {
-    const T f = log_of(w_eq / w_lower) + dibl;  // collapse_f
-    const T dv = blend_of(f, vt, alpha);
+    const T f = log_kernel(w_eq / w_lower) + dibl;  // collapse_f
+    const T dv = blend(f, vt, alpha);
     // exp(-body_exp * dv / nvt): negating first is exact, so same bits.
-    return w_eq * exp_of(neg_body_exp * dv / nvt);
+    return w_eq * exp_kernel(neg_body_exp * dv / nvt);
   }
 };
 
@@ -194,7 +220,7 @@ PTHERM_LANES_INLINE T thermal_voltage_of(const T& temp) {
 /// subthreshold_current's drain factor 1 - exp(-VDS/VT) at Eq. (13)'s VDS = VDD.
 template <class T>
 PTHERM_LANES_INLINE T drain_factor_of(const TechValues<T>& t, const T& vt) {
-  return 1.0 - exp_of(-t.vdd / vt);
+  return 1.0 - exp_kernel(-t.vdd / vt);
 }
 
 /// subthreshold_current's exp((VGS - VTH)/(n VT)) at Eq. (13)'s bias VGS = 0,
@@ -204,7 +230,7 @@ PTHERM_LANES_INLINE T exp_term_of(const TechValues<T>& t, int type, const T& tem
                                 double vb) {
   const T vth = t.vt0[type] + t.gamma_lin * -vb + t.k_t * (temp - t.t_ref) -
                 t.sigma_dibl * (t.vdd - t.vdd);
-  return exp_of((0.0 - vth) / (t.n_swing * vt));
+  return exp_kernel((0.0 - vth) / (t.n_swing * vt));
 }
 
 /// The factors one (tech, temp, vb) fixes for every gate group of one block,
@@ -243,20 +269,18 @@ class Factors {
 /// Replays ops [op, end) on `stack` and returns the width they leave. A
 /// series collapse needs `factors`; the temperature-free programs the
 /// compile-time fold runs pass none.
-template <class T>
-PTHERM_LANES_INLINE T replay(const CompiledBlockLeakage::Op* op,
-                             const CompiledBlockLeakage::Op* end, T* stack,
-                             const CollapseFactors<T>* factors) {
+double replay(const CompiledBlockLeakage::Op* op, const CompiledBlockLeakage::Op* end,
+              double* stack, const CollapseFactors<double>* factors) {
   using Kind = CompiledBlockLeakage::Op::Kind;
   int sp = 0;
   for (; op != end; ++op) {
     switch (op->kind) {
       case Kind::Push:
-        stack[sp++] = splat<T>(op->width);
+        stack[sp++] = op->width;
         break;
       case Kind::ParallelSum: {
         const int base = sp - op->count;
-        T s = splat<T>(0.0);  // same left-to-right sum as off_reduction's loop
+        double s = 0.0;  // same left-to-right sum as off_reduction's loop
         for (int i = base; i < sp; ++i) s += stack[i];
         sp = base;
         stack[sp++] = s;
@@ -267,7 +291,7 @@ PTHERM_LANES_INLINE T replay(const CompiledBlockLeakage::Op* op,
         // in the identical order, so w_eq matches bitwise.
         PTHERM_ASSERT(factors != nullptr, "series collapse needs a temperature");
         const int base = sp - op->count;
-        T w_eq = stack[sp - 1];
+        double w_eq = stack[sp - 1];
         for (int i = sp - 2; i >= base; --i) w_eq = factors->collapse(w_eq, stack[i]);
         sp = base;
         stack[sp++] = w_eq;
@@ -306,106 +330,236 @@ enum Row : std::size_t {
   kRows = kI0 + 2,
 };
 
-/// Up to four blocks waiting to run one series-collapse program: their term
-/// slots and their positions in the handle span.
-struct Pending {
+/// The blocks holding one series-collapse program: their term slots and
+/// their positions in the handle span.
+struct Holders {
   const CompiledBlockLeakage::Program* program = nullptr;
-  int count = 0;
-  std::size_t slot[4];
-  std::size_t block[4];
+  std::vector<std::size_t> slot;
+  std::vector<std::size_t> block;  ///< padded to a multiple of 4 with its last
 };
 
-/// One batched evaluation over the handles of one program set.
+/// The batched entry's buffers, kept per thread so that a sweep allocates
+/// nothing once they have grown to the plan.
+struct Workspace {
+  std::vector<double> table;         ///< kRows rows of n factors
+  std::vector<double> i_off;         ///< one gate's OFF current per term slot
+  std::vector<std::int32_t> ranges;  ///< per block: its term range, or empty
+  std::vector<Holders> holders;      ///< by program id
+  std::vector<double> values;        ///< a program's value stack, one array per entry
+  std::vector<double> f;             ///< collapse_f per holder
+  std::vector<double> dv;            ///< Delta-V per holder
+};
+
+/// Lanes [i, i + kWidth<L>) of p.
+template <class L>
+PTHERM_LANES_INLINE L load(const double* p) {
+  if constexpr (kWidth<L> == 1) {
+    return *p;
+  } else {
+    L v;
+    std::memcpy(&v.v, p, sizeof v.v);
+    return v;
+  }
+}
+
+/// One batched evaluation on lane type L: every block's factors, then every
+/// term's OFF current into ws.i_off. Folded programs are evaluated block by
+/// block; each series-collapse program then runs over all the blocks that
+/// hold it, op by op, kW lanes at a time.
+template <class L>
 class Sweep {
  public:
-  Sweep(std::size_t n, std::size_t programs, int max_stack)
-      : n_(n), table_(kRows * n), pending_(programs), stack_(max_stack) {}
+  static constexpr std::size_t kW = kWidth<L>;
 
-  /// Fills every block's factors, four blocks per lane group. techs holds
-  /// one technology, or one per block.
-  void factors(std::span<const Technology* const> techs, std::span<const double> temps,
-               double vb) {
-    const bool one_tech = techs.size() == 1;
-    const Technology* const first[4] = {techs[0], techs[0], techs[0], techs[0]};
-    const TechValues<F64x4> shared = tech_values(first);
-    for (std::size_t i = 0; i < n_; i += 4) {
-      std::size_t idx[4];
-      for (std::size_t k = 0; k < 4; ++k) idx[k] = std::min(i + k, n_ - 1);
-      const F64x4 temp = F64x4::of(temps[idx[0]], temps[idx[1]], temps[idx[2]], temps[idx[3]]);
-      const Technology* lane[4];
-      for (std::size_t k = 0; k < 4; ++k) lane[k] = techs[one_tech ? 0 : idx[k]];
-      const TechValues<F64x4> t = one_tech ? shared : tech_values(lane);
-      const CollapseFactors<F64x4> c(t, thermal_voltage_of(temp));
-      const F64x4 rows[kRows] = {c.vt,
-                                 c.nvt,
-                                 c.dibl,
-                                 c.neg_body_exp,
-                                 c.alpha,
-                                 temp / t.t_ref,
-                                 drain_factor_of(t, c.vt),
-                                 exp_term_of(t, 0, temp, c.vt, vb),
-                                 exp_term_of(t, 1, temp, c.vt, vb),
-                                 t.i0[0],
-                                 t.i0[1]};
-      for (std::size_t r = 0; r < kRows; ++r) {
-        for (std::size_t k = 0; k < 4 && i + k < n_; ++k) table_[r * n_ + i + k] = rows[r][k];
+  PTHERM_LANES_INLINE Sweep(Workspace& ws, std::size_t n, const CompiledBlockLeakage::Op* ops,
+                            int max_stack)
+      : ws_(ws), n_(n), ops_(ops), max_stack_(static_cast<std::size_t>(max_stack)) {}
+
+  /// Fills every block's factors, kW blocks at a time, from one technology
+  /// (kOneTech) or one per block.
+  template <bool kOneTech>
+  PTHERM_LANES_INLINE void factors(std::span<const Technology* const> techs,
+                                   std::span<const double> temps, double vb) {
+    const Technology* lane[kW];
+    for (std::size_t k = 0; k < kW; ++k) lane[k] = techs[0];
+    TechValues<L> t = tech_values<L>(lane);
+    for (std::size_t i = 0; i < n_; i += kW) {
+      const std::size_t count = std::min(kW, n_ - i);
+      std::size_t at[kW];
+      for (std::size_t k = 0; k < kW; ++k) at[k] = i + std::min(k, count - 1);
+      if constexpr (!kOneTech) {
+        for (std::size_t k = 0; k < kW; ++k) lane[k] = techs[at[k]];
+        t = tech_values<L>(lane);
+      }
+      const L temp = gather<L>(temps.data(), at);
+      const CollapseFactors<L> c(t, thermal_voltage_of(temp));
+      store(row(kVt) + i, count, c.vt);
+      store(row(kNvt) + i, count, c.nvt);
+      store(row(kDibl) + i, count, c.dibl);
+      store(row(kNegBodyExp) + i, count, c.neg_body_exp);
+      store(row(kAlpha) + i, count, c.alpha);
+      store(row(kRatio) + i, count, L(temp / t.t_ref));
+      store(row(kDrain) + i, count, drain_factor_of(t, c.vt));
+      for (int type = 0; type < 2; ++type) {
+        store(row(kExpTerm + type) + i, count, exp_term_of(t, type, temp, c.vt, vb));
+        store(row(kI0 + type) + i, count, t.i0[type]);
       }
     }
   }
 
-  /// One term of block b, slot s: a folded program's OFF current now, a
-  /// collapsing program's once four blocks wait for it (or at flush).
-  void term(const CompiledBlockLeakage::Op* ops, const CompiledBlockLeakage::Program& program,
-            std::size_t s, std::size_t b, std::vector<double>& i_off) {
-    const auto type = static_cast<std::size_t>(program.off_type);
-    if (program.folded()) {
-      i_off[s] = device::subthreshold_product(at(kI0 + type, b), program.length_or_wl,
-                                              at(kRatio, b), at(kExpTerm + type, b),
-                                              at(kDrain, b));
-      return;
+  /// Every term of every block; terms[ws.ranges[2b] .. ws.ranges[2b + 1])
+  /// are block b's, and term slots count through them in that order.
+  template <class Term>
+  PTHERM_LANES_INLINE void terms(const Term* terms) {
+    for (Holders& h : ws_.holders) {
+      h.slot.clear();
+      h.block.clear();
     }
-    Pending& p = pending_[static_cast<std::size_t>(program.id)];
-    p.program = &program;
-    p.slot[p.count] = s;
-    p.block[p.count] = b;
-    if (++p.count == 4) run(ops, p, i_off);
-  }
-
-  /// Runs every partly filled lane group.
-  void flush(const CompiledBlockLeakage::Op* ops, std::vector<double>& i_off) {
-    for (Pending& p : pending_) {
-      if (p.count > 0) run(ops, p, i_off);
+    std::size_t s = 0;
+    for (std::size_t b = 0; b < n_; ++b) {
+      const Term* const end = terms + ws_.ranges[2 * b + 1];
+      for (const Term* term = terms + ws_.ranges[2 * b]; term != end; ++term, ++s) {
+        const CompiledBlockLeakage::Program& program = term->program;
+        if (program.folded()) {
+          const auto type = static_cast<std::size_t>(program.off_type);
+          ws_.i_off[s] = device::subthreshold_product(at(kI0 + type, b), program.length_or_wl,
+                                                      at(kRatio, b), at(kExpTerm + type, b),
+                                                      at(kDrain, b));
+          continue;
+        }
+        Holders& h = ws_.holders[static_cast<std::size_t>(program.id)];
+        h.program = &program;
+        h.slot.push_back(s);
+        h.block.push_back(b);
+      }
+    }
+    for (Holders& h : ws_.holders) {
+      if (!h.slot.empty()) run(h);
     }
   }
 
  private:
-  double at(std::size_t row, std::size_t b) const { return table_[row * n_ + b]; }
-
-  /// Lane k = block p.block[k]; unfilled lanes repeat lane 0 and are dropped.
-  void run(const CompiledBlockLeakage::Op* ops, Pending& p, std::vector<double>& i_off) {
-    std::size_t b[4];
-    for (int k = 0; k < 4; ++k) b[k] = p.block[k < p.count ? k : 0];
-    const auto lanes = [&](std::size_t row) {
-      return F64x4::of(at(row, b[0]), at(row, b[1]), at(row, b[2]), at(row, b[3]));
-    };
-    const CompiledBlockLeakage::Program& program = *p.program;
-    const auto type = static_cast<std::size_t>(program.off_type);
-    const CollapseFactors<F64x4> c(lanes(kVt), lanes(kNvt), lanes(kDibl), lanes(kNegBodyExp),
-                                   lanes(kAlpha));
-    const F64x4 w_over_l =
-        replay(ops + program.op_begin, ops + program.op_end, stack_.data(), &c) /
-        program.length_or_wl;
-    const F64x4 i = device::subthreshold_product(lanes(kI0 + type), w_over_l, lanes(kRatio),
-                                                 lanes(kExpTerm + type), lanes(kDrain));
-    for (int k = 0; k < p.count; ++k) i_off[p.slot[k]] = i[k];
-    p.count = 0;
+  PTHERM_LANES_INLINE double* row(std::size_t r) { return ws_.table.data() + r * n_; }
+  PTHERM_LANES_INLINE double at(std::size_t r, std::size_t b) const {
+    return ws_.table[r * n_ + b];
   }
 
+  /// Replays h's program over every holder: each value-stack entry is an
+  /// array with one value per holder, and each op runs over all of them
+  /// before the next, so consecutive lane groups are independent work.
+  PTHERM_LANES_INLINE void run(Holders& h) {
+    const std::size_t m = h.slot.size();
+    const std::size_t padded = (m + 3) / 4 * 4;
+    h.block.resize(padded, h.block.back());
+    const std::size_t* const blocks = h.block.data();
+    ws_.values.resize(max_stack_ * padded);
+    ws_.f.resize(padded);
+    ws_.dv.resize(padded);
+    const auto entry = [&](std::size_t k) { return ws_.values.data() + k * padded; };
+    const auto lanes = [&](std::size_t r, std::size_t i) { return gather<L>(row(r), blocks + i); };
+    using Kind = CompiledBlockLeakage::Op::Kind;
+    const CompiledBlockLeakage::Program& program = *h.program;
+    std::size_t sp = 0;
+    for (const auto* op = ops_ + program.op_begin; op != ops_ + program.op_end; ++op) {
+      switch (op->kind) {
+        case Kind::Push:
+          std::fill(entry(sp), entry(sp) + padded, op->width);
+          ++sp;
+          break;
+        case Kind::ParallelSum: {
+          // off_reduction's left-to-right sum from 0.0, per holder.
+          const std::size_t base = sp - static_cast<std::size_t>(op->count);
+          for (std::size_t i = 0; i < padded; i += kW) {
+            L sum = splat<L>(0.0);
+            for (std::size_t k = base; k < sp; ++k) sum += load<L>(entry(k) + i);
+            store(entry(base) + i, kW, sum);
+          }
+          sp = base + 1;
+          break;
+        }
+        case Kind::SeriesCollapse: {
+          // collapse_chain's pairwise steps, rail-side last, each split in
+          // three passes over the holders (collapse_f, Delta-V, the width
+          // update): the collapse's expressions, in its order.
+          const std::size_t base = sp - static_cast<std::size_t>(op->count);
+          double* const w_eq = entry(sp - 1);
+          for (std::size_t k = sp - 1; k-- > base;) {
+            const double* const w_lower = entry(k);
+            for (std::size_t i = 0; i < padded; i += kW) {
+              const L f = numerics::log_kernel(load<L>(w_eq + i) / load<L>(w_lower + i)) +
+                          lanes(kDibl, i);
+              store(ws_.f.data() + i, kW, f);
+            }
+            for (std::size_t i = 0; i < padded; i += kW) {
+              store(ws_.dv.data() + i, kW,
+                    blend(load<L>(ws_.f.data() + i), lanes(kVt, i), lanes(kAlpha, i)));
+            }
+            for (std::size_t i = 0; i < padded; i += kW) {
+              const L w = load<L>(w_eq + i) * exp_kernel(lanes(kNegBodyExp, i) *
+                                                         load<L>(ws_.dv.data() + i) /
+                                                         lanes(kNvt, i));
+              store(w_eq + i, kW, w);
+            }
+          }
+          if (base != sp - 1) std::copy(w_eq, w_eq + padded, entry(base));
+          sp = base + 1;
+          break;
+        }
+      }
+    }
+    PTHERM_ASSERT(sp == 1, "compiled program left a bad stack");
+    // Eq. (13) of the collapsed OFF width, as off_current does it.
+    const auto type = static_cast<std::size_t>(program.off_type);
+    for (std::size_t i = 0; i < padded; i += kW) {
+      const L w_over_l = load<L>(entry(0) + i) / program.length_or_wl;
+      const L current = device::subthreshold_product(lanes(kI0 + type, i), w_over_l,
+                                                     lanes(kRatio, i), lanes(kExpTerm + type, i),
+                                                     lanes(kDrain, i));
+      for (std::size_t k = 0; k < kW && i + k < m; ++k) {
+        ws_.i_off[h.slot[i + k]] = numerics::lane(current, static_cast<int>(k));
+      }
+    }
+  }
+
+  Workspace& ws_;
   std::size_t n_;
-  std::vector<double> table_;  ///< kRows rows of n factors
-  std::vector<Pending> pending_;  ///< by program id
-  ValueStack<F64x4> stack_;
+  const CompiledBlockLeakage::Op* ops_;
+  std::size_t max_stack_;
 };
+
+/// The lane work of one batched evaluation, written once: 4-lane F64x4 in
+/// the AVX2 clone, one lane at a time in the baseline build (a 32-byte
+/// vector without AVX spills through memory); numerics::dispatched_isa
+/// picks. Both return the scalar kernel's bits.
+template <class L, class Term>
+PTHERM_LANES_INLINE void sweep(Workspace& ws, const CompiledBlockLeakage::Op* ops, int max_stack,
+                               const Term* terms, std::span<const Technology* const> techs,
+                               std::span<const double> temps, double vb) {
+  Sweep<L> s(ws, temps.size(), ops, max_stack);
+  if (techs.size() == 1) {
+    s.template factors<true>(techs, temps, vb);
+  } else {
+    s.template factors<false>(techs, temps, vb);
+  }
+  s.terms(terms);
+}
+
+template <class Term>
+void sweep_baseline(Workspace& ws, const CompiledBlockLeakage::Op* ops, int max_stack,
+                    const Term* terms, std::span<const Technology* const> techs,
+                    std::span<const double> temps, double vb) {
+  sweep<double>(ws, ops, max_stack, terms, techs, temps, vb);
+}
+
+#if PTHERM_HAVE_AVX2_CLONE
+template <class Term>
+PTHERM_TARGET_AVX2 void sweep_avx2(Workspace& ws, const CompiledBlockLeakage::Op* ops,
+                                   int max_stack, const Term* terms,
+                                   std::span<const Technology* const> techs,
+                                   std::span<const double> temps, double vb) {
+  sweep<F64x4>(ws, ops, max_stack, terms, techs, temps, vb);
+}
+#endif
 
 }  // namespace
 
@@ -443,8 +597,7 @@ std::vector<CompiledBlockLeakage> CompiledBlockLeakage::compile_all(
       double stack[kLocalStack];
       const Op* const ops = set->ops.data();
       program.length_or_wl =
-          replay<double>(ops + program.op_begin, ops + set->ops.size(), stack, nullptr) /
-          gate.length;
+          replay(ops + program.op_begin, ops + set->ops.size(), stack, nullptr) / gate.length;
       set->ops.resize(static_cast<std::size_t>(program.op_begin));
     } else {
       program.length_or_wl = gate.length;
@@ -484,7 +637,7 @@ double CompiledBlockLeakage::leakage_current(const Technology& tech, double temp
                                              double vb) const {
   if (term_begin_ == term_end_) return 0.0;
   const ProgramSet& set = *set_;
-  ValueStack<double> stack(set.max_stack);
+  ValueStack stack(set.max_stack);
   Factors factors(tech, temp, vb);
   // Locals, not members: they stay in registers across the opaque calls.
   const Op* const ops = set.ops.data();
@@ -524,28 +677,34 @@ void CompiledBlockLeakage::leakage_power(std::span<const CompiledBlockLeakage> h
     return;
   }
 
-  // One slot per term of the shared handles, in handle then group order.
+  // One slot per term of the shared handles, in handle then group order;
+  // the other handles get an empty range and evaluate themselves below.
+  thread_local Workspace ws;
+  ws.ranges.resize(2 * n);
   std::size_t slots = 0;
-  for (const auto& h : handles) {
-    if (in_shared(h)) slots += static_cast<std::size_t>(h.term_end_ - h.term_begin_);
-  }
-  std::vector<double> i_off(slots);
-  Sweep sweep(n, shared->programs, shared->max_stack);
-  sweep.factors(techs, temps, vb);
-  const Op* const ops = shared->ops.data();
-  std::size_t s = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const CompiledBlockLeakage& h = handles[i];
-    if (!in_shared(h)) continue;
-    const Term* const end = shared->terms.data() + h.term_end_;
-    for (const Term* term = shared->terms.data() + h.term_begin_; term != end; ++term) {
-      sweep.term(ops, term->program, s++, i, i_off);
-    }
+    const bool run = in_shared(h);
+    ws.ranges[2 * i] = run ? h.term_begin_ : 0;
+    ws.ranges[2 * i + 1] = run ? h.term_end_ : 0;
+    if (run) slots += static_cast<std::size_t>(h.term_end_ - h.term_begin_);
   }
-  sweep.flush(ops, i_off);
+  ws.table.resize(kRows * n);
+  ws.i_off.resize(slots);
+  ws.holders.resize(shared->programs);
+  const Op* const ops = shared->ops.data();
+#if PTHERM_HAVE_AVX2_CLONE
+  if (numerics::dispatched_isa() == numerics::Isa::Avx2) {
+    sweep_avx2(ws, ops, shared->max_stack, shared->terms.data(), techs, temps, vb);
+  } else {
+    sweep_baseline(ws, ops, shared->max_stack, shared->terms.data(), techs, temps, vb);
+  }
+#else
+  sweep_baseline(ws, ops, shared->max_stack, shared->terms.data(), techs, temps, vb);
+#endif
 
   // leakage_current's sum in group order, over the same per-term values.
-  s = 0;
+  std::size_t s = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const CompiledBlockLeakage& h = handles[i];
     if (!in_shared(h)) {
@@ -555,7 +714,7 @@ void CompiledBlockLeakage::leakage_power(std::span<const CompiledBlockLeakage> h
     const Term* const end = shared->terms.data() + h.term_end_;
     double sum = 0.0;
     for (const Term* term = shared->terms.data() + h.term_begin_; term != end; ++term) {
-      sum += term->count * i_off[s++];
+      sum += term->count * ws.i_off[s++];
     }
     out[i] = sum * tech(i).vdd;
   }
@@ -576,7 +735,7 @@ void CompiledBlockLeakage::uniform_leakage_power(std::span<const CompiledBlockLe
   // One gate's OFF current per program of the shared set, by id, each run
   // the first time a term needs it (< 0: not yet run).
   std::vector<double> i_off(shared != nullptr ? shared->programs : 0, -1.0);
-  ValueStack<double> stack(shared != nullptr ? shared->max_stack : 0);
+  ValueStack stack(shared != nullptr ? shared->max_stack : 0);
   Factors factors(tech, temp, vb);
   for (std::size_t i = 0; i < handles.size(); ++i) {
     const CompiledBlockLeakage& h = handles[i];

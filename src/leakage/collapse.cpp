@@ -5,6 +5,7 @@
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "numerics/explog.hpp"
 
 namespace ptherm::leakage {
 
@@ -18,7 +19,7 @@ double collapse_alpha(const Technology& tech) noexcept {
 double collapse_f(const Technology& tech, double w_upper, double w_lower,
                   double temp) noexcept {
   const double nvt = tech.n_swing * thermal_voltage(temp);
-  return std::log(w_upper / w_lower) + tech.sigma_dibl * tech.vdd / nvt;
+  return numerics::log(w_upper / w_lower) + tech.sigma_dibl * tech.vdd / nvt;
 }
 
 double delta_v_case_a(const Technology& tech, double f, double temp) noexcept {
@@ -27,6 +28,13 @@ double delta_v_case_a(const Technology& tech, double f, double temp) noexcept {
 
 double delta_v_case_b(const Technology& /*tech*/, double f, double temp) noexcept {
   return thermal_voltage(temp) * std::exp(f);
+}
+
+double delta_v_blend_at(double f, double vt, double alpha) noexcept {
+  // log1p/softplus guard against overflow for large |f|.
+  const double softplus = (f > 30.0) ? f : numerics::log1p(numerics::exp(f));
+  const double logistic = 1.0 / (1.0 + numerics::exp(-f));
+  return vt * (alpha * softplus + (1.0 - alpha) * logistic);
 }
 
 double delta_v_blend(const Technology& tech, double f, double temp) noexcept {
@@ -87,7 +95,7 @@ CollapseResult collapse_chain(const Technology& tech, MosType type,
     const double f = collapse_f(tech, w_eq, widths[i], temp);
     const double dv = delta_v(tech, f, temp, variant);
     result.drops[i] = dv;
-    w_eq *= std::exp(-body_exp * dv / nvt);
+    w_eq *= numerics::exp(-body_exp * dv / nvt);
     result.v_top += dv;
   }
   result.w_eff = w_eq;

@@ -42,14 +42,10 @@ namespace ptherm::leakage {
                                    double temp) noexcept;
 
 /// Eq. (10) with VT and alpha supplied — the blend's arithmetic, which
-/// delta_v_blend evaluates after computing both. Callers that hoist VT and
-/// alpha out of a loop (floorplan/compiled_leakage) stay bitwise equal to it.
-[[nodiscard]] inline double delta_v_blend_at(double f, double vt, double alpha) noexcept {
-  // log1p/softplus guard against overflow for large |f|.
-  const double softplus = (f > 30.0) ? f : std::log1p(std::exp(f));
-  const double logistic = 1.0 / (1.0 + std::exp(-f));
-  return vt * (alpha * softplus + (1.0 - alpha) * logistic);
-}
+/// delta_v_blend evaluates after computing both, on numerics::exp and
+/// numerics::log1p. floorplan/compiled_leakage hoists VT and alpha out of its
+/// loops and evaluates this expression per lane, bitwise equal to it.
+[[nodiscard]] double delta_v_blend_at(double f, double vt, double alpha) noexcept;
 
 /// Extension beyond the paper: one guarded refinement of the blend through
 /// the exact continuity relation  f = x/alpha + ln(1 - e^-x), x = dV/VT,

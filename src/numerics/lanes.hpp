@@ -65,7 +65,7 @@ PTHERM_LANES_BINARY(U64x4, std::uint64_t, +)
 PTHERM_LANES_BINARY(U64x4, std::uint64_t, -)
 PTHERM_LANES_BINARY(U64x4, std::uint64_t, &)
 PTHERM_LANES_BINARY(U64x4, std::uint64_t, |)
-PTHERM_LANES_BINARY(Mask4, std::int64_t, |)
+PTHERM_LANES_BINARY(Mask4, std::int64_t, &)
 #undef PTHERM_LANES_BINARY
 
 PTHERM_LANES_INLINE F64x4 operator-(const F64x4& a) { return {-a.v}; }
@@ -91,8 +91,8 @@ PTHERM_LANES_COMPARE(!=)
 /// The bits of x, and back.
 PTHERM_LANES_INLINE std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 PTHERM_LANES_INLINE double from_bits(std::uint64_t u) { return std::bit_cast<double>(u); }
-PTHERM_LANES_INLINE U64x4 bits(const F64x4& x) { return {std::bit_cast<U64x4::Raw>(x.v)}; }
-PTHERM_LANES_INLINE F64x4 from_bits(const U64x4& u) { return {std::bit_cast<F64x4::Raw>(u.v)}; }
+PTHERM_LANES_INLINE U64x4 bits(const F64x4& x) { return {__builtin_bit_cast(U64x4::Raw, x.v)}; }
+PTHERM_LANES_INLINE F64x4 from_bits(const U64x4& u) { return {__builtin_bit_cast(F64x4::Raw, u.v)}; }
 
 /// m ? a : b, per lane.
 PTHERM_LANES_INLINE double select(bool m, double a, double b) { return m ? a : b; }

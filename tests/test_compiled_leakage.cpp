@@ -1,9 +1,9 @@
 // Tests for the compiled leakage programs: bitwise agreement with the
 // uncompiled Block walk (the oracle) across plans, temperatures, supplies,
-// and body bias; the uniform-temperature entry point against both; value stacks
-// deeper than the local buffer; interning of one program per distinct gate
-// state; technology independence of one compiled program; and the error
-// contract.
+// and body bias; the uniform-temperature and batched entry points against
+// both; value stacks deeper than the local buffer; interning of one program
+// per distinct gate state; technology independence of one compiled program;
+// and the error contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -295,6 +295,118 @@ TEST(CompiledLeakage, CompileTimeErrorsMirrorTheLazyWalk) {
   Block floating = block;
   floating.gate_groups[0] = {split, {false, true}, 10.0};
   expect_rejected(floating, "floating output");
+}
+
+TEST(CompiledLeakage, BatchedEntryIsBitwiseThePerHandleAndTheWalk) {
+  // Property: over generated plans (random_plan holds empty blocks and
+  // repeated groups), random spans of handles (a count that is rarely a
+  // multiple of 4), repeated and equal temperatures, body bias and a
+  // technology per block (the RTM levels), every output equals the handle's
+  // own leakage_power and the Block walk, bit for bit.
+  const Technology nominal = tech();
+  const std::vector<Technology> levels{nominal, device::at_supply(nominal, 0.9 * nominal.vdd),
+                                       device::at_supply(nominal, 0.75 * nominal.vdd)};
+  Rng rng(31);
+  bool saw_empty = false;
+  for (const auto& fp : {manycore_plan(), random_plan(), generated_plan()}) {
+    const auto all = CompiledBlockLeakage::compile_all(fp.blocks());
+    for (int trial = 0; trial < 12; ++trial) {
+      // A random selection of blocks, in random order, with repeats.
+      const std::size_t n = 1 + rng.uniform_index(2 * all.size());
+      std::vector<std::size_t> pick(n);
+      std::vector<CompiledBlockLeakage> handles;
+      std::vector<double> temps(n);
+      std::vector<const Technology*> per_block(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        pick[i] = rng.uniform_index(all.size());
+        handles.push_back(all[pick[i]]);
+        // Every fourth temperature repeats its predecessor.
+        temps[i] = i % 4 == 3 ? temps[i - 1] : rng.uniform(290.0, 420.0);
+        per_block[i] = &levels[rng.uniform_index(levels.size())];
+      }
+      if (trial % 3 == 0) std::fill(temps.begin(), temps.end(), 333.0);
+      const double vb = trial % 2 == 0 ? 0.0 : -0.25;
+      std::vector<double> one_tech(n);
+      std::vector<double> own_tech(n);
+      const Technology* const shared[] = {&nominal};
+      CompiledBlockLeakage::leakage_power(handles, shared, temps, vb, one_tech);
+      CompiledBlockLeakage::leakage_power(handles, per_block, temps, vb, own_tech);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Block& block = fp.blocks()[pick[i]];
+        saw_empty = saw_empty || block.gate_groups.empty();
+        EXPECT_EQ(one_tech[i], handles[i].leakage_power(nominal, temps[i], vb))
+            << block.name << " at " << temps[i] << " K";
+        EXPECT_EQ(one_tech[i], block.leakage_power(nominal, temps[i], vb)) << block.name;
+        EXPECT_EQ(own_tech[i], handles[i].leakage_power(*per_block[i], temps[i], vb))
+            << block.name << " at supply " << per_block[i]->vdd;
+        EXPECT_EQ(own_tech[i], block.leakage_power(*per_block[i], temps[i], vb)) << block.name;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_empty) << "random_plan should exercise empty blocks";
+}
+
+TEST(CompiledLeakage, BatchedEntryEvaluatesForeignHandlesOnTheirOwn) {
+  // Handles from two compile_all calls plus a default (empty) handle, in
+  // five places (not a multiple of 4): the first non-empty handle's set runs
+  // program-major, the others evaluate themselves.
+  const auto many = manycore_plan();
+  const auto rand = random_plan();
+  const auto a = CompiledBlockLeakage::compile_all(many.blocks());
+  const auto b = CompiledBlockLeakage::compile_all(rand.blocks());
+  const std::vector<CompiledBlockLeakage> mixed{CompiledBlockLeakage(), a[0], b[1], a[3], b[0]};
+  const std::vector<const Block*> oracle{nullptr, &many.blocks()[0], &rand.blocks()[1],
+                                         &many.blocks()[3], &rand.blocks()[0]};
+  const std::vector<double> temps{300.0, 340.0, 355.0, 340.0, 372.5};
+  const Technology nominal = tech();
+  const Technology* const shared[] = {&nominal};
+  std::vector<double> power(mixed.size());
+  CompiledBlockLeakage::leakage_power(mixed, shared, temps, -0.1, power);
+  EXPECT_EQ(power[0], 0.0);
+  for (std::size_t i = 1; i < mixed.size(); ++i) {
+    EXPECT_EQ(power[i], oracle[i]->leakage_power(nominal, temps[i], -0.1)) << "handle " << i;
+  }
+  std::vector<double> too_short(2);
+  EXPECT_THROW(CompiledBlockLeakage::leakage_power(mixed, shared, temps, 0.0, too_short),
+               PreconditionError);
+  const std::vector<const Technology*> two_techs{&nominal, &nominal};
+  EXPECT_THROW(CompiledBlockLeakage::leakage_power(mixed, two_techs, temps, 0.0, power),
+               PreconditionError);
+}
+
+TEST(CompiledLeakage, BatchedEntryHandlesDeepProgramsBitwise) {
+  // Programs whose value stack outgrows the per-handle local buffer, run
+  // program-major over several blocks at once.
+  constexpr int kDeep = 40;
+  constexpr double kW = 0.4e-6;
+  std::vector<SpNetwork> devices;
+  for (int k = 0; k < kDeep; ++k) devices.push_back(SpNetwork::device(0, kW * (1.0 + 0.01 * k)));
+  auto chain = std::make_shared<GateTopology>();
+  chain->name = "deep_series";
+  chain->length = 0.13e-6;
+  chain->pull_down = SpNetwork::device(0, kW);
+  chain->pull_up = SpNetwork::series(devices);
+  auto chains = std::make_shared<GateTopology>(*chain);
+  chains->name = "parallel_of_chains";
+  chains->pull_up = SpNetwork::parallel({chain->pull_up, chain->pull_up});
+  std::vector<Block> plan;
+  for (int i = 0; i < 6; ++i) {
+    Block block;
+    block.name = "deep_" + std::to_string(i);
+    block.rect = {0.0, 0.0, 1e-4, 1e-4};
+    block.gate_groups.push_back({chain, {true}, 1.0 + i});
+    if (i % 2 == 0) block.gate_groups.push_back({chains, {true}, 2.0});
+    plan.push_back(block);
+  }
+  const auto all = CompiledBlockLeakage::compile_all(plan);
+  const std::vector<double> temps{290.0, 310.0, 330.0, 350.0, 370.0, 390.0};
+  const Technology nominal = tech();
+  const Technology* const shared[] = {&nominal};
+  std::vector<double> power(all.size());
+  CompiledBlockLeakage::leakage_power(all, shared, temps, -0.2, power);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(power[i], plan[i].leakage_power(nominal, temps[i], -0.2)) << plan[i].name;
+  }
 }
 
 }  // namespace

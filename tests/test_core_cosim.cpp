@@ -2,6 +2,7 @@
 // the temperature-leakage feedback, backend agreement, and runaway detection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -11,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
+#include "device/variation.hpp"
 #include "floorplan/generators.hpp"
 #include "netlist/cells.hpp"
 
@@ -444,6 +446,28 @@ INSTANTIATE_TEST_SUITE_P(SpectralAndFdm, UndampedIterates,
                          [](const ::testing::TestParamInfo<ThermalBackend>& info) {
                            return info.param == ThermalBackend::Spectral ? "Spectral" : "Fdm";
                          });
+
+TEST(Cosim, NominalAdjustmentSkipsTheMultiplierBitwise) {
+  // A zero dVT0 of either sign skips leakage_multiplier: exp(-+0 / nVT) is
+  // exactly 1, so the adjusted power is bitwise the full expression.
+  const Technology t = tech();
+  for (const double base : {0.0, 1.25e-3, 7.5e-9, 3.0}) {
+    for (const double temp : {300.0, 345.5, 390.0}) {
+      for (const double scale : {1.0, 0.8, 1.37}) {
+        for (const double dvt0 : {0.0, -0.0}) {
+          const double full = scale * (device::leakage_multiplier(t, dvt0, temp) * base);
+          const double adjusted = adjusted_leakage_power(t, base, temp, {scale, dvt0});
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(adjusted), std::bit_cast<std::uint64_t>(full))
+              << base << " W at " << temp << " K, scale " << scale << ", dVT0 " << dvt0;
+          EXPECT_EQ(device::leakage_multiplier(t, dvt0, temp), 1.0);
+        }
+      }
+    }
+  }
+  // A non-zero dVT0 still applies the multiplier.
+  EXPECT_LT(adjusted_leakage_power(t, 1.0, 330.0, {1.0, 0.02}), 1.0);
+  EXPECT_GT(adjusted_leakage_power(t, 1.0, 330.0, {1.0, -0.02}), 1.0);
+}
 
 }  // namespace
 }  // namespace ptherm::core
