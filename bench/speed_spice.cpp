@@ -142,6 +142,7 @@ void BM_DcSelfHeating(benchmark::State& state) {
       static_cast<double>(last.dc.report.newton_iterations);
   state.counters["homotopy_steps"] = static_cast<double>(last.dc.report.homotopy_steps);
   state.counters["outer_iterations"] = static_cast<double>(last.outer_iterations);
+  state.counters["inner_newton_iterations"] = static_cast<double>(last.inner_newton_iterations);
   state.counters["converged"] = last.converged ? 1.0 : 0.0;
 }
 BENCHMARK(BM_DcSelfHeating)->Unit(benchmark::kMillisecond);
@@ -196,10 +197,12 @@ void BM_ElectroThermalSinkSweep(benchmark::State& state) {
   }
   long long outer = 0;
   long long newton = 0;
+  long long inner_newton = 0;
   long long runaway = 0;
   for (const auto& sol : last) {
     outer += sol.outer_iterations;
     newton += sol.dc.report.newton_iterations;
+    inner_newton += sol.inner_newton_iterations;
     runaway += sol.runaway ? 1 : 0;
   }
   state.counters["influence_columns"] =
@@ -207,6 +210,7 @@ void BM_ElectroThermalSinkSweep(benchmark::State& state) {
       static_cast<double>(state.iterations());
   state.counters["outer_iterations"] = static_cast<double>(outer);
   state.counters["newton_iterations"] = static_cast<double>(newton);
+  state.counters["inner_newton_iterations"] = static_cast<double>(inner_newton);
   state.counters["runaway_sinks"] = static_cast<double>(runaway);
 }
 BENCHMARK(BM_ElectroThermalSinkSweep)

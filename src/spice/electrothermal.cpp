@@ -105,6 +105,7 @@ ElectroThermalDcSolution ElectroThermalDc::run(const ElectroThermalDcOptions& op
     for (std::size_t k = 0; k < n; ++k) all_temps[mos_index_[k]] = out.device_temperatures[k];
     core.set_device_temperatures(all_temps);
     out.dc = detail::solve_dc_core(circuit_, core, opts.dc, warm.empty() ? nullptr : &warm);
+    out.inner_newton_iterations += out.dc.report.newton_iterations;
     warm = detail::pack_unknowns(circuit_, core, out.dc);
     const auto& mosfets = circuit_.mosfets();
     for (std::size_t k = 0; k < n; ++k) {

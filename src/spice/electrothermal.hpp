@@ -65,6 +65,9 @@ struct ElectroThermalDcSolution {
   std::vector<double> device_temperatures;  ///< [K], indexed like footprints
   std::vector<double> device_powers;        ///< [W], indexed like footprints
   int outer_iterations = 0;
+  /// Newton iterations summed over every inner DC solve of this call, the
+  /// exit re-solve included (dc.report counts the exit re-solve alone).
+  int inner_newton_iterations = 0;
   bool converged = false;  ///< outer T fixed point reached temp_tol
   bool runaway = false;    ///< thermal runaway flagged (temperatures NOT clamped)
   double max_temperature = 0.0;  ///< hottest device at exit [K]

@@ -52,6 +52,7 @@ std::string prefixed(std::string_view prefix, const char* name) {
 constexpr const char* kGuardedBenchCounters[] = {
     "picard_iterations",
     "newton_iterations",
+    "inner_newton_iterations",
     "homotopy_steps",
     "outer_iterations",
 };

@@ -206,6 +206,27 @@ DeviceRow device_row(std::uint64_t seed) {
   return row;
 }
 
+TEST(ElectroThermalDc, InnerNewtonIterationsCoverEveryInnerSolve) {
+  // Every outer iteration runs at least one Newton iteration, and the exit
+  // re-solve adds its own: the sum over the call bounds the outer count and
+  // the exit re-solve's report from above.
+  const double t_sink = 300.0;
+  thermal::AnalyticImagesBackend backend(hot_die(t_sink));
+  const auto sol = solve_electrothermal_dc(wide_device_circuit(), backend, center_footprint(),
+                                           et_opts(t_sink));
+  ASSERT_TRUE(sol.converged);
+  EXPECT_GE(sol.inner_newton_iterations, sol.outer_iterations);
+  EXPECT_GT(sol.inner_newton_iterations, sol.dc.report.newton_iterations);
+
+  const auto row = device_row(1);
+  const ElectroThermalDc prepared(row.circuit, backend, row.footprints);
+  for (const auto& point : prepared.sweep_sinks(std::vector<double>{270.0, 280.0, 290.0},
+                                                et_opts(270.0))) {
+    ASSERT_TRUE(point.converged);
+    EXPECT_GE(point.inner_newton_iterations, point.outer_iterations);
+  }
+}
+
 TEST(ElectroThermalSweep, DeviceTemperaturesAreMonotoneInSinkTemperature) {
   // Leakage power grows with temperature, so a hotter sink can only raise
   // the fixed point: every converged device temperature is non-decreasing
