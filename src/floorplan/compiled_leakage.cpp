@@ -131,6 +131,22 @@ PTHERM_LANES_INLINE T blend(const T& f, const T& vt, const T& alpha) {
   return vt * (alpha * softplus + (1.0 - alpha) * logistic);
 }
 
+/// collapse_chain's pairwise step (Eqs. 6-12, PaperBlend) in its three
+/// parts, shared by the per-handle replay and the program-major passes:
+/// collapse_f of the running width over the next device down the chain ...
+template <class T>
+PTHERM_LANES_INLINE T collapse_f_at(const T& w_eq, const T& w_lower, const T& dibl) {
+  return log_kernel(w_eq / w_lower) + dibl;
+}
+
+/// ... its Delta-V, blend(f, vt, alpha), and the running width that drop
+/// leaves. exp(-body_exp * dv / nvt): negating first is exact, so same bits.
+template <class T>
+PTHERM_LANES_INLINE T collapsed_width(const T& w_eq, const T& dv, const T& neg_body_exp,
+                                      const T& nvt) {
+  return w_eq * exp_kernel(neg_body_exp * dv / nvt);
+}
+
 /// The technology values the factors read, one per lane.
 template <class T>
 struct TechValues {
@@ -204,10 +220,8 @@ struct CollapseFactors {
   /// collapse_chain's pairwise step (Eqs. 6-12, PaperBlend): the running
   /// equivalent width after absorbing the next device down the chain.
   PTHERM_LANES_INLINE T collapse(const T& w_eq, const T& w_lower) const noexcept {
-    const T f = log_kernel(w_eq / w_lower) + dibl;  // collapse_f
-    const T dv = blend(f, vt, alpha);
-    // exp(-body_exp * dv / nvt): negating first is exact, so same bits.
-    return w_eq * exp_kernel(neg_body_exp * dv / nvt);
+    return collapsed_width(w_eq, blend(collapse_f_at(w_eq, w_lower, dibl), vt, alpha),
+                           neg_body_exp, nvt);
   }
 };
 
@@ -486,19 +500,17 @@ class Sweep {
           for (std::size_t k = sp - 1; k-- > base;) {
             const double* const w_lower = entry(k);
             for (std::size_t i = 0; i < padded; i += kW) {
-              const L f = numerics::log_kernel(load<L>(w_eq + i) / load<L>(w_lower + i)) +
-                          lanes(kDibl, i);
-              store(ws_.f.data() + i, kW, f);
+              store(ws_.f.data() + i, kW,
+                    collapse_f_at(load<L>(w_eq + i), load<L>(w_lower + i), lanes(kDibl, i)));
             }
             for (std::size_t i = 0; i < padded; i += kW) {
               store(ws_.dv.data() + i, kW,
                     blend(load<L>(ws_.f.data() + i), lanes(kVt, i), lanes(kAlpha, i)));
             }
             for (std::size_t i = 0; i < padded; i += kW) {
-              const L w = load<L>(w_eq + i) * exp_kernel(lanes(kNegBodyExp, i) *
-                                                         load<L>(ws_.dv.data() + i) /
-                                                         lanes(kNvt, i));
-              store(w_eq + i, kW, w);
+              store(w_eq + i, kW,
+                    collapsed_width(load<L>(w_eq + i), load<L>(ws_.dv.data() + i),
+                                    lanes(kNegBodyExp, i), lanes(kNvt, i)));
             }
           }
           if (base != sp - 1) std::copy(w_eq, w_eq + padded, entry(base));

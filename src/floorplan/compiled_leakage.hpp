@@ -10,24 +10,33 @@
 // order.
 //
 // Evaluation does no work twice that a call's (tech, temp, vb) already fixes:
-//  * Hoisted factors. Each call computes the temperature factors once — VT,
-//    (T/Tref), the drain factor 1 - exp(-VDD/VT), exp((0 - VTH)/(n VT)) per
-//    OFF type on first use, and the collapse's n VT, sigma VDD/(n VT) and
-//    alpha — instead of once per gate group inside subthreshold_current,
+//  * Hoisted factors. The temperature factors — VT, (T/Tref), the drain
+//    factor 1 - exp(-VDD/VT), exp((0 - VTH)/(n VT)) per OFF type, and the
+//    collapse's n VT, sigma VDD/(n VT) and alpha — are computed once per
+//    block instead of once per gate group inside subthreshold_current,
 //    collapse_f and delta_v.
 //  * Folding. A program without a series collapse (an inverter, a parallel
 //    OFF network, a single OFF device) has a temperature-free OFF width;
 //    compile_all runs its push / parallel-sum ops once and keeps W/L.
-//  * The uniform entry point. uniform_leakage_power evaluates many handles at one
-//    temperature, running each distinct program once and summing per block —
-//    the Picard start sweep, where every block sits at T_sink.
-// Both entry points go through one per-program kernel that replays the arithmetic
-// of off_reduction + collapse_chain + subthreshold_current in the same order
-// on the same values (device::subthreshold_product and
-// leakage::delta_v_blend_at are shared with those functions), so results are
-// BITWISE equal to Block::leakage_current, which the tests keep as their
-// oracle. No program caches a temperature- or technology-dependent value, so
-// one handle serves every (tech, temp, vb): V/f corners, RTM supply levels.
+//  * Program-major lanes. The batched leakage_power(handles, techs, temps,
+//    vb, out) — every Picard sweep after the first, the exit sweep, the
+//    transient epoch hook and the RTM actuator — fills a structure-of-arrays
+//    table of every block's factors (four blocks per lane group), evaluates
+//    folded terms block by block, then runs each series-collapse program
+//    over all the blocks that hold it, op by op, four lanes at a time, and
+//    sums each block's terms in group order. The lanes are an AVX2 clone
+//    picked at run time; the baseline build runs the same template one lane
+//    at a time.
+//  * The uniform entry point. uniform_leakage_power evaluates many handles
+//    at one temperature, running each distinct program once and summing per
+//    block — the Picard start sweep, where every block sits at T_sink.
+// Every entry point replays the arithmetic of off_reduction + collapse_chain
+// + subthreshold_current in the same order on the same values, with the
+// same exp/log/log1p kernel (numerics/explog.hpp, no fused multiply-add),
+// so results are BITWISE equal to Block::leakage_current, which the tests
+// keep as their oracle. No program caches a temperature- or
+// technology-dependent value, so one handle serves every (tech, temp, vb):
+// V/f corners, RTM supply levels.
 #pragma once
 
 #include <cstdint>

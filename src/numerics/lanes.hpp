@@ -64,7 +64,6 @@ PTHERM_LANES_BINARY(F64x4, double, /)
 PTHERM_LANES_BINARY(U64x4, std::uint64_t, +)
 PTHERM_LANES_BINARY(U64x4, std::uint64_t, -)
 PTHERM_LANES_BINARY(U64x4, std::uint64_t, &)
-PTHERM_LANES_BINARY(U64x4, std::uint64_t, |)
 PTHERM_LANES_BINARY(Mask4, std::int64_t, &)
 #undef PTHERM_LANES_BINARY
 
@@ -81,9 +80,7 @@ PTHERM_LANES_INLINE U64x4 operator>>(const U64x4& a, int s) { return {a.v >> s};
   PTHERM_LANES_INLINE Mask4 operator op(const F64x4& a, const F64x4& b) { return {a.v op b.v}; } \
   PTHERM_LANES_INLINE Mask4 operator op(const F64x4& a, double b) { return {a.v op b}; }
 PTHERM_LANES_COMPARE(<)
-PTHERM_LANES_COMPARE(<=)
 PTHERM_LANES_COMPARE(>)
-PTHERM_LANES_COMPARE(>=)
 PTHERM_LANES_COMPARE(==)
 PTHERM_LANES_COMPARE(!=)
 #undef PTHERM_LANES_COMPARE
