@@ -5,12 +5,17 @@
 //    study on a 36-block manycore plan, spectral matrix-free, blocked Picard
 //    sweeps — the headline is us_per_scenario, the amortized cost of one
 //    full electro-thermal solve (construction included, spread over the
-//    batch). The PR-8 acceptance bar is <= 100 us/sample.
+//    batch). The PR-8 acceptance bar is <= 100 us/sample. Per 64-scenario
+//    chunk and sweep it times one multi-RHS apply and one batched leakage
+//    evaluation of all the chunk's active blocks (plus one per exit sweep).
 //  * BM_ScenarioBatchCorners: a V/f corner screen (5 supplies x 4 relative
-//    frequencies) on the same plan, per backend influence mode.
+//    frequencies) on the same plan, per backend influence mode; its chunk
+//    mixes levels, so the batched leakage runs one technology per block.
 //  * BM_SpectralApplyBatch: the spectral multi-RHS influence apply alone on
 //    that plan at counts 1, 4, 5 and 64 — us_per_vector shows what the
-//    4-vector register blocks save over lone applies.
+//    4-vector register blocks save over lone applies. The blocks run in
+//    the AVX2 clone where the CPU has AVX2 and as SSE2 pairs otherwise
+//    (numerics::dispatched_isa), so compare this row across hosts with care.
 // The batch counters pin the trajectory: scenarios, batched_matvecs (blocked
 // multi-RHS applies issued), picard_iterations_total, and the
 // scenario-iterations the convergence masks saved — a regression in blocked
@@ -93,6 +98,9 @@ void BM_ScenarioBatchVariation(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.counters["samples"] = static_cast<double>(samples);
+  state.counters["us_per_scenario"] = benchmark::Counter(
+      static_cast<double>(samples) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   // items_per_second in the JSON is the amortized scenario rate; the
   // acceptance bar (<= 100 us/sample at 10k) reads as >= 10000 items/s.
   state.SetItemsProcessed(state.iterations() * samples);

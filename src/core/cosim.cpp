@@ -220,12 +220,31 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
   const auto adjust = [&](std::size_t k, std::size_t j) {
     return LeakageAdjust{in.adj_scale[k * n + j], in.adj_dvt0[k * n + j]};
   };
-  // Scenario k's base leakage at its temperatures: one batched evaluation
-  // of every block, which the callers below then adjust per block.
-  std::vector<double> swept(n);
-  const auto sweep_leakage = [&](std::size_t k, const double* temp) -> const double* {
-    floorplan::CompiledBlockLeakage::leakage_power(compiled_leakage_, in.tech.subspan(k, 1),
-                                                   {temp, n}, opts_.vb, swept);
+  // The base leakage of scenarios `ks` (ascending) at their temperatures:
+  // ONE batched evaluation of all their blocks, scenario-major, which the
+  // callers below then adjust per block. Scenarios that share a technology
+  // (a Monte Carlo batch) pass it once; mixed V/f levels pass one per block.
+  std::vector<double> packed(count * n);  // the scenarios' temperatures
+  std::vector<double> swept(count * n);
+  std::vector<const device::Technology*> block_tech;
+  const auto sweep_leakage = [&](std::span<const std::size_t> ks) -> const double* {
+    const std::size_t m = ks.size();
+    for (std::size_t a = 0; a < m; ++a) {
+      std::copy_n(temps.data() + ks[a] * n, n, packed.data() + a * n);
+    }
+    const device::Technology* const first = in.tech[ks[0]];
+    const bool one_tech =
+        std::all_of(ks.begin(), ks.end(), [&](std::size_t k) { return in.tech[k] == first; });
+    std::span<const device::Technology* const> techs(&first, 1);
+    if (!one_tech) {
+      block_tech.resize(m * n);
+      for (std::size_t a = 0; a < m; ++a) {
+        std::fill_n(block_tech.data() + a * n, n, in.tech[ks[a]]);
+      }
+      techs = block_tech;
+    }
+    floorplan::CompiledBlockLeakage::leakage_power(compiled_leakage_, techs, {packed.data(), m * n},
+                                                   opts_.vb, {swept.data(), m * n});
     return swept.data();
   };
   // Every scenario starts with every block at t_sink, so the first sweep's
@@ -245,11 +264,12 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     }
     return start_power.data() + at * n;
   };
-  const auto finalize = [&](std::size_t k) {
+  // Scenario k's result from its final temperatures and its base leakage
+  // there (n values at `base`).
+  const auto finalize = [&](std::size_t k, const double* base) {
     ScenarioResult& res = results[k];
     const double* temp = temps.data() + k * n;
     res.temperatures.assign(temp, temp + n);
-    const double* base = sweep_leakage(k, temp);
     std::size_t hottest = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const double p_leak = adjusted_leakage_power(*in.tech[k], base[i], temp[i], adjust(k, i));
@@ -271,6 +291,15 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
       res.diagnostics = std::move(diag);
     }
   };
+  // The exit sweep of every scenario that finished in one sweep: one
+  // leakage evaluation, then each result.
+  const auto finalize_all = [&](std::span<const std::size_t> ks) {
+    if (ks.empty()) return;
+    TELEMETRY_SPAN("cosim/exit_leakage");
+    const double* base = sweep_leakage(ks);
+    for (std::size_t a = 0; a < ks.size(); ++a) finalize(ks[a], base + a * n);
+  };
+  std::vector<std::size_t> finished;  // scenario indices, ascending
 
   long long sweeps = 0;
   for (int it = 0; it < opts_.max_iterations && !active.empty(); ++it) {
@@ -280,13 +309,14 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     const std::size_t m = active.size();
     {
       TELEMETRY_SPAN("cosim/leakage");
+      // The first sweep has every block at t_sink.
+      const double* swept_base = it == 0 ? nullptr : sweep_leakage(active);
       for (std::size_t a = 0; a < m; ++a) {
         const std::size_t k = active[a];
         const double* temp = temps.data() + k * n;
         const double* p_dyn = in.p_dynamic.data() + k * n;
         double* p = powers.data() + a * n;
-        // The first sweep has every block at t_sink.
-        const double* base = it == 0 ? start_leakage(in.tech[k]) : sweep_leakage(k, temp);
+        const double* base = it == 0 ? start_leakage(in.tech[k]) : swept_base + a * n;
         for (std::size_t j = 0; j < n; ++j) {
           p[j] = p_dyn[j] + adjusted_leakage_power(*in.tech[k], base[j], temp[j], adjust(k, j));
         }
@@ -297,6 +327,7 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     double sweep_max_residual = 0.0;
 
     std::size_t keep = 0;
+    finished.clear();
     for (std::size_t a = 0; a < m; ++a) {
       const std::size_t k = active[a];
       ScenarioResult& res = results[k];
@@ -325,11 +356,12 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
       // A NaN or infinite residual (a non-finite power or rise) ends the
       // scenario unconverged at its last finite iterate.
       if (res.runaway || res.converged || guards[k].failed()) {
-        finalize(k);
+        finished.push_back(k);
       } else {
         active[keep++] = k;  // compaction keeps ascending order
       }
     }
+    finalize_all(finished);
     if (tracing && trace != nullptr) {
       trace->active_per_sweep.push_back(static_cast<long long>(m));
       trace->max_residual_per_sweep.push_back(sweep_max_residual);
@@ -337,7 +369,7 @@ long long ElectroThermalSolver::run_picard(const PicardScenarios& in,
     active.resize(keep);
   }
   // Survivors of max_iterations: neither converged nor runaway.
-  for (const std::size_t k : active) finalize(k);
+  finalize_all(active);
   return sweeps;
 }
 

@@ -234,12 +234,15 @@ class ElectroThermalSolver {
 
   /// The Picard kernel, the one implementation of the fixed point. Per
   /// iteration: every active scenario's power vector (dynamic plus
-  /// adjusted_leakage_power at its current temperatures), ONE apply_batch
-  /// over all of them, then per scenario the boundary fold, the safeguarded
-  /// step (numerics::SafeguardedPicard, one per scenario), the rise-limit and
-  /// growth-streak runaway checks and the convergence test. A scenario that
-  /// finishes leaves the active list, so its trajectory never depends on the
-  /// others: results are bitwise the same whatever the batch holds.
+  /// adjusted_leakage_power at its current temperatures, the base leakage
+  /// of all of them from ONE batched CompiledBlockLeakage::leakage_power
+  /// call), ONE apply_batch over all of them, then per scenario the
+  /// boundary fold, the safeguarded step (numerics::SafeguardedPicard, one
+  /// per scenario), the rise-limit and growth-streak runaway checks and the
+  /// convergence test. A scenario that finishes leaves the active list, so
+  /// its trajectory never depends on the others: results are bitwise the
+  /// same whatever the batch holds. The scenarios that finish in one sweep
+  /// share one batched exit-leakage call.
   /// results[k] (default-constructed on entry) receives scenario k, with
   /// diagnostics tagged
   /// "ElectroThermalSolver" unless it converged. With trace.convergence the

@@ -44,10 +44,13 @@ struct BiasPoint {
 /// a loop (floorplan/compiled_leakage) evaluate this same product, so they
 /// stay bitwise equal to subthreshold_current.
 /// T is a double, or a vector type whose lanes each take this product.
+/// Always inlined: the leakage sweep's AVX2 clone calls it on 4-wide lanes,
+/// and an out-of-line baseline copy (an unoptimized build) would return them
+/// through another calling convention than the clone expects.
 template <class T>
-[[nodiscard]] constexpr T subthreshold_product(const T& i0, const T& w_over_l, const T& ratio,
-                                               const T& exp_term,
-                                               const T& drain_factor) noexcept {
+[[nodiscard, gnu::always_inline]] constexpr T subthreshold_product(const T& i0, const T& w_over_l,
+                                                                  const T& ratio, const T& exp_term,
+                                                                  const T& drain_factor) noexcept {
   return i0 * w_over_l * ratio * ratio * exp_term * drain_factor;
 }
 

@@ -185,23 +185,31 @@ PTHERM_LANES_INLINE void store(double* out, std::size_t count, const L& v) {
   }
 }
 
+/// Lane k: t[k]->*field. A function, not a lambda: a lambda is not always
+/// inlined, and one returning lanes to the AVX2 clone from a baseline build
+/// of itself (an unoptimized build) returns them through the wrong ABI.
+template <class L>
+PTHERM_LANES_INLINE L tech_lanes(const Technology* const* t, double Technology::*field) {
+  double values[kWidth<L>];
+  std::size_t at[kWidth<L>];
+  for (std::size_t k = 0; k < kWidth<L>; ++k) {
+    values[k] = t[k]->*field;
+    at[k] = k;
+  }
+  return gather<L>(values, at);
+}
+
 /// Lane k from *t[k].
 template <class L>
 PTHERM_LANES_INLINE TechValues<L> tech_values(const Technology* const* t) {
-  const auto lanes = [&](double Technology::*field) {
-    double values[kWidth<L>];
-    std::size_t at[kWidth<L>];
-    for (std::size_t k = 0; k < kWidth<L>; ++k) {
-      values[k] = t[k]->*field;
-      at[k] = k;
-    }
-    return gather<L>(values, at);
-  };
-  return {lanes(&Technology::vdd),       lanes(&Technology::n_swing),
-          lanes(&Technology::t_ref),     lanes(&Technology::gamma_lin),
-          lanes(&Technology::sigma_dibl), lanes(&Technology::k_t),
-          {lanes(&Technology::vt0_n), lanes(&Technology::vt0_p)},
-          {lanes(&Technology::i0_n), lanes(&Technology::i0_p)}};
+  return {tech_lanes<L>(t, &Technology::vdd),
+          tech_lanes<L>(t, &Technology::n_swing),
+          tech_lanes<L>(t, &Technology::t_ref),
+          tech_lanes<L>(t, &Technology::gamma_lin),
+          tech_lanes<L>(t, &Technology::sigma_dibl),
+          tech_lanes<L>(t, &Technology::k_t),
+          {tech_lanes<L>(t, &Technology::vt0_n), tech_lanes<L>(t, &Technology::vt0_p)},
+          {tech_lanes<L>(t, &Technology::i0_n), tech_lanes<L>(t, &Technology::i0_p)}};
 }
 
 /// collapse_chain's factors at one (tech, temp): its n VT, sigma VDD/(n VT),
@@ -457,6 +465,11 @@ class Sweep {
   PTHERM_LANES_INLINE double at(std::size_t r, std::size_t b) const {
     return ws_.table[r * n_ + b];
   }
+  /// Row r's factors of the blocks at[0 .. kW). A member, not a lambda: see
+  /// tech_lanes.
+  PTHERM_LANES_INLINE L lanes(std::size_t r, const std::size_t* at) {
+    return gather<L>(row(r), at);
+  }
 
   /// Replays h's program over every holder: each value-stack entry is an
   /// array with one value per holder, and each op runs over all of them
@@ -470,7 +483,6 @@ class Sweep {
     ws_.f.resize(padded);
     ws_.dv.resize(padded);
     const auto entry = [&](std::size_t k) { return ws_.values.data() + k * padded; };
-    const auto lanes = [&](std::size_t r, std::size_t i) { return gather<L>(row(r), blocks + i); };
     using Kind = CompiledBlockLeakage::Op::Kind;
     const CompiledBlockLeakage::Program& program = *h.program;
     std::size_t sp = 0;
@@ -501,16 +513,18 @@ class Sweep {
             const double* const w_lower = entry(k);
             for (std::size_t i = 0; i < padded; i += kW) {
               store(ws_.f.data() + i, kW,
-                    collapse_f_at(load<L>(w_eq + i), load<L>(w_lower + i), lanes(kDibl, i)));
+                    collapse_f_at(load<L>(w_eq + i), load<L>(w_lower + i),
+                                  lanes(kDibl, blocks + i)));
             }
             for (std::size_t i = 0; i < padded; i += kW) {
               store(ws_.dv.data() + i, kW,
-                    blend(load<L>(ws_.f.data() + i), lanes(kVt, i), lanes(kAlpha, i)));
+                    blend(load<L>(ws_.f.data() + i), lanes(kVt, blocks + i),
+                          lanes(kAlpha, blocks + i)));
             }
             for (std::size_t i = 0; i < padded; i += kW) {
               store(w_eq + i, kW,
                     collapsed_width(load<L>(w_eq + i), load<L>(ws_.dv.data() + i),
-                                    lanes(kNegBodyExp, i), lanes(kNvt, i)));
+                                    lanes(kNegBodyExp, blocks + i), lanes(kNvt, blocks + i)));
             }
           }
           if (base != sp - 1) std::copy(w_eq, w_eq + padded, entry(base));
@@ -524,9 +538,10 @@ class Sweep {
     const auto type = static_cast<std::size_t>(program.off_type);
     for (std::size_t i = 0; i < padded; i += kW) {
       const L w_over_l = load<L>(entry(0) + i) / program.length_or_wl;
-      const L current = device::subthreshold_product(lanes(kI0 + type, i), w_over_l,
-                                                     lanes(kRatio, i), lanes(kExpTerm + type, i),
-                                                     lanes(kDrain, i));
+      const std::size_t* const at = blocks + i;
+      const L current = device::subthreshold_product(lanes(kI0 + type, at), w_over_l,
+                                                     lanes(kRatio, at), lanes(kExpTerm + type, at),
+                                                     lanes(kDrain, at));
       for (std::size_t k = 0; k < kW && i + k < m; ++k) {
         ws_.i_off[h.slot[i + k]] = numerics::lane(current, static_cast<int>(k));
       }
@@ -542,7 +557,9 @@ class Sweep {
 /// The lane work of one batched evaluation, written once: 4-lane F64x4 in
 /// the AVX2 clone, one lane at a time in the baseline build (a 32-byte
 /// vector without AVX spills through memory); numerics::dispatched_isa
-/// picks. Both return the scalar kernel's bits.
+/// picks. Both return the scalar kernel's bits. Each clone starts on a
+/// 64-byte boundary, so that edits elsewhere in the library do not move its
+/// loops across cache lines.
 template <class L, class Term>
 PTHERM_LANES_INLINE void sweep(Workspace& ws, const CompiledBlockLeakage::Op* ops, int max_stack,
                                const Term* terms, std::span<const Technology* const> techs,
@@ -557,18 +574,20 @@ PTHERM_LANES_INLINE void sweep(Workspace& ws, const CompiledBlockLeakage::Op* op
 }
 
 template <class Term>
-void sweep_baseline(Workspace& ws, const CompiledBlockLeakage::Op* ops, int max_stack,
-                    const Term* terms, std::span<const Technology* const> techs,
-                    std::span<const double> temps, double vb) {
+[[gnu::aligned(64)]] void sweep_baseline(Workspace& ws, const CompiledBlockLeakage::Op* ops,
+                                         int max_stack, const Term* terms,
+                                         std::span<const Technology* const> techs,
+                                         std::span<const double> temps, double vb) {
   sweep<double>(ws, ops, max_stack, terms, techs, temps, vb);
 }
 
 #if PTHERM_HAVE_AVX2_CLONE
 template <class Term>
-PTHERM_TARGET_AVX2 void sweep_avx2(Workspace& ws, const CompiledBlockLeakage::Op* ops,
-                                   int max_stack, const Term* terms,
-                                   std::span<const Technology* const> techs,
-                                   std::span<const double> temps, double vb) {
+[[gnu::aligned(64)]] PTHERM_TARGET_AVX2 void sweep_avx2(Workspace& ws,
+                                                        const CompiledBlockLeakage::Op* ops,
+                                                        int max_stack, const Term* terms,
+                                                        std::span<const Technology* const> techs,
+                                                        std::span<const double> temps, double vb) {
   sweep<F64x4>(ws, ops, max_stack, terms, techs, temps, vb);
 }
 #endif
@@ -666,13 +685,18 @@ void CompiledBlockLeakage::leakage_power(std::span<const CompiledBlockLeakage> h
                                          std::span<const double> temps, double vb,
                                          std::span<double> out) {
   const std::size_t n = handles.size();
-  PTHERM_REQUIRE(temps.size() == n && out.size() == n,
-                 "leakage_power: need one temperature and one output per handle");
-  PTHERM_REQUIRE(techs.size() == 1 || techs.size() == n,
-                 "leakage_power: need one technology, or one per handle");
-  if (n == 0) return;
-  const auto tech = [&](std::size_t i) -> const Technology& {
-    return *techs[techs.size() == 1 ? 0 : i];
+  // Entry e evaluates handles[i] at temps[e], i = e % n (counted, not
+  // divided, in the loops below): one copy of the handle span per scenario
+  // of a batched sweep.
+  const std::size_t entries = temps.size();
+  PTHERM_REQUIRE(n == 0 ? entries == 0 : entries % n == 0,
+                 "leakage_power: need a whole number of temperatures per handle");
+  PTHERM_REQUIRE(out.size() == entries, "leakage_power: need one output per temperature");
+  PTHERM_REQUIRE(techs.size() == 1 || techs.size() == entries,
+                 "leakage_power: need one technology, or one per temperature");
+  if (entries == 0) return;
+  const auto tech = [&](std::size_t e) -> const Technology& {
+    return *techs[techs.size() == 1 ? 0 : e];
   };
   const ProgramSet* shared = nullptr;
   for (const auto& h : handles) {
@@ -685,23 +709,25 @@ void CompiledBlockLeakage::leakage_power(std::span<const CompiledBlockLeakage> h
     return h.set_.get() == shared && h.term_begin_ != h.term_end_;
   };
   if (shared == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = handles[i].leakage_power(tech(i), temps[i], vb);
+    for (std::size_t e = 0, i = 0; e < entries; ++e, i = i + 1 == n ? 0 : i + 1) {
+      out[e] = handles[i].leakage_power(tech(e), temps[e], vb);
+    }
     return;
   }
 
-  // One slot per term of the shared handles, in handle then group order;
+  // One slot per term of the shared handles, in entry then group order;
   // the other handles get an empty range and evaluate themselves below.
   thread_local Workspace ws;
-  ws.ranges.resize(2 * n);
+  ws.ranges.resize(2 * entries);
   std::size_t slots = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t e = 0, i = 0; e < entries; ++e, i = i + 1 == n ? 0 : i + 1) {
     const CompiledBlockLeakage& h = handles[i];
     const bool run = in_shared(h);
-    ws.ranges[2 * i] = run ? h.term_begin_ : 0;
-    ws.ranges[2 * i + 1] = run ? h.term_end_ : 0;
+    ws.ranges[2 * e] = run ? h.term_begin_ : 0;
+    ws.ranges[2 * e + 1] = run ? h.term_end_ : 0;
     if (run) slots += static_cast<std::size_t>(h.term_end_ - h.term_begin_);
   }
-  ws.table.resize(kRows * n);
+  ws.table.resize(kRows * entries);
   ws.i_off.resize(slots);
   ws.holders.resize(shared->programs);
   const Op* const ops = shared->ops.data();
@@ -717,10 +743,10 @@ void CompiledBlockLeakage::leakage_power(std::span<const CompiledBlockLeakage> h
 
   // leakage_current's sum in group order, over the same per-term values.
   std::size_t s = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t e = 0, i = 0; e < entries; ++e, i = i + 1 == n ? 0 : i + 1) {
     const CompiledBlockLeakage& h = handles[i];
     if (!in_shared(h)) {
-      out[i] = h.leakage_power(tech(i), temps[i], vb);
+      out[e] = h.leakage_power(tech(e), temps[e], vb);
       continue;
     }
     const Term* const end = shared->terms.data() + h.term_end_;
@@ -728,7 +754,7 @@ void CompiledBlockLeakage::leakage_power(std::span<const CompiledBlockLeakage> h
     for (const Term* term = shared->terms.data() + h.term_begin_; term != end; ++term) {
       sum += term->count * ws.i_off[s++];
     }
-    out[i] = sum * tech(i).vdd;
+    out[e] = sum * tech(e).vdd;
   }
 }
 

@@ -19,10 +19,11 @@
 //    OFF network, a single OFF device) has a temperature-free OFF width;
 //    compile_all runs its push / parallel-sum ops once and keeps W/L.
 //  * Program-major lanes. The batched leakage_power(handles, techs, temps,
-//    vb, out) — every Picard sweep after the first, the exit sweep, the
-//    transient epoch hook and the RTM actuator — fills a structure-of-arrays
-//    table of every block's factors (four blocks per lane group), evaluates
-//    folded terms block by block, then runs each series-collapse program
+//    vb, out) — every Picard sweep after the first and the exit sweep, each
+//    over all of a batch's active scenarios in one call, the transient epoch
+//    hook and the RTM actuator — fills a structure-of-arrays table of every
+//    block's factors (four blocks per lane group), evaluates folded terms
+//    block by block, then runs each series-collapse program
 //    over all the blocks that hold it, op by op, four lanes at a time, and
 //    sums each block's terms in group order. The lanes are an AVX2 clone
 //    picked at run time; the baseline build runs the same template one lane
@@ -74,12 +75,16 @@ class CompiledBlockLeakage {
     return leakage_current(tech, temp, vb) * tech.vdd;
   }
 
-  /// out[i] = handles[i].leakage_power(tech_i, temps[i], vb), bitwise, where
-  /// tech_i is techs[0] when techs holds one technology and techs[i] when it
-  /// holds one per handle (an RTM block at its own V/f level). The handles of
-  /// the first non-empty handle's set run program-major (see the file
-  /// comment); a handle from another set falls back to its own
-  /// leakage_power. temps and out must hold one entry per handle.
+  /// out[e] = handles[e % n].leakage_power(tech_e, temps[e], vb), bitwise,
+  /// for n = handles.size(): temps holds one or more scenario-major copies of
+  /// the handle span's temperatures (every active scenario of a batched
+  /// Picard sweep in one call), so temps.size() must be a multiple of n, and
+  /// out holds one entry per temperature. tech_e is techs[0] when techs holds
+  /// one technology and techs[e] when it holds one per temperature (an RTM
+  /// block at its own V/f level, a scenario at its own). The handles of the
+  /// first non-empty handle's set run program-major over every entry (see
+  /// the file comment); a handle from another set falls back to its own
+  /// leakage_power.
   static void leakage_power(std::span<const CompiledBlockLeakage> handles,
                             std::span<const device::Technology* const> techs,
                             std::span<const double> temps, double vb, std::span<double> out);

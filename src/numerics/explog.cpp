@@ -101,8 +101,12 @@ bool isa_available(Isa isa) noexcept {
 }
 
 Isa dispatched_isa() noexcept {
+#ifdef PTHERM_FORCE_BASELINE_ISA
+  return Isa::Baseline;
+#else
   static const Isa isa = isa_available(Isa::Avx2) ? Isa::Avx2 : Isa::Baseline;
   return isa;
+#endif
 }
 
 namespace {

@@ -28,7 +28,9 @@ enum class Isa { Baseline, Avx2 };
 /// Whether this build and this CPU can run `isa`'s build.
 [[nodiscard]] bool isa_available(Isa isa) noexcept;
 
-/// The build the library's lane kernels run: Avx2 where available.
+/// The build the library's lane kernels run: Avx2 where available, unless
+/// the library was configured with PTHERM_FORCE_BASELINE_ISA (a test-only
+/// switch that makes it Baseline everywhere).
 [[nodiscard]] Isa dispatched_isa() noexcept;
 
 /// y[i] = exp(x[i]), log(x[i]) or log1p(x[i]) through `isa`'s four-lane

@@ -13,7 +13,9 @@
 #include "common/error.hpp"
 #include "numerics/dense.hpp"
 #include "numerics/eigen.hpp"
+#include "numerics/explog.hpp"
 #include "numerics/fft.hpp"
+#include "numerics/lanes.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ptherm::thermal {
@@ -637,11 +639,6 @@ constexpr std::size_t kLanes = 4;
 /// x-intervals per pass-2 sweep.
 constexpr std::size_t kIntervalTile = 64;
 
-/// Sums a pass-2 sweep carries in registers: 16 flux modes of one vector or
-/// 4 of a 4-vector block, eight SSE2 registers either way, so that enough
-/// independent adds are in flight to hide their latency.
-constexpr std::size_t kSweepSums = 16;
-
 /// Two lanes in one SSE2 register. A GCC/Clang vector type, because plain
 /// arrays or structs of doubles stay on the stack, and a 4-wide vector type
 /// is split through memory without AVX.
@@ -657,17 +654,22 @@ Pair load_pair(const double* p) {
 
 void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
 
-/// One entry of a block: its kLanes vectors' values. Loaded and stored as
-/// two pairs; one memcpy of the whole struct kept the accumulators of the
-/// passes below on the stack.
+/// One entry of a block in the baseline build: its kLanes vectors' values
+/// in two SSE2 pairs. Loaded and stored pair by pair; one memcpy of the
+/// whole struct kept the accumulators of the passes below on the stack.
 struct Lanes {
   Pair lo;
   Pair hi;
 };
 
+/// A block entry in AVX2 registers: the kLanes vectors' values in one
+/// numerics::F64x4, used only inside the AVX2 clone of the block apply.
+using numerics::F64x4;
+
 // The passes below run on one entry type T: a double holds one vector's
-// value, a Lanes a block's kLanes vectors'. Each helper does per lane what
-// the double overload does, with the same roundings.
+// value, a Lanes (baseline) or an F64x4 (AVX2 clone) a block's kLanes
+// vectors'. Each helper does per lane what the double overload does, with
+// the same roundings.
 
 template <class T>
 constexpr std::size_t kWidth = 1;
@@ -675,6 +677,26 @@ template <>
 constexpr std::size_t kWidth<Pair> = 2;
 template <>
 constexpr std::size_t kWidth<Lanes> = kLanes;
+template <>
+constexpr std::size_t kWidth<F64x4> = kLanes;
+
+/// Sums a pass-2 sweep carries in registers: 16 flux modes of one vector,
+/// 4 of a Lanes block (eight SSE2 registers either way) or 8 of an F64x4
+/// block (eight of the sixteen AVX2 registers), so that enough independent
+/// adds are in flight to hide their latency.
+template <class T>
+constexpr std::size_t kSweepSums = 16;
+template <>
+constexpr std::size_t kSweepSums<Lanes> = 4;
+template <>
+constexpr std::size_t kSweepSums<F64x4> = 8;
+
+/// Coefficient rows per pass-4 synthesize_rows call, likewise: 4 of one
+/// vector, 4 of a Lanes block (eight SSE2 registers), 8 of an F64x4 block.
+template <class T>
+constexpr std::size_t kSynthRows = 4;
+template <>
+constexpr std::size_t kSynthRows<F64x4> = 8;
 
 template <class T>
 T load(const double* p);
@@ -690,6 +712,12 @@ template <>
 Lanes load<Lanes>(const double* p) {
   return {load_pair(p), load_pair(p + 2)};
 }
+template <>
+PTHERM_LANES_INLINE F64x4 load<F64x4>(const double* p) {
+  F64x4 v;
+  std::memcpy(&v.v, p, sizeof v.v);
+  return v;
+}
 
 void store(double* p, double v) { *p = v; }
 void store(double* p, Pair v) { store_pair(p, v); }
@@ -697,6 +725,7 @@ void store(double* p, const Lanes& v) {
   store_pair(p, v.lo);
   store_pair(p + 2, v.hi);
 }
+PTHERM_LANES_INLINE void store(double* p, const F64x4& v) { std::memcpy(p, &v.v, sizeof v.v); }
 
 /// acc += x * f: one rounded product and one rounded sum.
 void add_product(double& acc, double x, double f) { acc += x * f; }
@@ -705,6 +734,7 @@ void add_product(Lanes& acc, const Lanes& x, double f) {
   acc.lo += x.lo * fs;
   acc.hi += x.hi * fs;
 }
+PTHERM_LANES_INLINE void add_product(F64x4& acc, const F64x4& x, double f) { acc += x * f; }
 
 void scale(double& v, double f) { v *= f; }
 void scale(Lanes& v, double f) {
@@ -712,16 +742,23 @@ void scale(Lanes& v, double f) {
   v.lo *= fs;
   v.hi *= fs;
 }
+PTHERM_LANES_INLINE void scale(F64x4& v, double f) { v = v * f; }
 
 /// v = x[k * stride] * w for each vector k of the entry.
 void gather(double& v, const double* x, std::size_t, double w) { v = x[0] * w; }
 void gather(Lanes& v, const double* x, std::size_t stride, double w) {
   v = {Pair{x[0] * w, x[stride] * w}, Pair{x[2 * stride] * w, x[3 * stride] * w}};
 }
+PTHERM_LANES_INLINE void gather(F64x4& v, const double* x, std::size_t stride, double w) {
+  v = F64x4::of(x[0] * w, x[stride] * w, x[2 * stride] * w, x[3 * stride] * w);
+}
 
 bool all_zero(double v) { return v == 0.0; }
 bool all_zero(const Lanes& v) {
   return v.lo[0] == 0.0 && v.lo[1] == 0.0 && v.hi[0] == 0.0 && v.hi[1] == 0.0;
+}
+PTHERM_LANES_INLINE bool all_zero(const F64x4& v) {
+  return v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0 && v[3] == 0.0;
 }
 
 /// x[k * stride] = vector k's value of the entry.
@@ -731,6 +768,12 @@ void scatter(double* x, std::size_t stride, const Lanes& v) {
   x[stride] = v.lo[1];
   x[2 * stride] = v.hi[0];
   x[3 * stride] = v.hi[1];
+}
+PTHERM_LANES_INLINE void scatter(double* x, std::size_t stride, const F64x4& v) {
+  x[0] = v[0];
+  x[stride] = v[1];
+  x[2 * stride] = v[2];
+  x[3 * stride] = v[3];
 }
 
 /// Pass 2 for the R flux modes m .. m + R - 1 of one y-mode at `out`: sums
@@ -795,7 +838,7 @@ void project_passes(const SpectralThermalSolver::SourceProjection& source, const
   // (2) x-intervals -> flux modes: C[n][m] = sum_a Y[a][n] flux_x[a][m], a
   // sum per distinct interval instead of per source. Each flux mode sums
   // the touched intervals (compacted in place, still ascending) in
-  // registers, kSweepSums / w modes at a time, kIntervalTile intervals per
+  // registers, kSweepSums<T> modes at a time, kIntervalTile intervals per
   // sweep so a tile's flux_x rows stay in cache on plans with thousands of
   // distinct intervals. The first tile, empty when no interval is touched,
   // starts from +0.0; later tiles resume.
@@ -811,7 +854,7 @@ void project_passes(const SpectralThermalSolver::SourceProjection& source, const
     for (std::size_t nn = 0; nn < my; ++nn) {
       const double* y = axis + nn * w;
       double* out = flux + nn * mx * w;
-      constexpr std::size_t r = kSweepSums / w;
+      constexpr std::size_t r = kSweepSums<T>;
       std::size_t m = 0;
       for (; m + r <= mx; m += r) {
         expand_modes<T, r>(y, row, source.flux_x.data() + m, mx, tile, resume, out + m * w);
@@ -863,14 +906,15 @@ void synthesize_passes(const SpectralThermalSolver::SampleSynthesis& sample, con
   const std::size_t row = my * w;
   const std::size_t c_row = mx * w;
   // (4) Synthesis along x at each distinct sample x: U[b][n] = sum_m C[n][m]
-  // synth_x[b][m], shared by every sample in that column; four coefficient
-  // rows per synth_x row.
+  // synth_x[b][m], shared by every sample in that column; kSynthRows<T>
+  // coefficient rows per synth_x row.
   for (std::size_t b = 0; b < sample.sample_xs(); ++b) {
     const double* cx = sample.synth_x.data() + b * mx;
     double* u = axis + b * row;
+    constexpr std::size_t r = kSynthRows<T>;
     std::size_t nn = 0;
-    for (; nn + 4 <= my; nn += 4) {
-      synthesize_rows<T, 4>(coeff + nn * c_row, c_row, cx, mx, u + nn * w);
+    for (; nn + r <= my; nn += r) {
+      synthesize_rows<T, r>(coeff + nn * c_row, c_row, cx, mx, u + nn * w);
     }
     for (; nn < my; ++nn) synthesize_rows<T, 1>(coeff + nn * c_row, c_row, cx, mx, u + nn * w);
   }
@@ -885,25 +929,53 @@ void synthesize_passes(const SpectralThermalSolver::SampleSynthesis& sample, con
   }
 }
 
+/// The axis scratch of an apply of w-wide entries: max(Gx, Gs) * modes_y
+/// entries, ahead of the mode-space entries in proj.block.
+std::size_t axis_entries(const SpectralThermalSolver::InfluenceProjection& proj, std::size_t w) {
+  return w * std::max(proj.source.x_intervals(), proj.sample.sample_xs()) * proj.source.modes_y;
+}
+
 /// All five passes for the vectors of one entry type: vector k's powers at
 /// powers + k * proj.count, its rises likewise at `rises`. Passes 1-2 and
 /// 4-5 share one axis scratch ahead of the mode-space entries in
-/// proj.block.
+/// proj.block, which the caller has sized for w-wide entries.
 template <class T>
 void apply_entries(SpectralThermalSolver::InfluenceProjection& proj,
                    std::span<const double> transfer, const double* powers, double* rises) {
-  constexpr std::size_t w = kWidth<T>;
-  const std::size_t axis_size =
-      w * std::max(proj.source.x_intervals(), proj.sample.sample_xs()) * proj.source.modes_y;
-  if (proj.block.size() < axis_size + w * transfer.size()) {
-    proj.block.resize(axis_size + w * transfer.size());
-  }
   double* axis = proj.block.data();
-  double* coeff = axis + axis_size;
+  double* coeff = axis + axis_entries(proj, kWidth<T>);
   project_passes<T>(proj.source, powers, proj.count, axis, proj.source.live.data(), coeff);
   transfer_pass<T>(transfer, coeff);
   synthesize_passes<T>(proj.sample, coeff, axis, rises, proj.count);
 }
+
+/// `blocks` full blocks of kLanes vectors through the five passes, written
+/// once over the entry type: two SSE2 pairs per entry in the baseline
+/// build, one F64x4 in the AVX2 clone, which flattens the passes into
+/// itself so that they run in AVX2 registers. numerics::dispatched_isa
+/// picks; both return every lane's lone-apply bits. Each starts on a
+/// 64-byte boundary, so that unrelated edits elsewhere in this file do not
+/// move the hot loops across cache lines.
+[[gnu::aligned(64)]] void apply_blocks_baseline(SpectralThermalSolver::InfluenceProjection& proj,
+                                                std::span<const double> transfer,
+                                                const double* powers, double* rises,
+                                                std::size_t blocks) {
+  const std::size_t stride = kLanes * proj.count;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    apply_entries<Lanes>(proj, transfer, powers + b * stride, rises + b * stride);
+  }
+}
+
+#if PTHERM_HAVE_AVX2_CLONE
+[[gnu::aligned(64), gnu::flatten]] PTHERM_TARGET_AVX2 void apply_blocks_avx2(
+    SpectralThermalSolver::InfluenceProjection& proj, std::span<const double> transfer,
+    const double* powers, double* rises, std::size_t blocks) {
+  const std::size_t stride = kLanes * proj.count;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    apply_entries<F64x4>(proj, transfer, powers + b * stride, rises + b * stride);
+  }
+}
+#endif
 
 /// Lateral modes per tile of the transient amplitude update.
 constexpr std::size_t kModeTile = 8;
@@ -969,11 +1041,22 @@ void SpectralThermalSolver::apply_influence_batch(InfluenceProjection& proj,
                  "apply_influence_batch: powers/rises must have count * proj.count entries");
   // Full blocks of kLanes vectors lane-interleaved, the remainder (and
   // every count-1 apply) one vector at a time, all through the same passes.
-  std::size_t k = 0;
-  for (; k + kLanes <= count; k += kLanes) {
-    apply_entries<Lanes>(proj, transfer_, powers.data() + k * n, rises.data() + k * n);
+  const std::size_t blocks = count / kLanes;
+  const std::size_t w = blocks > 0 ? kLanes : 1;
+  const std::size_t scratch = axis_entries(proj, w) + w * transfer_.size();
+  if (proj.block.size() < scratch) proj.block.resize(scratch);
+  if (blocks > 0) {
+#if PTHERM_HAVE_AVX2_CLONE
+    if (numerics::dispatched_isa() == numerics::Isa::Avx2) {
+      apply_blocks_avx2(proj, transfer_, powers.data(), rises.data(), blocks);
+    } else {
+      apply_blocks_baseline(proj, transfer_, powers.data(), rises.data(), blocks);
+    }
+#else
+    apply_blocks_baseline(proj, transfer_, powers.data(), rises.data(), blocks);
+#endif
   }
-  for (; k < count; ++k) {
+  for (std::size_t k = blocks * kLanes; k < count; ++k) {
     apply_entries<double>(proj, transfer_, powers.data() + k * n, rises.data() + k * n);
   }
 }

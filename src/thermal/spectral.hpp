@@ -247,11 +247,13 @@ class SpectralThermalSolver {
   /// half's passes 4-5. Cost per vector is O(n * modes_per_axis + G *
   /// modes); with nothing shared (G = n) that is the per-source rank-1
   /// apply's 2 n modes plus 2 n modes_y. Full blocks of 4 vectors run
-  /// through the five passes together, lane-interleaved in two SSE2 pairs,
-  /// so each table entry is loaded once for four vectors; the count % 4
-  /// remainder runs one vector at a time. Both go through one definition of
-  /// each pass, written over the entry type (one double or four lanes), so
-  /// every lane does the lone apply's arithmetic: a source is skipped only
+  /// through the five passes together, lane-interleaved — one 4-wide AVX2
+  /// vector per entry where numerics::dispatched_isa() picks the AVX2
+  /// clone, two SSE2 pairs in the baseline build — so each table entry is
+  /// loaded once for four vectors; the count % 4 remainder runs one vector
+  /// at a time. All go through one definition of each pass, written over
+  /// the entry type (one double or four lanes), so every lane does the lone
+  /// apply's arithmetic, each sum in the same order: a source is skipped only
   /// when its power is zero in every lane, and any other zero is added as
   /// an exact zero product, which cannot change an accumulator that starts
   /// at +0.0. So with finite tables vector k's rises are bitwise identical

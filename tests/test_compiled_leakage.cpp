@@ -1,13 +1,17 @@
 // Tests for the compiled leakage programs: bitwise agreement with the
 // uncompiled Block walk (the oracle) across plans, temperatures, supplies,
 // and body bias; the uniform-temperature and batched entry points against
-// both; value stacks deeper than the local buffer; interning of one program
+// both, the batched one also over scenario-major tiles of one handle span;
+// value stacks deeper than the local buffer; interning of one program
 // per distinct gate state; technology independence of one compiled program;
 // and the error contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -344,6 +348,84 @@ TEST(CompiledLeakage, BatchedEntryIsBitwiseThePerHandleAndTheWalk) {
     }
   }
   EXPECT_TRUE(saw_empty) << "random_plan should exercise empty blocks";
+}
+
+TEST(CompiledLeakage, BatchedEntryTilesTheHandleSpanScenarioMajor) {
+  // A batched Picard sweep passes the plan's handles once and every active
+  // scenario's temperatures after each other: entry e runs handle e % n.
+  // Each output must be that handle's own leakage_power and the Block walk,
+  // bit for bit, with one technology, one per scenario (repeated per block)
+  // or one per entry, and a foreign and an empty handle in the span.
+  const Technology nominal = tech();
+  const std::vector<Technology> levels{nominal, device::at_supply(nominal, 0.85 * nominal.vdd)};
+  const auto many = manycore_plan();
+  const auto rand = random_plan();
+  const auto a = CompiledBlockLeakage::compile_all(many.blocks());
+  const auto b = CompiledBlockLeakage::compile_all(rand.blocks());
+  std::vector<CompiledBlockLeakage> handles(a.begin(), a.end());
+  std::vector<const Block*> oracle;
+  for (const Block& block : many.blocks()) oracle.push_back(&block);
+  handles.push_back(b[2]);
+  oracle.push_back(&rand.blocks()[2]);
+  handles.push_back(CompiledBlockLeakage());
+  oracle.push_back(nullptr);
+  const std::size_t n = handles.size();
+  Rng rng(73);
+  for (const std::size_t tiles : {1, 2, 3, 5}) {
+    const std::size_t entries = tiles * n;
+    std::vector<double> temps(entries);
+    for (double& t : temps) t = rng.uniform(300.0, 410.0);
+    // The last scenario repeats the first one's temperatures.
+    if (tiles > 1) std::copy_n(temps.begin(), n, temps.end() - static_cast<std::ptrdiff_t>(n));
+    std::vector<const Technology*> per_scenario(entries);
+    std::vector<const Technology*> per_entry(entries);
+    for (std::size_t e = 0; e < entries; ++e) {
+      per_scenario[e] = &levels[(e / n) % levels.size()];
+      per_entry[e] = &levels[rng.uniform_index(levels.size())];
+    }
+    const Technology* const shared[] = {&nominal};
+    const double vb = tiles % 2 == 0 ? -0.2 : 0.0;
+    for (const auto& techs : {std::span<const Technology* const>(shared),
+                              std::span<const Technology* const>(per_scenario),
+                              std::span<const Technology* const>(per_entry)}) {
+      std::vector<double> power(entries);
+      CompiledBlockLeakage::leakage_power(handles, techs, temps, vb, power);
+      for (std::size_t e = 0; e < entries; ++e) {
+        const Technology& t = *techs[techs.size() == 1 ? 0 : e];
+        const std::size_t i = e % n;
+        EXPECT_EQ(power[e], handles[i].leakage_power(t, temps[e], vb))
+            << tiles << " tiles, entry " << e;
+        EXPECT_EQ(power[e], oracle[i] ? oracle[i]->leakage_power(t, temps[e], vb) : 0.0)
+            << tiles << " tiles, entry " << e;
+      }
+      if (tiles > 1 && techs.size() == 1) {
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(power[entries - n + i], power[i]) << "block " << i;
+        }
+      }
+    }
+  }
+  // Sizes that do not tile the handle span are rejected before any work.
+  const Technology* const shared[] = {&nominal};
+  std::vector<double> temps(2 * n + 1, 340.0);
+  std::vector<double> power(temps.size());
+  EXPECT_THROW(CompiledBlockLeakage::leakage_power(handles, shared, temps, 0.0, power),
+               PreconditionError);
+  temps.resize(2 * n);
+  EXPECT_THROW(CompiledBlockLeakage::leakage_power(handles, shared, temps, 0.0, power),
+               PreconditionError);  // one output per temperature
+  power.resize(2 * n);
+  const std::vector<const Technology*> per_handle(n, &nominal);
+  EXPECT_THROW(CompiledBlockLeakage::leakage_power(handles, per_handle, temps, 0.0, power),
+               PreconditionError);  // one technology per handle, two tiles
+  EXPECT_THROW(CompiledBlockLeakage::leakage_power({}, shared, temps, 0.0, power),
+               PreconditionError);  // temperatures without handles
+  std::vector<double> none;
+  CompiledBlockLeakage::leakage_power({}, shared, none, 0.0, none);  // nothing to do
+  CompiledBlockLeakage::leakage_power(handles, shared, temps, 0.0, power);
+  for (std::size_t e = 0; e < temps.size(); ++e) {
+    EXPECT_EQ(power[e], handles[e % n].leakage_power(nominal, 340.0, 0.0)) << "entry " << e;
+  }
 }
 
 TEST(CompiledLeakage, BatchedEntryEvaluatesForeignHandlesOnTheirOwn) {

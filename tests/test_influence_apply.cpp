@@ -8,8 +8,10 @@
 // with zero, -0.0 and NaN vectors among finite ones), the spectral passes
 // and point/map synthesis against pinned bit patterns, the interned spectral
 // tables (shared edges, unshared random sources, clipped and off-die
-// sources, duplicate samples), and the transient step and readback that
-// share the factored projection's halves.
+// sources, duplicate samples), the dispatched block path (AVX2 or baseline)
+// lane by lane against lone applies on odd mode counts, one x-interval,
+// resumed pass-2 tiles and duplicate samples, and the transient step and
+// readback that share the factored projection's halves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/cosim.hpp"
 #include "floorplan/generators.hpp"
+#include "numerics/explog.hpp"
 #include "thermal/backend.hpp"
 
 namespace ptherm::core {
@@ -324,6 +327,107 @@ TEST(InfluenceApply, BlockedApplyLanesEqualLoneAppliesBitwise) {
     ASSERT_EQ(backend.solver().make_influence_projection(sources, samples).source.x_intervals(),
               sources.size());
     expect_lanes_equal_lone_applies(backend, sources, samples);
+  }
+}
+
+// The dispatched block path (F64x4 sums in the AVX2 clone, SSE2 pairs in
+// the baseline build) against lone count-1 applies at counts 1-9 (every
+// remainder), 64 (the batch engine's chunk) and 67 (a chunk plus a
+// remainder of 3). Vectors 1, 2 and 5 of every eight are all +0.0, all
+// -0.0 and finite with one NaN power; every other vector is finite.
+void expect_dispatched_lanes_equal_lone_applies(
+    const thermal::SpectralBackend& backend, const std::vector<thermal::HeatSource>& sources,
+    const std::vector<thermal::SurfaceSample>& samples) {
+  SCOPED_TRACE(numerics::dispatched_isa() == numerics::Isa::Avx2 ? "dispatched: AVX2"
+                                                                 : "dispatched: baseline");
+  constexpr std::size_t kMaxVectors = 67;
+  const std::size_t n = sources.size();
+  Rng rng(1618);
+  auto powers = random_powers(kMaxVectors * n, rng);
+  for (std::size_t k = 0; k < kMaxVectors; ++k) {
+    if (k % 8 == 1) std::fill_n(powers.begin() + k * n, n, 0.0);
+    if (k % 8 == 2) std::fill_n(powers.begin() + k * n, n, -0.0);
+    if (k % 8 == 5) powers[k * n + (k % n)] = std::numeric_limits<double>::quiet_NaN();
+  }
+  const auto op = backend.make_influence_apply(sources, samples);
+  std::vector<double> lone(kMaxVectors * n);
+  for (std::size_t k = 0; k < kMaxVectors; ++k) {
+    op->apply_batch({powers.data() + k * n, n}, {lone.data() + k * n, n}, 1);
+  }
+  for (const std::size_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 67}) {
+    std::vector<double> batched(count * n);
+    op->apply_batch({powers.data(), count * n}, batched, count);
+    for (std::size_t i = 0; i < count * n; ++i) {
+      if (std::isnan(lone[i])) {
+        ASSERT_TRUE(std::isnan(batched[i]))
+            << "count " << count << " vector " << i / n << " sample " << i % n;
+      } else {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i]), std::bit_cast<std::uint64_t>(lone[i]))
+            << "count " << count << " vector " << i / n << " sample " << i % n;
+      }
+    }
+  }
+  // The fixture exercises what it claims: zero vectors read back +0.0, a
+  // NaN reaches its own vector's rises only.
+  for (std::size_t i = n; i < 3 * n; ++i) EXPECT_EQ(std::bit_cast<std::uint64_t>(lone[i]), 0u);
+  EXPECT_TRUE(std::isnan(lone[5 * n]));
+  EXPECT_FALSE(std::isnan(lone[4 * n]) || std::isnan(lone[6 * n]));
+}
+
+TEST(InfluenceApply, DispatchedBlockLanesEqualLoneAppliesBitwise) {
+  // 30 x 17 modes: neither axis a multiple of the block path's eight sums
+  // per pass-2 sweep or eight rows per pass-4 call, so the single-sum tails
+  // run in every block.
+  thermal::SpectralOptions odd;
+  odd.modes_x = 30;
+  odd.modes_y = 17;
+  const auto die = die_2mm();
+  {
+    const auto fp = manycore_plan(3);  // 36 blocks, shared edges
+    const thermal::SpectralBackend backend(fp.die(), odd);
+    expect_dispatched_lanes_equal_lone_applies(backend, fp.heat_sources(tech()),
+                                               block_centre_samples(fp));
+  }
+  {
+    // Gx = 1: every source spans the same x-interval, stacked along y.
+    std::vector<thermal::HeatSource> sources(12);
+    for (std::size_t j = 0; j < sources.size(); ++j) {
+      sources[j].w = 300e-6;
+      sources[j].l = 120e-6;
+      sources[j].cx = 0.8e-3;
+      sources[j].cy = 0.1e-3 + 0.15e-3 * static_cast<double>(j);
+    }
+    Rng rng(3);
+    const auto samples = random_samples(die, sources.size(), rng);
+    const thermal::SpectralBackend backend(die, odd);
+    ASSERT_EQ(backend.solver().make_influence_projection(sources, samples).source.x_intervals(),
+              1u);
+    expect_dispatched_lanes_equal_lone_applies(backend, sources, samples);
+  }
+  {
+    // Gx > kIntervalTile (64): pass 2 resumes its sums across tiles.
+    Rng rng(37);
+    const auto sources = random_sources(die, 150, rng);
+    const auto samples = random_samples(die, sources.size(), rng);
+    const thermal::SpectralBackend backend(die, odd);
+    ASSERT_GT(backend.solver().make_influence_projection(sources, samples).source.x_intervals(),
+              64u);
+    expect_dispatched_lanes_equal_lone_applies(backend, sources, samples);
+  }
+  {
+    // Duplicate samples: several rises read the same synthesized column.
+    const auto fp = manycore_plan(3);
+    auto samples = block_centre_samples(fp);
+    for (std::size_t p = 1; p < samples.size(); p += 2) samples[p] = samples[p - 1];
+    const thermal::SpectralBackend backend(fp.die(), odd);
+    expect_dispatched_lanes_equal_lone_applies(backend, fp.heat_sources(tech()), samples);
+  }
+  {
+    // The default 64 x 64 modes on the shared-edge plan.
+    const auto fp = manycore_plan(3);
+    const thermal::SpectralBackend backend(fp.die(), {});
+    expect_dispatched_lanes_equal_lone_applies(backend, fp.heat_sources(tech()),
+                                               block_centre_samples(fp));
   }
 }
 

@@ -1,12 +1,16 @@
 // Tests for the batched scenario engine: bitwise batched-vs-sequential
 // equivalence on every backend, chunk-size invariance, convergence-mask
 // correctness, batch-size-independent Monte Carlo draws, V/f corner levels,
-// and the dense/matrix-free boundary-fold agreement under batching.
+// the dense/matrix-free boundary-fold agreement under batching, and mixed
+// exits (converged, runaway, non-finite, max-iterations) at several sweeps
+// of one chunk at every chunk size.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -283,6 +287,103 @@ TEST(ScenarioBatch, NonConvergedExitsMatchSequentialOnBothInfluencePaths) {
     }
     EXPECT_EQ(batch.trace().active_per_sweep.size(),
               static_cast<std::size_t>(batch.stats().batched_matvecs));
+  }
+}
+
+TEST(ScenarioBatch, MixedExitsAtEveryChunkSizeMatchSequentialBitwise) {
+  // One pool of scenarios whose exits fall at different sweeps of a chunk:
+  // converged, runaway (from sweep 1 up), a non-finite residual (an
+  // overflowing VT0 multiplier) and max-iterations survivors, at two V/f
+  // levels, with leakage scales far from 1 and dVT0 = +0.0 and -0.0 on some
+  // blocks. Each sweep's leakage and each exit sweep run as one batched
+  // evaluation over every scenario they hold; whatever the chunk size, each
+  // result must be bitwise its standalone solve.
+  CosimOptions opts;
+  opts.backend = ThermalBackend::Spectral;
+  opts.influence = InfluenceMode::MatrixFree;
+  opts.tol = 1e-6;
+  opts.max_iterations = 12;
+  opts.trace.convergence = true;
+  constexpr int kScenarios = 70;
+  const double scales[] = {1.0, 3e4, 6e4, 1e5, 2e5, 4e5, 1e6, 3e6, 1e8};
+  const VariationModel var{0.03};
+  const auto make_batch = [&](int chunk) {
+    ScenarioBatchOptions bopts;
+    bopts.chunk = chunk;
+    ScenarioBatch batch(tech(), small_plan(), opts, bopts);
+    const int low = batch.add_vf_level(tech().vdd * 0.85, 0.7);
+    const std::size_t n = batch.block_count();
+    for (int s = 0; s < kScenarios; ++s) {
+      const int level = s % 2 == 0 ? 0 : low;
+      std::vector<double> powers(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        powers[j] = small_plan().blocks()[j].p_dynamic * batch.level_dynamic_scale(level);
+      }
+      const auto dvt0 = var.sample_scenario_delta_vt0(n, 77, static_cast<std::uint64_t>(s));
+      std::vector<LeakageAdjust> adjust(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        adjust[j].scale = scales[static_cast<std::size_t>(s) % std::size(scales)];
+        adjust[j].delta_vt0 = j % 3 == 0 ? 0.0 : j % 3 == 1 ? -0.0 : dvt0[j];
+      }
+      if (s % 23 == 7) adjust[4].delta_vt0 = -60.0;  // exp(60 V / nVT) overflows
+      batch.add_scenario(std::move(powers), std::move(adjust), level);
+    }
+    return batch;
+  };
+
+  const auto pool = make_batch(64);
+  std::vector<CosimResult> want;
+  for (std::size_t k = 0; k < kScenarios; ++k) {
+    want.push_back(reference_solve(pool, k, small_plan(), opts));
+  }
+  // The pool holds what it claims: every exit kind, at several sweeps.
+  std::set<int> converged_at, runaway_at, survivors_at, non_finite_at;
+  for (const CosimResult& r : want) {
+    if (r.converged) {
+      converged_at.insert(r.iterations);
+    } else if (r.runaway) {
+      runaway_at.insert(r.iterations);
+    } else if (!std::isfinite(r.max_delta_last)) {
+      non_finite_at.insert(r.iterations);
+    } else {
+      survivors_at.insert(r.iterations);
+    }
+  }
+  EXPECT_GE(converged_at.size(), 2u);
+  EXPECT_GE(runaway_at.size(), 3u);
+  EXPECT_EQ(non_finite_at, std::set<int>{1});
+  EXPECT_EQ(survivors_at, std::set<int>{opts.max_iterations});
+
+  for (const int chunk : {1, 3, 64, 65}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    auto batch = make_batch(chunk);
+    const auto results = batch.solve_all();
+    ASSERT_EQ(results.size(), want.size());
+    for (std::size_t k = 0; k < results.size(); ++k) {
+      if (!std::isnan(want[k].max_delta_last)) {
+        expect_bitwise_equal(results[k], want[k], k);
+        EXPECT_EQ(results[k].contraction, want[k].contraction) << "scenario " << k;
+        continue;
+      }
+      // A NaN residual is NaN on both sides (its payload may differ);
+      // every other field must still match bit for bit.
+      const ScenarioResult& got = results[k];
+      EXPECT_TRUE(std::isnan(got.max_delta_last)) << "scenario " << k;
+      ASSERT_EQ(got.picard_residuals.size(), want[k].picard_residuals.size()) << "scenario " << k;
+      for (const double r : got.picard_residuals) EXPECT_TRUE(std::isnan(r)) << "scenario " << k;
+      EXPECT_EQ(got.converged, want[k].converged) << "scenario " << k;
+      EXPECT_EQ(got.runaway, want[k].runaway) << "scenario " << k;
+      EXPECT_EQ(got.iterations, want[k].iterations) << "scenario " << k;
+      ASSERT_EQ(got.temperatures.size(), want[k].blocks.size()) << "scenario " << k;
+      for (std::size_t i = 0; i < got.temperatures.size(); ++i) {
+        EXPECT_EQ(got.temperatures[i], want[k].blocks[i].temperature) << "scenario " << k;
+      }
+      EXPECT_EQ(got.total_dynamic, want[k].total_dynamic) << "scenario " << k;
+      EXPECT_EQ(got.total_leakage, want[k].total_leakage) << "scenario " << k;
+      ASSERT_TRUE(got.diagnostics.has_value()) << "scenario " << k;
+      EXPECT_EQ(got.diagnostics->stage, "scenario " + std::to_string(k) + ": non-finite residual");
+      EXPECT_EQ(got.diagnostics->worst, want[k].diagnostics->worst) << "scenario " << k;
+    }
   }
 }
 
